@@ -121,7 +121,6 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
 
     for block in blocks:
         block_index += 1
-        state.block = block_index
 
         if block.direction == "F":
             records = _translate_forward(block.cells, cx, ext2int)
@@ -151,8 +150,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                     observer(state, matrix, op)
 
         elif block.direction == "B":
-            sigma_set = _translate_backward(block.cells, ext2int)
-            removed = {ext for ext, cell in ext2int.items() if cell in sigma_set}
+            exts = list(block.cells)  # read twice; cells may be an iterator
+            sigma_set = _translate_backward(exts, ext2int)
             ops = atomize_backward(sigma_set, state)
             for op in ops:
                 update = apply_atomic(state, op)
@@ -180,7 +179,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                     shadow.compare(matrix)
                 if observer is not None:
                     observer(state, matrix, op)
-            for ext in removed:
+            for ext in exts:
                 del ext2int[ext]
 
         else:

@@ -6,6 +6,15 @@ Matchings are built by coreduction and queried through gradient-path
 traversal: the reduced incidence of two critical cells is the signed sum over
 alternating paths between them, which a memoized sweep of the Hasse diagram
 computes without materializing paths.
+
+The memo of downward flows (cell -> the chain of criticals it reaches) can
+outlive a single query.  A cell's downward flow depends only on its downward
+closure and the pairing there, so the streaming engine keeps one memo for a
+whole run: inserting cells leaves every entry valid, a removed cell takes
+only its own entry with it (removals take maximal cells, so no live entry
+reaches it), and the single event that invalidates entries is
+``Matching.unpair``, after which the memo is cleared.  Upward flows change
+whenever a cofacet is inserted, so ``morse_coboundary`` always starts fresh.
 """
 
 import heapq
@@ -40,13 +49,6 @@ class Matching:
         self.pair_up[tau] = sigma
         self.pair_down[sigma] = tau
 
-    def absorb(self, other):
-        self.critical |= other.critical
-        self.queue_cells |= other.queue_cells
-        self.king_cells |= other.king_cells
-        self.pair_up.update(other.pair_up)
-        self.pair_down.update(other.pair_down)
-
     def unpair(self, tau):
         """Turn the pair (tau, king) into two critical cells."""
         sigma = self.pair_up.pop(tau)
@@ -68,11 +70,6 @@ class Matching:
         self.queue_cells.discard(tau)
         self.king_cells.discard(sigma)
         return sigma
-
-    def copy(self):
-        out = Matching()
-        out.absorb(self)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +192,32 @@ def is_acyclic_matching(cx, matching):
 # gradient-path traversal
 # ---------------------------------------------------------------------------
 
-def _flow(links, weight_of, pairs, matching, dead, seeds, p):
+def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
     """Accumulated path coefficients from a seed chain down (or up) to criticals.
 
-    ``links(cell)`` lists the next cells reachable through a cell's pairing
-    mate; ``dead`` is the side of a pair where paths stop.  Raises
-    CyclicMatching if the traversal revisits an in-progress cell.
+    ``adj`` is ``cx.facets`` (downward flow) or ``cx.cofacets`` (upward);
+    a path steps from a cell to its pairing mate ``pairs[cell]`` and on to
+    the mate's other neighbours ``adj[mate]``, with incidences read as
+    ``adj[mate][nxt]``.  ``critical`` cells end a path with coefficient 1
+    and ``dead`` cells (the far side of a pair) end it with nothing.
+
+    ``memo`` maps a cell to its own flow, the chain of criticals it reaches.
+    It is filled in place and may be passed in pre-filled: the flow of a
+    cell depends only on the cells below (or above) it and their pairing,
+    so an entry stays valid while neither changes.  The returned chain is
+    always a fresh dict.  Raises CyclicMatching if the traversal revisits an
+    in-progress cell.
     """
-    memo = {}
+    if memo is None:
+        memo = {}
     expanded = set()
-    stack = [c for c in seeds]
+    stack = list(seeds)
     while stack:
         cell = stack[-1]
         if cell in memo:
             stack.pop()
             continue
-        if cell in matching.critical:
+        if cell in critical:
             memo[cell] = {cell: 1}
             stack.pop()
             continue
@@ -220,8 +227,8 @@ def _flow(links, weight_of, pairs, matching, dead, seeds, p):
             continue
         if cell not in pairs:
             raise UnknownCell("cell %r is not covered by the matching" % (cell,))
-        mate = pairs[cell]
-        deps = [n for n in links(mate) if n != cell and n not in memo]
+        links = adj[pairs[cell]]
+        deps = [n for n in links if n != cell and n not in memo]
         if cell not in expanded:
             expanded.add(cell)
             if deps:
@@ -232,12 +239,12 @@ def _flow(links, weight_of, pairs, matching, dead, seeds, p):
                 continue
         elif deps:
             raise CyclicMatching("gradient path loops at %r" % (cell,))
-        scale = (-field_inv(weight_of(mate, cell), p)) % p
+        scale = (-field_inv(links[cell], p)) % p
         acc = {}
-        for nxt in links(mate):
+        for nxt, weight in links.items():
             if nxt == cell:
                 continue
-            step = (scale * weight_of(mate, nxt)) % p
+            step = (scale * weight) % p
             for crit, coeff in memo[nxt].items():
                 val = (acc.get(crit, 0) + step * coeff) % p
                 if val:
@@ -258,31 +265,27 @@ def _flow(links, weight_of, pairs, matching, dead, seeds, p):
     return total
 
 
-def morse_boundary(cx, matching, nu):
-    """Chain of critical facet-level cells reachable from the critical cell nu."""
+def morse_boundary(cx, matching, nu, memo=None):
+    """Chain of critical facet-level cells reachable from the critical cell nu.
+
+    ``memo`` is an optional downward-flow memo (see ``_flow``) shared
+    between calls.  The caller keeps it valid: inserting cells never
+    invalidates it, removed cells' entries are dropped, and it must be
+    cleared whenever ``Matching.unpair`` changes an existing cell's pairing.
+    """
     if nu not in matching.critical:
         raise NotCritical(repr(nu))
-    return _flow(
-        links=lambda cell: cx.facets[cell],
-        weight_of=lambda upper, lower: cx.facets[upper][lower],
-        pairs=matching.pair_up,
-        matching=matching,
-        dead=matching.king_cells,
-        seeds=dict(cx.facets[nu]),
-        p=cx.p,
-    )
+    return _flow(cx.facets, matching.pair_up, matching.critical,
+                 matching.king_cells, cx.facets[nu], cx.p, memo)
 
 
 def morse_coboundary(cx, matching, tau):
-    """Chain of critical cofacet-level cells with nonzero reduced incidence onto tau."""
+    """Chain of critical cofacet-level cells with nonzero reduced incidence onto tau.
+
+    Always starts a fresh memo: upward flows change whenever a cofacet is
+    inserted.
+    """
     if tau not in matching.critical:
         raise NotCritical(repr(tau))
-    return _flow(
-        links=lambda cell: cx.cofacets[cell],
-        weight_of=lambda lower, upper: cx.cofacets[lower][upper],
-        pairs=matching.pair_down,
-        matching=matching,
-        dead=matching.queue_cells,
-        seeds=dict(cx.cofacets[tau]),
-        p=cx.p,
-    )
+    return _flow(cx.cofacets, matching.pair_down, matching.critical,
+                 matching.queue_cells, cx.cofacets[tau], cx.p)

@@ -12,7 +12,8 @@ before the cell leaves.
 import heapq
 from collections import namedtuple
 
-from .errors import CyclicMatching, InvalidOp, NotRemovable, UnknownCell
+from .errors import (BrokenInvariant, CyclicMatching, InvalidOp, NotRemovable,
+                     UnknownCell)
 from .morse import morse_boundary, morse_coboundary
 
 ForwardCell = namedtuple("ForwardCell", "cell dim boundary")
@@ -33,12 +34,17 @@ KernelUnpair = namedtuple(
 
 
 class MorseState:
-    """The streamed complex, its global matching, and the block cursor."""
+    """The streamed complex, its global matching, and its downward-flow memo.
+
+    ``flow_memo`` (cell -> reduced chain, see ``morse._flow``) lives across
+    blocks.  ``apply_atomic`` keeps it valid: insertions leave it alone,
+    removals drop the removed cells' entries, and an unpair clears it.
+    """
 
     def __init__(self, complex_, matching):
         self.complex = complex_
         self.matching = matching
-        self.block = 0
+        self.flow_memo = {}
         self.pending = {}  # staged records for the forward block being applied
 
     def stage(self, records):
@@ -186,6 +192,19 @@ def atomize_backward(sigma_set, state):
 # applying atomic operations
 # ---------------------------------------------------------------------------
 
+def _reduced_boundary(state, cell):
+    """Morse boundary of a critical cell through the state's flow memo.
+
+    In validate mode the result is recomputed without the memo and must
+    agree, so a stale entry shows up at the first boundary it would corrupt.
+    """
+    cx = state.complex
+    bnd = morse_boundary(cx, state.matching, cell, memo=state.flow_memo)
+    if cx.validate and bnd != morse_boundary(cx, state.matching, cell):
+        raise BrokenInvariant("flow memo gives a stale boundary for %r" % (cell,))
+    return bnd
+
+
 def apply_atomic(state, op):
     """Mutate the Morse state by one atomic op; return the kernel's view of it.
 
@@ -200,7 +219,7 @@ def apply_atomic(state, op):
         dim, bnd = state.pending.pop(op.cell)
         cx.insert_cell(dim, bnd, cell=op.cell)
         m.add_critical(op.cell)
-        return KernelInsert(op.cell, dim, morse_boundary(cx, m, op.cell))
+        return KernelInsert(op.cell, dim, _reduced_boundary(state, op.cell))
 
     if isinstance(op, InsertPair):
         tdim, tbnd = state.pending.pop(op.tau)
@@ -218,9 +237,10 @@ def apply_atomic(state, op):
         if not cx.is_maximal(op.cell):
             raise InvalidOp("cell %r is not maximal" % (op.cell,))
         update = KernelRemove(op.cell, cx.dims[op.cell],
-                              morse_boundary(cx, m, op.cell))
+                              _reduced_boundary(state, op.cell))
         m.drop_critical(op.cell)
         cx.remove_cell(op.cell)
+        state.flow_memo.pop(op.cell, None)
         return update
 
     if isinstance(op, RemovePair):
@@ -233,6 +253,8 @@ def apply_atomic(state, op):
             raise InvalidOp("queue cell %r not maximal after its king" % (op.tau,))
         cx.remove_cell(op.tau)
         m.drop_pair(op.tau)
+        state.flow_memo.pop(op.tau, None)
+        state.flow_memo.pop(op.sigma, None)
         return None
 
     if isinstance(op, RemoveUnpaired):
@@ -244,7 +266,8 @@ def apply_atomic(state, op):
         if not incidence:
             raise InvalidOp("pair (%r, %r) has zero incidence" % (op.tau, op.sigma))
         m.unpair(op.tau)
-        sigma_boundary = morse_boundary(cx, m, op.sigma)
+        state.flow_memo.clear()  # the pair's flows, and all through them, change
+        sigma_boundary = _reduced_boundary(state, op.sigma)
         tau_cofacets = morse_coboundary(cx, m, op.tau)
         if sigma_boundary.get(op.tau) != incidence:
             raise InvalidOp("reduced boundary lost the pair incidence")

@@ -1,0 +1,145 @@
+"""The downward-flow memo that MorseState keeps across a whole stream.
+
+Every entry must equal the flow computed from scratch, for live cells only,
+after every atomic operation; an unpair must invalidate the entries that run
+through the split pair; and a pre-filled memo must not hide a cyclic
+matching.
+"""
+
+import pytest
+
+from conftest import blocks_to_stream, random_block_ops
+from zzmorse.cells import Complex, build_simplicial
+from zzmorse.errors import BrokenInvariant, CyclicMatching
+from zzmorse.generators import circle_points, oscillating_rips_stream
+from zzmorse.kernel import run_stream
+from zzmorse.morse import Matching, _flow, morse_boundary
+from zzmorse.stream import BlockOp, ForwardCell, RemoveUnpaired
+
+
+def memo_auditor(seen):
+    """Observer checking the flow memo against memo-free flows after each op."""
+
+    def audit(state, matrix, op):
+        cx, m = state.complex, state.matching
+        memo = state.flow_memo
+        assert len(memo) <= len(cx)
+        for cell, chain in memo.items():
+            assert cell in cx, "memo keeps removed cell %r" % (cell,)
+            fresh = _flow(cx.facets, m.pair_up, m.critical, m.king_cells,
+                          {cell: 1}, cx.p)
+            assert chain == fresh, "stale memo entry for %r" % (cell,)
+        seen["ops"] += 1
+        seen["entries"] += len(memo)
+        seen["unpairs"] += isinstance(op, RemoveUnpaired)
+
+    return audit
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_memo_matches_fresh_flows_on_random_streams(p):
+    seen = dict(ops=0, entries=0, unpairs=0)
+    audit = memo_auditor(seen)
+    for seed in range(120):
+        blocks = blocks_to_stream(random_block_ops(seed, p=p))
+        run_stream(blocks, p=p, observer=audit)
+    assert seen["unpairs"] > 0 and seen["entries"] > 0
+
+
+def test_memo_matches_fresh_flows_on_rips_stream():
+    seen = dict(ops=0, entries=0, unpairs=0)
+    blocks, _ = oscillating_rips_stream(circle_points(14, seed=2), 4.0, 6.0)
+    run_stream(blocks, observer=memo_auditor(seen))
+    assert seen["unpairs"] > 0 and seen["entries"] > 0
+
+
+def path_stream(p):
+    """A stream whose unpair changes the flow of a cell it does not touch.
+
+    Block 1 matches v0 critical, (v1, e01) and (v2, e12); block 2's critical
+    edge e02 memoizes v2's flow as running through v1 to v0.  Block 3
+    removes e01, splitting the pair (v1, e01): v1 turns critical, and v2
+    now flows to v1.  Block 4 re-inserts an edge v0-v2, whose reduced
+    boundary reads v2's flow.  A memo left as it was makes e01's own reduced
+    boundary lose the pair incidence; one that drops only the entries of v1
+    and e01 keeps v2's old entry, makes f02's boundary zero, and reports a
+    loop in block 4 that does not exist.
+    """
+    neg = p - 1
+    return [
+        BlockOp("F", [ForwardCell("v0", 0, {}), ForwardCell("v1", 0, {}),
+                      ForwardCell("v2", 0, {}),
+                      ForwardCell("e01", 1, {"v0": neg, "v1": 1}),
+                      ForwardCell("e12", 1, {"v1": neg, "v2": 1})]),
+        BlockOp("F", [ForwardCell("e02", 1, {"v0": neg, "v2": 1})]),
+        BlockOp("B", ["e02", "e01"]),
+        BlockOp("F", [ForwardCell("f02", 1, {"v0": neg, "v2": 1})]),
+        BlockOp("B", ["f02", "e12", "v0", "v1", "v2"]),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_unpair_invalidates_flows_through_the_pair(p):
+    blocks = path_stream(p)
+    intervals, _ = run_stream(blocks, p=p)
+    assert intervals == run_stream(blocks, p=p, morse=False)[0]
+    # H1 lives only while e01, e12 and e02 close a loop; f02 closes none
+    assert [iv for iv in intervals if iv.dim == 1] == [(1, 2, 2)]
+    seen = dict(ops=0, entries=0, unpairs=0)
+    run_stream(blocks, p=p, observer=memo_auditor(seen))
+    assert seen["unpairs"] == 1
+
+
+def test_unpair_invalidates_flows_under_validate():
+    for p in (2, 3):
+        blocks = path_stream(p)
+        assert (run_stream(blocks, p=p, validate=True)[0]
+                == run_stream(blocks, p=p, morse=False)[0])
+
+
+def test_validate_mode_names_a_stale_memo_entry():
+    def spoil(state, matrix, op):
+        for cell in state.flow_memo:
+            state.flow_memo[cell] = {}
+
+    # e02, the sixth cell inserted, has internal id 5; removing it is the
+    # first boundary read after its facets' entries were spoiled
+    with pytest.raises(BrokenInvariant, match="stale boundary for 5$"):
+        run_stream(path_stream(2), validate=True, observer=spoil)
+
+
+def cyclic_complex():
+    cx = build_simplicial([(1,), (2,), (3,), (4,), (1, 2), (2, 3), (1, 3),
+                           (1, 4)])
+    ids = cx.simplex_ids
+    m = Matching()
+    m.add_pair(ids[(1,)], ids[(1, 2)])
+    m.add_pair(ids[(2,)], ids[(2, 3)])
+    m.add_pair(ids[(3,)], ids[(1, 3)])
+    m.add_critical(ids[(4,)])
+    m.add_critical(ids[(1, 4)])
+    return cx, m, ids
+
+
+def test_cyclic_matching_detected_with_prefilled_memo():
+    cx, m, ids = cyclic_complex()
+    v4 = ids[(4,)]
+    memo = {v4: {v4: 1}}
+    with pytest.raises(CyclicMatching):
+        morse_boundary(cx, m, ids[(1, 4)], memo=memo)
+    with pytest.raises(CyclicMatching):
+        _flow(cx.facets, m.pair_up, m.critical, m.king_cells,
+              {ids[(1,)]: 1}, cx.p, {v4: {v4: 1}})
+
+
+def test_result_is_not_a_memo_value():
+    cx = Complex()
+    v = cx.insert_cell(0, {})
+    e = cx.insert_cell(1, {v: 1})
+    m = Matching()
+    m.add_critical(v)
+    m.add_critical(e)
+    memo = {}
+    morse_boundary(cx, m, e, memo=memo)[v] = 0
+    assert memo == {v: {v: 1}}
+    assert morse_boundary(cx, m, e, memo=memo) == {v: 1}

@@ -145,6 +145,13 @@ def test_runs_are_deterministic():
     assert run_stream(stream, p=2) == run_stream(stream, p=2)
 
 
+def test_backward_cells_may_be_an_iterator():
+    stream = blocks_to_stream(TRIANGLE_BLOCKS)
+    lazy = [BlockOp(b.direction, iter(b.cells)) if b.direction == "B" else b
+            for b in stream]
+    assert run_stream(lazy, p=2) == run_stream(stream, p=2)
+
+
 # -- kernel column algebra (white box) ----------------------------------------
 
 
