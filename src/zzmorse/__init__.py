@@ -14,7 +14,7 @@ from .generators import (
     oscillating_rips_stream,
     rips_complex,
 )
-from .kernel import Interval, Metrics, backend, run_stream
+from .kernel import Interval, Metrics, run_stream
 from .stream import BlockOp, ForwardCell
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "Metrics",
     "RunConfig",
     "ScalarImage",
-    "backend",
     "build_cubical",
     "build_simplicial",
     "circle_points",

@@ -9,6 +9,7 @@ is stored mirrored.  Chains are plain dicts CellId -> nonzero coefficient in
 from itertools import combinations
 
 from .errors import (
+    BadParameters,
     BrokenBoundary,
     EmptyDims,
     MissingFace,
@@ -17,6 +18,12 @@ from .errors import (
     UnknownCell,
     ZeroInverse,
 )
+
+
+def check_prime(p):
+    """Raise BadParameters unless p is a prime field characteristic."""
+    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        raise BadParameters("field characteristic %r is not prime" % (p,))
 
 
 def field_inv(a, p):
@@ -48,8 +55,7 @@ class Complex:
     """
 
     def __init__(self, p=2, validate=False):
-        if p < 2:
-            raise ValueError("field characteristic must be a prime >= 2")
+        check_prime(p)
         self.p = p
         self.validate = validate
         self.dims = {}          # CellId -> dimension
@@ -64,15 +70,6 @@ class Complex:
 
     def __contains__(self, cell):
         return cell in self.dims
-
-    def cells(self):
-        return self.dims.keys()
-
-    def dim(self, cell):
-        try:
-            return self.dims[cell]
-        except KeyError:
-            raise UnknownCell(repr(cell)) from None
 
     def fresh_id(self):
         """Reserve and return an unused CellId."""
@@ -136,16 +133,6 @@ class Complex:
         del self.cofacets[cell]
         del self.seq[cell]
 
-    def boundary(self, cell):
-        if cell not in self.dims:
-            raise UnknownCell(repr(cell))
-        return dict(self.facets[cell])
-
-    def coboundary(self, cell):
-        if cell not in self.dims:
-            raise UnknownCell(repr(cell))
-        return dict(self.cofacets[cell])
-
     def is_maximal(self, cell):
         if cell not in self.dims:
             raise UnknownCell(repr(cell))
@@ -169,19 +156,16 @@ class Complex:
             assert not dd, "dd != 0 at cell %r" % (cell,)
 
 
-def simplex_boundary(simplex, index, p):
-    """Facet chain of a simplex given a tuple -> CellId map.
+def simplex_facets(simplex):
+    """Facet chain {face tuple: +-1} of a sorted vertex tuple.
 
     Signs follow the orientation of sorted vertex lists: omitting the j-th
-    vertex contributes (-1)^j.
+    vertex contributes (-1)^j.  A vertex has no facets.
     """
-    bd = {}
-    for j in range(len(simplex)):
-        face = simplex[:j] + simplex[j + 1:]
-        coeff = (1 if j % 2 == 0 else -1) % p
-        if coeff:
-            bd[index[face]] = coeff
-    return bd
+    if len(simplex) == 1:
+        return {}
+    return {simplex[:j] + simplex[j + 1:]: (1 if j % 2 == 0 else -1)
+            for j in range(len(simplex))}
 
 
 def build_simplicial(simplices, p=2, validate=False):
@@ -194,12 +178,11 @@ def build_simplicial(simplices, p=2, validate=False):
     for simplex in sorted(set(tuple(s) for s in simplices), key=lambda s: (len(s), s)):
         if list(simplex) != sorted(set(simplex)):
             raise MissingFace("vertex list %r is not strictly sorted" % (simplex,))
-        if len(simplex) > 1:
-            for j in range(len(simplex)):
-                face = simplex[:j] + simplex[j + 1:]
-                if face not in index:
-                    raise MissingFace("face %r of %r is missing" % (face, simplex))
-        bd = simplex_boundary(simplex, index, p) if len(simplex) > 1 else {}
+        bd = {}
+        for face, sign in simplex_facets(simplex).items():
+            if face not in index:
+                raise MissingFace("face %r of %r is missing" % (face, simplex))
+            bd[index[face]] = sign
         index[simplex] = cx.insert_cell(len(simplex) - 1, bd)
     cx.simplex_ids = index
     return cx
@@ -228,20 +211,22 @@ def cube_dim(cube):
     return sum(v % 2 for v in cube)
 
 
-def cube_facets(cube, p):
-    """Facet list [(facet cube, coeff)] with the standard alternating signs."""
-    out = []
+def cube_facets(cube):
+    """Facet chain {facet cube: +-1} with the standard alternating signs.
+
+    The k-th odd (interval) coordinate contributes its upper face with sign
+    (-1)^k and its lower face with the opposite sign.
+    """
+    bd = {}
     odd_seen = 0
     for axis, v in enumerate(cube):
         if v % 2 == 0:
             continue
         sign = 1 if odd_seen % 2 == 0 else -1
-        upper = cube[:axis] + (v + 1,) + cube[axis + 1:]
-        lower = cube[:axis] + (v - 1,) + cube[axis + 1:]
-        out.append((upper, sign % p))
-        out.append((lower, (-sign) % p))
+        bd[cube[:axis] + (v + 1,) + cube[axis + 1:]] = sign
+        bd[cube[:axis] + (v - 1,) + cube[axis + 1:]] = -sign
         odd_seen += 1
-    return [(c, coeff) for c, coeff in out if coeff]
+    return bd
 
 
 def cube_vertices(cube):
@@ -267,7 +252,7 @@ def build_cubical(dims, p=2, validate=False):
     cx = Complex(p, validate=validate)
     index = {}
     for cube in iter_cubes(dims):
-        bd = {index[c]: coeff for c, coeff in cube_facets(cube, p)}
+        bd = {index[c]: sign for c, sign in cube_facets(cube).items()}
         index[cube] = cx.insert_cell(cube_dim(cube), bd)
     cx.cube_ids = index
     return cx

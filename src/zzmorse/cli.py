@@ -13,6 +13,7 @@ from collections import namedtuple
 import click
 import numpy as np
 
+from .cells import check_prime
 from .errors import (BadHeader, BadParameters, BadStreamLine, CountMismatch,
                      EmptyFile, RaggedRow, ZigzagError)
 from .generators import (ScalarImage, as_point_cloud, blocks_to_stream,
@@ -176,11 +177,6 @@ def _write(path, text):
             fh.write(text)
 
 
-def _check_prime(p):
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise BadParameters("field characteristic %r is not prime" % (p,))
-
-
 # -- the pipeline driver -------------------------------------------------------------
 
 def _make_stream(config):
@@ -228,7 +224,7 @@ def _oracle_check(config):
 def run_cli(config):
     """Run one configured pipeline; returns a process exit code."""
     try:
-        _check_prime(config.p)
+        check_prime(config.p)
         if config.mode == "oracle-check":
             return _oracle_check(config)
         blocks, scales = _make_stream(config)

@@ -11,6 +11,11 @@ class ZigzagError(Exception):
 
 # --- field / chain / complex layer ---
 
+class BadParameters(ZigzagError):
+    """Invalid run or generator parameters (e.g. mu > nu, or a field
+    characteristic that is not prime)."""
+
+
 class ZeroInverse(ZigzagError):
     """Multiplicative inverse of 0 requested."""
 
@@ -71,6 +76,10 @@ class ZeroPairIncidence(ZigzagError):
     """Unpairing a Morse pair whose incidence vanishes mod p."""
 
 
+class KernelError(ZigzagError):
+    """The column kernel found one of its own invariants broken."""
+
+
 # --- validation mode ---
 
 class BrokenInvariant(ZigzagError):
@@ -87,10 +96,6 @@ class TooLarge(ZigzagError):
 
 class EmptyCloud(ZigzagError):
     """Point cloud with no points."""
-
-
-class BadParameters(ZigzagError):
-    """Invalid generator parameters (e.g. mu > nu)."""
 
 
 class NonMonotoneLevels(ZigzagError):

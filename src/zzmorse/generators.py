@@ -13,7 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cells import cube_dim, cube_vertices, iter_cubes
+from .cells import (cube_dim, cube_facets, cube_vertices, iter_cubes,
+                    simplex_facets)
 from .errors import (BadParameters, CountMismatch, EmptyCloud, EmptyDims,
                      NonMonotoneLevels, RaggedRow)
 from .oracle import _nullspace
@@ -96,14 +97,6 @@ def _cliques(d2, members, thr2, max_verts):
     return out
 
 
-def _simplex_chain(simplex):
-    """Facet chain with integer signs, faces keyed by their vertex tuples."""
-    if len(simplex) == 1:
-        return {}
-    return {simplex[:j] + simplex[j + 1:]: (1 if j % 2 == 0 else -1)
-            for j in range(len(simplex))}
-
-
 def rips_complex(points, rho, max_dim=2, subset=None, p=2, validate=False):
     """Clique complex of the threshold-rho graph, simplices up to max_dim.
 
@@ -145,7 +138,7 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
         target = _cliques(d2, range(count), scale * scale, max_dim + 1)
         new = sorted((s for s in target if s not in live),
                      key=lambda s: (len(s), s))
-        cells = [ForwardCell(s, len(s) - 1, _simplex_chain(s)) for s in new]
+        cells = [ForwardCell(s, len(s) - 1, simplex_facets(s)) for s in new]
         live.update((s, target[s]) for s in new)
         blocks.append(BlockOp("F", cells))
         scales.append(scale)
@@ -201,20 +194,6 @@ class ScalarImage:
         self.values = vals.reshape(dims)
 
 
-def _cube_chain(cube):
-    """Facet chain with integer signs, faces keyed by their cube tuples."""
-    bd = {}
-    odd = 0
-    for axis, v in enumerate(cube):
-        if v % 2 == 0:
-            continue
-        sign = 1 if odd % 2 == 0 else -1
-        bd[cube[:axis] + (v + 1,) + cube[axis + 1:]] = sign
-        bd[cube[:axis] + (v - 1,) + cube[axis + 1:]] = -sign
-        odd += 1
-    return bd
-
-
 def levelset_stream(image, levels):
     """Blocks sliding a value window up through the image.
 
@@ -242,7 +221,7 @@ def levelset_stream(image, levels):
     def forward_to(a, b, scale):
         new = [c for c in cubes
                if c not in live and a <= lo[c] and hi[c] <= b]
-        cells = [ForwardCell(c, cube_dim(c), _cube_chain(c)) for c in new]
+        cells = [ForwardCell(c, cube_dim(c), cube_facets(c)) for c in new]
         live.update(new)
         blocks.append(BlockOp("F", cells))
         scales.append(scale)

@@ -2,16 +2,16 @@
 
 ``run_stream`` consumes forward/backward blocks, keeps the evolving complex
 reduced through a discrete Morse matching, and feeds only the critical-cell
-traffic to the column kernel in ``_kernel_core``.  The output is the interval
+traffic to the column kernel in ``matrix``.  The output is the interval
 decomposition in block indices plus operation/size metrics.
 """
 
 from collections import namedtuple
 
-from ._backend import core
 from .cells import Complex
-from .errors import (InconsistentBoundary, InvalidOp, MissingFacet,
-                     UnknownCell, UnknownRow, ZeroPairIncidence)
+from .errors import (InconsistentBoundary, InvalidOp, KernelError,
+                     MissingFacet, UnknownCell, UnknownRow, ZeroPairIncidence)
+from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (InsertPair, KernelInsert, KernelRemove, KernelUnpair,
                      MorseState, RemovePair, apply_atomic, atomize_backward,
@@ -22,21 +22,12 @@ Interval = namedtuple("Interval", "dim birth death")
 Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
 
 
-def backend():
-    """Which kernel implementation is loaded: 'compiled' or 'pure'.
-
-    Setting ZZMORSE_PURE=1 in the environment forces the interpreted
-    kernel even when the compiled extension is built.
-    """
-    return "compiled" if core.COMPILED else "pure"
-
-
 def insert_into_matrix(matrix, update, birth, seq):
     """Feed one critical insertion to the column kernel; returns an event."""
     try:
         return matrix.forward_insert(update.cell, update.dim,
                                      update.boundary, birth, seq)
-    except core.KernelError as exc:
+    except KernelError as exc:
         raise InconsistentBoundary(str(exc)) from None
 
 
@@ -100,7 +91,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     ``blocks`` is an iterable of BlockOp; the stream must start and end at
     the empty complex.  Intervals are (dim, birth, death) with inclusive
     block indices counted from 1: the class is alive in the complexes seen
-    after those blocks.  ``morse=False`` skips the matching step and runs
+    after those blocks.  ``p`` must be prime (``BadParameters`` otherwise).
+    ``morse=False`` skips the matching step and runs
     every cell through the kernel.  ``observer(state, matrix, op)`` is called
     after every atomic operation.
 
@@ -111,7 +103,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     """
     state = MorseState(Complex(p=p, validate=validate), Matching())
     cx = state.complex
-    matrix = core.HomologyMatrix(p)
+    matrix = HomologyMatrix(p)
     shadow = ShadowMatrix(p) if validate and morse else None
     ext2int = {}
     events = []

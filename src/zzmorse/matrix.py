@@ -11,25 +11,17 @@ Columns carry one of three labels.  F columns are cycles and own a birth tag;
 G columns are boundaries; each H column has ``boundary(H) = G`` for its
 partnered G column.  Births/deaths of intervals fall out of label changes.
 
-This module is written in plain Python and is compiled by Cython's
-pure-Python mode when available (see setup.py); it must not import anything
-outside the standard library.
+Chain updates go through ``cells.chain_addmul``.  ``_addmul`` and
+``_reduce`` keep their own loops because each also does per-entry
+bookkeeping: the occurrence index and the reduction heap.
 """
 
 import heapq
 
-try:
-    import cython
-
-    COMPILED = cython.compiled
-except ImportError:  # pragma: no cover - cython is normally installed
-    COMPILED = False
+from .cells import chain_addmul, field_inv
+from .errors import KernelError
 
 GAP = 1 << 20
-
-
-def _inv(a, p):
-    return pow(a % p, p - 2, p)
 
 
 def birth_key(birth):
@@ -50,10 +42,6 @@ class Column:
         self.label = label
         self.birth = birth
         self.partner = partner
-
-
-class KernelError(Exception):
-    """Internal invariant violation; not part of the public error taxonomy."""
 
 
 class HomologyMatrix:
@@ -116,15 +104,9 @@ class HomologyMatrix:
 
     def _combination(self, coeffs):
         """Linear combination of whole columns: sum of a_i * cols[i].chain."""
-        p = self.p
         out = {}
         for slot, a in coeffs.items():
-            for cell, coeff in self.cols[slot].chain.items():
-                v = (out.get(cell, 0) + a * coeff) % p
-                if v:
-                    out[cell] = v
-                else:
-                    del out[cell]
+            chain_addmul(out, self.cols[slot].chain, a, self.p)
         return out
 
     def _new_row(self, cell, dim, key, seq):
@@ -195,7 +177,7 @@ class HomologyMatrix:
             if not coeff:
                 continue
             col = self.cols[lead].chain
-            a = (coeff * _inv(col[lead], p)) % p
+            a = (coeff * field_inv(col[lead], p)) % p
             used[lead] = a
             for cell, c in col.items():
                 v = (work.get(cell, 0) - a * c) % p
@@ -231,12 +213,9 @@ class HomologyMatrix:
             else:
                 raise KernelError("boundary is not a cycle in the reduced complex")
 
-        p = self.p
         self._new_row(cell, dim, self._alloc_top(), seq)
-        partners = {self.cols[g].partner: a for g, a in gs.items()}
-        chain = self._combination(partners)
-        for c in chain:
-            chain[c] = -chain[c] % p
+        chain = self._combination({self.cols[g].partner: -a
+                                   for g, a in gs.items()})
         chain[cell] = 1
 
         if not fs:
@@ -259,13 +238,7 @@ class HomologyMatrix:
         prefix = {}
         for f in order[:-1]:
             birth = self.cols[f].birth
-            coeff = fs[f]
-            for c, v in self.cols[f].chain.items():
-                w = (prefix.get(c, 0) + coeff * v) % p
-                if w:
-                    prefix[c] = w
-                else:
-                    prefix.pop(c, None)
+            chain_addmul(prefix, self.cols[f].chain, fs[f], p)
             part = dict(prefix)
             while True:
                 top = max(part, key=rowkey.get)
@@ -275,13 +248,8 @@ class HomologyMatrix:
                     against = placed[top][0]
                 else:
                     break
-                scale = -part[top] * _inv(against[top], p)
-                for c, v in against.items():
-                    w = (part.get(c, 0) + scale * v) % p
-                    if w:
-                        part[c] = w
-                    else:
-                        part.pop(c, None)
+                chain_addmul(part, against,
+                             -part[top] * field_inv(against[top], p), p)
             placed[top] = (part, birth)
         for slot, (part, birth) in placed.items():
             self._set_column(slot, Column(part, "F", birth=birth))
@@ -318,28 +286,28 @@ class HomologyMatrix:
                     # the blocker's row carrying the larger birth.
                     moved = Column(dict(beta_col.chain), "F",
                                    birth=beta_col.birth)
-                    self._addmul(beta, alpha_col.chain, -x * _inv(y, p))
+                    self._addmul(beta, alpha_col.chain, -x * field_inv(y, p))
                     beta_col.birth = alpha_col.birth
                     self._set_column(cell, moved)
                 else:
-                    self._addmul(beta, alpha_col.chain, -x * _inv(y, p))
+                    self._addmul(beta, alpha_col.chain, -x * field_inv(y, p))
             elif lb == "F":
                 moved = dict(alpha_col.chain)
                 self._set_column(cell, Column(dict(beta_col.chain), "F",
                                               birth=beta_col.birth))
                 swapped = Column(moved, "H", partner=alpha_col.partner)
                 self._set_column(beta, swapped)
-                self._addmul(beta, self.cols[cell].chain, -y * _inv(x, p))
+                self._addmul(beta, self.cols[cell].chain, -y * field_inv(x, p))
                 self.cols[swapped.partner].partner = beta
             else:
                 g_a = alpha_col.partner
                 g_b = beta_col.partner
                 if rowkey[g_a] < rowkey[g_b]:
-                    lam = -x * _inv(y, p)
+                    lam = -x * field_inv(y, p)
                     self._addmul(beta, alpha_col.chain, lam)
                     self._addmul(g_b, self.cols[g_a].chain, lam)
                 else:
-                    mu = -y * _inv(x, p)
+                    mu = -y * field_inv(x, p)
                     moved = dict(alpha_col.chain)
                     self._set_column(cell, Column(dict(beta_col.chain), "H",
                                                   partner=g_b))
@@ -401,7 +369,7 @@ class HomologyMatrix:
         self._new_row(tau, tau_dim, key_tau, tau_seq)
         self._new_row(sigma, tau_dim + 1, key_sigma, sigma_seq)
 
-        scale = -_inv(incidence, p) % p
+        scale = -field_inv(incidence, p) % p
         touched = 0
         seen = set()
         for nu, w in tau_cofacets.items():

@@ -19,7 +19,7 @@ whenever a cofacet is inserted, so ``morse_coboundary`` always starts fresh.
 
 import heapq
 
-from .cells import field_inv
+from .cells import chain_addmul, field_inv
 from .errors import CyclicMatching, NotCritical, UnknownCell
 
 
@@ -239,29 +239,17 @@ def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
                 continue
         elif deps:
             raise CyclicMatching("gradient path loops at %r" % (cell,))
-        scale = (-field_inv(links[cell], p)) % p
+        scale = -field_inv(links[cell], p)
         acc = {}
         for nxt, weight in links.items():
-            if nxt == cell:
-                continue
-            step = (scale * weight) % p
-            for crit, coeff in memo[nxt].items():
-                val = (acc.get(crit, 0) + step * coeff) % p
-                if val:
-                    acc[crit] = val
-                else:
-                    acc.pop(crit, None)
+            if nxt != cell:
+                chain_addmul(acc, memo[nxt], scale * weight, p)
         memo[cell] = acc
         stack.pop()
 
     total = {}
     for cell, coeff in seeds.items():
-        for crit, val in memo[cell].items():
-            new = (total.get(crit, 0) + coeff * val) % p
-            if new:
-                total[crit] = new
-            else:
-                total.pop(crit, None)
+        chain_addmul(total, memo[cell], coeff, p)
     return total
 
 

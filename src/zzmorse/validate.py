@@ -9,8 +9,9 @@ per-dimension cycle counts are the Betti numbers of the full complex and can
 be compared with the Morse-reduced matrix after each atomic operation.
 """
 
-from ._backend import core
-from .errors import BrokenInvariant
+from .cells import chain_addmul
+from .errors import BrokenInvariant, KernelError
+from .matrix import HomologyMatrix
 from .morse import morse_boundary
 from .oracle import betti_numbers
 from .stream import (InsertCritical, InsertPair, RemoveCritical, RemovePair,
@@ -23,12 +24,7 @@ def apply_boundary(chain, boundary_fn, p):
     """Boundary of a chain under a cell -> facet-chain operator."""
     out = {}
     for cell, coeff in chain.items():
-        for facet, inc in boundary_fn(cell).items():
-            v = (out.get(facet, 0) + coeff * inc) % p
-            if v:
-                out[facet] = v
-            else:
-                del out[facet]
+        chain_addmul(out, boundary_fn(cell), coeff, p)
     return out
 
 
@@ -137,7 +133,7 @@ class ShadowMatrix:
     """
 
     def __init__(self, p):
-        self.matrix = core.HomologyMatrix(p)
+        self.matrix = HomologyMatrix(p)
         self._clock = 0
 
     def _insert(self, cx, cell):
@@ -146,14 +142,14 @@ class ShadowMatrix:
             self.matrix.forward_insert(cell, cx.dims[cell],
                                        dict(cx.facets[cell]),
                                        (True, self._clock, 0), cx.seq[cell])
-        except core.KernelError as exc:
+        except KernelError as exc:
             raise BrokenInvariant("shadow insert of %r: %s" % (cell, exc)) from None
 
     def _remove(self, cell):
         self._clock += 1
         try:
             self.matrix.backward_remove(cell, (False, self._clock, 0))
-        except core.KernelError as exc:
+        except KernelError as exc:
             raise BrokenInvariant("shadow removal of %r: %s" % (cell, exc)) from None
 
     def mirror(self, state, op):

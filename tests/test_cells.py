@@ -46,6 +46,14 @@ def test_chain_addmul_cancels():
     c = {1: 1, 2: 4}
     chain_addmul(c, {2: 1, 3: 2}, 1, 5)
     assert c == {1: 1, 3: 2}
+    for p in (2, 3, 5, 7):
+        c = {1: 1, 2: p - 1}
+        assert chain_addmul(c, {2: 1, 3: 1}, 1, p) is c
+        assert c == {1: 1, 3: 1}
+        chain_addmul(c, {1: 5, 4: 1}, 3 * p, p)  # scalar = 0 mod p: no-op
+        assert c == {1: 1, 3: 1}
+        chain_addmul(c, {1: 1, 3: 2}, -1, p)     # negative scalar
+        assert c == {3: p - 1}
 
 
 def test_insert_vertex_and_edge():
@@ -53,9 +61,9 @@ def test_insert_vertex_and_edge():
     v1 = cx.insert_cell(0, {})
     v3 = cx.insert_cell(0, {})
     e13 = cx.insert_cell(1, {v1: 1, v3: 1})
-    assert cx.boundary(e13) == {v1: 1, v3: 1}
-    assert cx.coboundary(v1) == {e13: 1}
-    assert cx.boundary(v1) == {}
+    assert cx.facets[e13] == {v1: 1, v3: 1}
+    assert cx.cofacets[v1] == {e13: 1}
+    assert cx.facets[v1] == {}
     cx.check_mirrors()
     cx.check_dd_zero()
 
@@ -118,7 +126,7 @@ def test_build_simplicial_signs():
     ids = cx.simplex_ids
     assert len(cx) == 3
     # omitting vertex 1 (j=0) leaves (2,) with +1; omitting 2 (j=1) gives -1
-    assert cx.boundary(ids[(1, 2)]) == {ids[(2,)]: 1, ids[(1,)]: 4}
+    assert cx.facets[ids[(1, 2)]] == {ids[(2,)]: 1, ids[(1,)]: 4}
 
 
 def test_build_simplicial_full_triangle_dd_zero():

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import blocks_to_stream, make_rng, random_block_ops
-from zzmorse._backend import core
+from zzmorse.cells import Complex
 from zzmorse.errors import (
+    BadParameters,
     InconsistentBoundary,
     InvalidOp,
+    KernelError,
     UnknownCell,
     UnknownRow,
     ZeroPairIncidence,
+    ZigzagError,
 )
-from zzmorse.kernel import backend, insert_into_matrix, remove_from_matrix, run_stream
+from zzmorse.kernel import insert_into_matrix, remove_from_matrix, run_stream
+from zzmorse.matrix import HomologyMatrix
 from zzmorse.oracle import block_diagram
 from zzmorse.stream import BlockOp, ForwardCell, KernelUnpair
 
@@ -157,7 +161,7 @@ def test_backward_cells_may_be_an_iterator():
 
 def circle_no_morse_matrix():
     """Circle built cell by cell through the kernel, every cell critical."""
-    m = core.HomologyMatrix(2)
+    m = HomologyMatrix(2)
     for seq, (cell, dim, bd) in enumerate([
             ("v1", 0, {}), ("v2", 0, {}), ("v3", 0, {}),
             ("e12", 1, {"v1": 1, "v2": 1}), ("e23", 1, {"v2": 1, "v3": 1})]):
@@ -185,7 +189,7 @@ def test_insert_closing_edge_births_a_cycle():
 def test_unpair_inserts_the_pair_and_corrects_cycles():
     # Circle with pairs (v2,e12),(v3,e23); rows v1, e13; then the pair
     # (v3,e23) is unpaired: the e13 cycle column must pick up an e23 term.
-    m = core.HomologyMatrix(2)
+    m = HomologyMatrix(2)
     m.forward_insert("v1", 0, {}, (True, 1, 1), 0)
     m.forward_insert("e13", 1, {}, (True, 2, 1), 5)
     touched = m.unpair_update("v3", "e23", {"v1": 1, "v3": 1},
@@ -214,7 +218,7 @@ def test_removal_pairs_the_birth_order_minimum():
     # Forward class (fw, pos 1) and backward class (bw, pos 6) both meet the
     # removed vertex; the backward one must die and the survivor keep its
     # forward birth with the blocker's decoupled chain.
-    m = core.HomologyMatrix(2)
+    m = HomologyMatrix(2)
     m.forward_insert("a", 0, {}, (True, 1, 1), 0)
     m.forward_insert("b", 0, {}, (True, 2, 2), 1)
     m.forward_insert("ab", 1, {"a": 1, "b": 1}, (True, 3, 3), 2)
@@ -226,7 +230,7 @@ def test_removal_pairs_the_birth_order_minimum():
 
 
 def test_errors_surface_through_the_wrappers():
-    m = core.HomologyMatrix(2)
+    m = HomologyMatrix(2)
     with pytest.raises(UnknownRow):
         remove_from_matrix(m, "ghost", (False, 1, 1))
     update = KernelUnpair("t", "s", {}, {}, 2, 0, 1)
@@ -245,8 +249,14 @@ def test_non_cycle_boundary_is_rejected():
         run_stream(blocks, p=2, morse=False)
 
 
-def test_backend_reports_a_known_flavor():
-    assert backend() in ("pure", "compiled")
+def test_non_prime_field_is_rejected():
+    blocks = [BlockOp("F", [ForwardCell("v", 0, {})]), BlockOp("B", ["v"])]
+    with pytest.raises(BadParameters):
+        run_stream(blocks, p=4)
+    for p in (1, 9):
+        with pytest.raises(BadParameters):
+            Complex(p=p)
+    assert issubclass(KernelError, ZigzagError)
 
 
 # -- differential against the oracle ------------------------------------------

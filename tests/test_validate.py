@@ -3,16 +3,16 @@
 import pytest
 
 from conftest import blocks_to_stream, make_rng, random_block_ops
-from zzmorse._backend import core
 from zzmorse.errors import BrokenInvariant
 from zzmorse.kernel import run_stream
+from zzmorse.matrix import Column, HomologyMatrix
 from zzmorse.validate import (ShadowMatrix, apply_boundary, check_betti,
                               check_invariants, check_matrix)
 
 
 def tiny_matrix(p=2):
     """Two vertices joined by an edge: one F, one G, one H column."""
-    m = core.HomologyMatrix(p)
+    m = HomologyMatrix(p)
     bd = {"a": {}, "b": {}, "ab": {"a": 1, "b": p - 1}}
     dims = {"a": 0, "b": 0, "ab": 1}
     for n, cell in enumerate(("a", "b", "ab")):
@@ -88,7 +88,7 @@ def test_rejects_a_non_cycle_relabelled_as_cycle():
     def relabel(m):
         for slot, col in m.cols.items():
             if col.label == "H":
-                m.cols[slot] = core.Column(col.chain, "F", birth=(True, 9, 1))
+                m.cols[slot] = Column(col.chain, "F", birth=(True, 9, 1))
                 m._count(m.rowdim[slot], 1)
     corrupt(relabel)
 
@@ -98,7 +98,7 @@ def test_rejects_a_non_cycle_relabelled_as_cycle():
 def test_shadow_counts_match_and_then_diverge():
     p = 2
     shadow = ShadowMatrix(p)
-    live = core.HomologyMatrix(p)
+    live = HomologyMatrix(p)
 
     class FakeComplex:
         dims = {"a": 0, "b": 0}
