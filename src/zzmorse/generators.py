@@ -17,7 +17,7 @@ from .cells import (cube_dim, cube_facets, cube_vertices, iter_cubes,
                     simplex_facets)
 from .errors import (BadParameters, CountMismatch, EmptyCloud, EmptyDims,
                      NonMonotoneLevels, RaggedRow)
-from .oracle import _nullspace
+from .linalg import boundary_matrix, nullspace
 from .stream import BlockOp, ForwardCell
 
 
@@ -286,12 +286,7 @@ def _random_cycle(state, q, p, rng):
     if not cells:
         return None
     below = sorted(c for c, (d, _) in state.items() if d == q - 1)
-    index = {c: i for i, c in enumerate(below)}
-    mat = np.zeros((len(below), len(cells)), dtype=np.int64)
-    for j, c in enumerate(cells):
-        for facet, coeff in state[c][1].items():
-            mat[index[facet], j] = coeff
-    kernel = _nullspace(mat, p)
+    kernel = nullspace(boundary_matrix(state, below, cells), p)
     if kernel.shape[1] == 0:
         return None
     for _ in range(8):

@@ -33,7 +33,7 @@ def insert_into_matrix(matrix, update, birth, seq):
 
 def remove_from_matrix(matrix, cell, birth):
     """Feed one critical removal to the column kernel; returns an event."""
-    if cell not in matrix.rowkey:
+    if cell not in matrix.rowseq:
         raise UnknownRow("cell %r has no row in the matrix" % (cell,))
     return matrix.backward_remove(cell, birth)
 

@@ -1,11 +1,13 @@
 """Column algebra for streaming zigzag persistence.
 
 The matrix maintains one column per live critical cell, keyed by the column's
-leading cell under a virtual row order: rows are ordered as if cells were
-inserted in reverse order of their future removal, so whatever is being
-removed right now can always be moved to the top of the order first.  Row
-positions are sparse integer keys; moving a row is a key update plus a
-cascade of column operations that keeps every other column clear of it.
+leading cell, with rows ordered by the cells' insertion sequence numbers in
+the complex.  An insertion adds the newest row, at the top.  A removal first
+runs a cascade of column operations that clears its row from every other
+column, which is the zigzag algorithm's move of that row to the top of the
+order, and then deletes the row in place.  An unpair puts the split pair
+back at its own sequence numbers, which are consecutive, so no live row
+sits between them.
 
 Columns carry one of three labels.  F columns are cycles and own a birth tag;
 G columns are boundaries; each H column has ``boundary(H) = G`` for its
@@ -20,8 +22,6 @@ import heapq
 
 from .cells import chain_addmul, field_inv
 from .errors import KernelError
-
-GAP = 1 << 20
 
 
 def birth_key(birth):
@@ -48,21 +48,16 @@ class HomologyMatrix:
     def __init__(self, p):
         self.p = p
         self.cols = {}    # slot cell -> Column whose chain leads at that cell
-        self.rowkey = {}  # cell -> virtual position
         self.rowseq = {}  # cell -> complex insertion sequence number
         self.rowdim = {}  # cell -> dimension
         self.occ = {}     # cell -> set of slots whose chain contains it
         self.f_counts = {}  # dimension -> number of F columns
-        self._top = 0
+        self.last_seq = None  # largest seq forward_insert has been given
 
     # -- bookkeeping ---------------------------------------------------------
 
     def __len__(self):
         return len(self.cols)
-
-    def _alloc_top(self):
-        self._top += GAP
-        return self._top
 
     def _count(self, dim, delta):
         self.f_counts[dim] = self.f_counts.get(dim, 0) + delta
@@ -109,67 +104,31 @@ class HomologyMatrix:
             chain_addmul(out, self.cols[slot].chain, a, self.p)
         return out
 
-    def _new_row(self, cell, dim, key, seq):
-        self.rowkey[cell] = key
+    def _new_row(self, cell, dim, seq):
         self.rowseq[cell] = seq
         self.rowdim[cell] = dim
         self.occ[cell] = set()
 
     def _drop_row(self, cell):
-        del self.rowkey[cell]
         del self.rowseq[cell]
         del self.rowdim[cell]
         del self.occ[cell]
-
-    def _rekey(self):
-        for i, cell in enumerate(sorted(self.rowkey, key=self.rowkey.get)):
-            self.rowkey[cell] = (i + 1) * GAP
-        self._top = (len(self.rowkey) + 1) * GAP
-
-    def _splice_keys(self, tau_seq, sigma_seq):
-        """Two fresh row positions matching the pair's insertion order.
-
-        Live rows stay ordered by cell insertion sequence, so the pair slots
-        in between its elders and its juniors; one global re-key is allowed
-        when the integer window is too tight for two new keys.
-        """
-        for attempt in (0, 1):
-            lo = 0
-            hi = self._top + GAP
-            for c, s in self.rowseq.items():
-                k = self.rowkey[c]
-                if s < tau_seq:
-                    if k > lo:
-                        lo = k
-                elif s > sigma_seq:
-                    if k < hi:
-                        hi = k
-                else:
-                    raise KernelError("a live row sits between the pair's "
-                                      "insertion positions")
-            if hi - lo >= 4:
-                step = (hi - lo) // 3
-                return lo + step, lo + 2 * step
-            if attempt:
-                break
-            self._rekey()
-        raise KernelError("no room to splice new rows after re-keying")
 
     # -- reduction -----------------------------------------------------------
 
     def _reduce(self, boundary):
         """Express a chain as a combination of columns; returns {slot: coeff}."""
         p = self.p
-        rowkey = self.rowkey
+        rowseq = self.rowseq
         work = {}
         heap = []
         for cell, coeff in boundary.items():
             coeff %= p
             if coeff:
-                if cell not in rowkey:
+                if cell not in rowseq:
                     raise KernelError("boundary cell %r has no row" % (cell,))
                 work[cell] = coeff
-                heapq.heappush(heap, (-rowkey[cell], cell))
+                heapq.heappush(heap, (-rowseq[cell], cell))
         used = {}
         while heap:
             _, lead = heapq.heappop(heap)
@@ -183,7 +142,7 @@ class HomologyMatrix:
                 v = (work.get(cell, 0) - a * c) % p
                 if v:
                     if cell not in work:
-                        heapq.heappush(heap, (-rowkey[cell], cell))
+                        heapq.heappush(heap, (-rowseq[cell], cell))
                     work[cell] = v
                 else:
                     work.pop(cell, None)
@@ -197,10 +156,14 @@ class HomologyMatrix:
         """Add a critical cell; returns (dim, birth) of a dying class, or None.
 
         ``birth`` tags the class a plain insertion creates; ``seq`` is the
-        cell's insertion sequence number in the complex.
+        cell's insertion sequence number in the complex, and must exceed
+        every ``seq`` given before.
         """
-        if cell in self.rowkey:
+        if cell in self.rowseq:
             raise KernelError("cell %r already has a row" % (cell,))
+        if self.last_seq is not None and seq <= self.last_seq:
+            raise KernelError("seq %r of %r is not above the last insertion's"
+                              % (seq, cell))
         used = self._reduce(boundary)
         gs = {}
         fs = {}
@@ -213,7 +176,8 @@ class HomologyMatrix:
             else:
                 raise KernelError("boundary is not a cycle in the reduced complex")
 
-        self._new_row(cell, dim, self._alloc_top(), seq)
+        self.last_seq = seq
+        self._new_row(cell, dim, seq)
         chain = self._combination({self.cols[g].partner: -a
                                    for g, a in gs.items()})
         chain[cell] = 1
@@ -228,8 +192,8 @@ class HomologyMatrix:
         # so that each survivor's representative entangles exactly the
         # earlier-born classes; re-echeloning against the new boundary
         # column settles which row each survivor occupies.
-        rowkey = self.rowkey
-        lead = max(fs, key=rowkey.get)
+        rowseq = self.rowseq
+        lead = max(fs, key=rowseq.get)
         order = sorted(fs, key=lambda f: birth_key(self.cols[f].birth))
         event = (self.rowdim[lead], self.cols[order[-1]].birth)
         g_chain = self._combination(fs)
@@ -241,7 +205,7 @@ class HomologyMatrix:
             chain_addmul(prefix, self.cols[f].chain, fs[f], p)
             part = dict(prefix)
             while True:
-                top = max(part, key=rowkey.get)
+                top = max(part, key=rowseq.get)
                 if top == lead:
                     against = g_chain
                 elif top in placed:
@@ -263,12 +227,12 @@ class HomologyMatrix:
 
         ``birth`` tags the class reborn when the removal splits a pair.
         """
-        if cell not in self.rowkey:
+        if cell not in self.rowseq:
             raise KernelError("cell %r has no row" % (cell,))
         p = self.p
-        rowkey = self.rowkey
+        rowseq = self.rowseq
         blockers = sorted((b for b in self.occ[cell] if b != cell),
-                          key=rowkey.get)
+                          key=rowseq.get)
         for beta in blockers:
             alpha_col = self.cols[cell]
             beta_col = self.cols[beta]
@@ -302,7 +266,7 @@ class HomologyMatrix:
             else:
                 g_a = alpha_col.partner
                 g_b = beta_col.partner
-                if rowkey[g_a] < rowkey[g_b]:
+                if rowseq[g_a] < rowseq[g_b]:
                     lam = -x * field_inv(y, p)
                     self._addmul(beta, alpha_col.chain, lam)
                     self._addmul(g_b, self.cols[g_a].chain, lam)
@@ -320,7 +284,6 @@ class HomologyMatrix:
 
         if self.occ[cell] != {cell}:
             raise KernelError("cell %r still occurs in other columns" % (cell,))
-        rowkey[cell] = self._alloc_top()
 
         col = self.cols[cell]
         dim = self.rowdim[cell]
@@ -348,26 +311,31 @@ class HomologyMatrix:
         ``sigma_boundary`` is sigma's reduced boundary after unpairing,
         ``tau_cofacets`` the reduced coboundary of tau; existing cycle and
         pairing columns are corrected so all invariants survive.  The new
-        rows take the pair's original insertion position (``tau_seq``,
-        ``sigma_seq``).  Returns the number of corrected columns.
+        rows take the pair's original, consecutive insertion sequence
+        numbers (``tau_seq``, ``sigma_seq``).  Returns the number of
+        corrected columns.
         """
+        if sigma_seq != tau_seq + 1:
+            raise KernelError("pair (%r, %r) was not inserted consecutively"
+                              % (tau, sigma))
+        if tau in self.rowseq or sigma in self.rowseq:
+            raise KernelError("pair (%r, %r) already has a row" % (tau, sigma))
         p = self.p
         below = [c for c in sigma_boundary if c != tau]
         above = [c for c in tau_cofacets if c != sigma]
         for c in below + above:
-            if c not in self.rowkey:
+            if c not in self.rowseq:
                 raise KernelError("chain cell %r has no row" % (c,))
-        key_tau, key_sigma = self._splice_keys(tau_seq, sigma_seq)
         for c in below:
-            if self.rowkey[c] >= key_tau:
+            if self.rowseq[c] >= tau_seq:
                 raise KernelError("boundary cell %r sits above the spliced "
                                   "pair" % (c,))
         for c in above:
-            if self.rowkey[c] <= key_sigma:
+            if self.rowseq[c] <= sigma_seq:
                 raise KernelError("cofacet %r sits below the spliced pair"
                                   % (c,))
-        self._new_row(tau, tau_dim, key_tau, tau_seq)
-        self._new_row(sigma, tau_dim + 1, key_sigma, sigma_seq)
+        self._new_row(tau, tau_dim, tau_seq)
+        self._new_row(sigma, tau_dim + 1, sigma_seq)
 
         scale = -field_inv(incidence, p) % p
         touched = 0

@@ -28,33 +28,22 @@ class Matching:
 
     def __init__(self):
         self.critical = set()
-        self.queue_cells = set()
-        self.king_cells = set()
         self.pair_up = {}    # queue cell -> its king
         self.pair_down = {}  # king cell -> its queue cell
 
-    def __contains__(self, cell):
-        return (cell in self.critical or cell in self.queue_cells
-                or cell in self.king_cells)
-
     def __len__(self):
-        return len(self.critical) + len(self.queue_cells) + len(self.king_cells)
+        return len(self.critical) + 2 * len(self.pair_up)
 
     def add_critical(self, cell):
         self.critical.add(cell)
 
     def add_pair(self, tau, sigma):
-        self.queue_cells.add(tau)
-        self.king_cells.add(sigma)
         self.pair_up[tau] = sigma
         self.pair_down[sigma] = tau
 
     def unpair(self, tau):
         """Turn the pair (tau, king) into two critical cells."""
-        sigma = self.pair_up.pop(tau)
-        del self.pair_down[sigma]
-        self.queue_cells.discard(tau)
-        self.king_cells.discard(sigma)
+        sigma = self.drop_pair(tau)
         self.critical.add(tau)
         self.critical.add(sigma)
         return sigma
@@ -67,8 +56,6 @@ class Matching:
     def drop_pair(self, tau):
         sigma = self.pair_up.pop(tau)
         del self.pair_down[sigma]
-        self.queue_cells.discard(tau)
-        self.king_cells.discard(sigma)
         return sigma
 
 
@@ -76,22 +63,18 @@ class Matching:
 # coreduction
 # ---------------------------------------------------------------------------
 
-def coreduce(cx, sigma_set, frozen=None, overlay=None):
+def coreduce(cx, sigma_set, overlay=None):
     """Build a matching on ``sigma_set`` by coreduction.
 
     Repeatedly pairs a cell with its single remaining unmatched facet; when
     stuck, the lowest (dim, id) unmatched cell becomes critical.  Cells
-    outside ``sigma_set`` are treated as already matched (``frozen``), and
-    pairs never cross that boundary.  ``overlay`` may supply ``(dim,
-    boundary)`` records for cells not yet present in ``cx``, so a pending
-    insertion block can be matched before it is applied.
+    outside ``sigma_set`` are treated as already matched, and pairs never
+    cross that boundary.  ``overlay`` may supply ``(dim, boundary)`` records
+    for cells not yet present in ``cx``, so a pending insertion block can be
+    matched before it is applied.
     """
     overlay = overlay or {}
     sigma_set = set(sigma_set)
-    if frozen is not None and getattr(cx, "validate", False):
-        for cell in cx.dims:
-            if cell not in sigma_set and cell not in frozen:
-                raise UnknownCell("cell %r neither pending nor frozen" % (cell,))
 
     def facets(cell):
         if cell in overlay:
@@ -153,7 +136,7 @@ def is_acyclic_matching(cx, matching):
     the digraph on queue cells with an edge tau -> tau' when tau' is another
     facet of tau's king.
     """
-    for tau in matching.queue_cells:
+    for tau in matching.pair_up:
         if tau not in cx.dims or matching.pair_up[tau] not in cx.dims:
             raise UnknownCell("matching references a missing cell")
 
@@ -162,10 +145,10 @@ def is_acyclic_matching(cx, matching):
 
     def neighbours(tau):
         for facet in cx.facets[matching.pair_up[tau]]:
-            if facet != tau and facet in matching.queue_cells:
+            if facet != tau and facet in matching.pair_up:
                 yield facet
 
-    for root in matching.queue_cells:
+    for root in matching.pair_up:
         if color.get(root, WHITE) != WHITE:
             continue
         stack = [(root, iter(neighbours(root)))]
@@ -264,7 +247,7 @@ def morse_boundary(cx, matching, nu, memo=None):
     if nu not in matching.critical:
         raise NotCritical(repr(nu))
     return _flow(cx.facets, matching.pair_up, matching.critical,
-                 matching.king_cells, cx.facets[nu], cx.p, memo)
+                 matching.pair_down, cx.facets[nu], cx.p, memo)
 
 
 def morse_coboundary(cx, matching, tau):
@@ -276,4 +259,4 @@ def morse_coboundary(cx, matching, tau):
     if tau not in matching.critical:
         raise NotCritical(repr(tau))
     return _flow(cx.cofacets, matching.pair_down, matching.critical,
-                 matching.queue_cells, cx.cofacets[tau], cx.p)
+                 matching.pair_up, cx.cofacets[tau], cx.p)

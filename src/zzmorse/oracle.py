@@ -12,7 +12,6 @@ Streams are plain tuples: ``("i", cell, dim, {facet: coeff})`` inserts a cell,
 
 import numpy as np
 
-from .cells import field_inv
 from .errors import (
     InvalidOp,
     MissingFacet,
@@ -20,79 +19,15 @@ from .errors import (
     TooLarge,
     UnknownCell,
 )
+from .linalg import boundary_matrix, nullspace, rank_mod, solve_in_span
+from .linalg import rref as _rref
 
 MAX_CELLS = 200
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra over Z/p
-# ---------------------------------------------------------------------------
-
-def _rref(mat, p):
-    """Row-reduce a copy of ``mat`` over Z/p; return (rref, pivot columns)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * field_inv(int(a[r, c]), p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def rank_mod(mat, p):
-    return len(_rref(mat, p)[1])
-
-
-def _nullspace(mat, p):
-    """Columns spanning the kernel of ``mat`` over Z/p."""
-    red, pivots = _rref(mat, p)
-    cols = mat.shape[1]
-    free = [j for j in range(cols) if j not in set(pivots)]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[j, k] = 1
-        for i, c in enumerate(pivots):
-            basis[c, k] = (-red[i, j]) % p
-    return basis
-
-
-def _solve_in_span(a, b, p):
-    """Solve a @ x = b column-wise; the columns of b must lie in span(a)."""
-    na = a.shape[1]
-    red, pivots = _rref(np.hstack([a, b]), p)
-    if any(c >= na for c in pivots):
-        raise ArithmeticError("right-hand side not in span")
-    x = np.zeros((na, b.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, na:]
-    return x
-
-
-# ---------------------------------------------------------------------------
 # snapshot homology
 # ---------------------------------------------------------------------------
-
-def _boundary_matrix(state, cells_low, cells_high):
-    index = {c: i for i, c in enumerate(cells_low)}
-    mat = np.zeros((len(cells_low), len(cells_high)), dtype=np.int64)
-    for j, c in enumerate(cells_high):
-        for facet, coeff in state[c][1].items():
-            mat[index[facet], j] = coeff
-    return mat
-
 
 def betti_numbers(state, p=2):
     """Betti numbers of a snapshot, indexed by dimension (trailing zeros cut)."""
@@ -103,7 +38,7 @@ def betti_numbers(state, p=2):
               for q in range(top + 2)]
     ranks = [0]
     for q in range(1, top + 2):
-        ranks.append(rank_mod(_boundary_matrix(state, layers[q - 1], layers[q]), p))
+        ranks.append(rank_mod(boundary_matrix(state, layers[q - 1], layers[q]), p))
     betti = [len(layers[q]) - ranks[q] - ranks[q + 1] for q in range(top + 1)]
     while betti and betti[-1] == 0:
         betti.pop()
@@ -119,9 +54,9 @@ class _SnapshotHomology:
         self.index = {c: i for i, c in enumerate(self.cells)}
         below = sorted(c for c, (d, _) in state.items() if d == q - 1)
         above = sorted(c for c, (d, _) in state.items() if d == q + 1)
-        bd_q = _boundary_matrix(state, below, self.cells)
-        bd_up = _boundary_matrix(state, self.cells, above)
-        cycles = _nullspace(bd_q, p)
+        bd_q = boundary_matrix(state, below, self.cells)
+        bd_up = boundary_matrix(state, self.cells, above)
+        cycles = nullspace(bd_q, p)
         stacked = np.hstack([bd_up, cycles])
         _, pivots = _rref(stacked, p)
         nb = bd_up.shape[1]
@@ -135,7 +70,7 @@ class _SnapshotHomology:
         """Homology coordinates of cycle columns given over self.cells."""
         if self.dim == 0:
             return np.zeros((0, vectors.shape[1]), dtype=np.int64)
-        return _solve_in_span(self.basis, vectors, self.p)[self.nb:]
+        return solve_in_span(self.basis, vectors, self.p)[self.nb:]
 
 
 def _induced_map(small, big):
@@ -265,7 +200,7 @@ def _section_basis(mod, lo, hi, offsets, total):
             cons[r:r + h, b:b + mod.spaces[j + 1]] = mat
             cons[r:r + h, a:a + h] = -np.eye(h, dtype=np.int64)
         r += h
-    return _nullspace(cons % p, p)
+    return nullspace(cons % p, p)
 
 
 def _full_rank(mod, b, d):

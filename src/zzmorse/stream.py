@@ -65,11 +65,11 @@ def atomize_forward(records, matching):
     unit_of = {}
     units = []
     for cell in records:
-        if cell in matching.king_cells:
+        if cell in matching.pair_down:
             if matching.pair_down[cell] not in records:
                 raise UnknownCell("queue cell for %r missing from block" % (cell,))
             continue
-        if cell in matching.queue_cells:
+        if cell in matching.pair_up:
             king = matching.pair_up[cell]
             if king not in records:
                 raise UnknownCell("king %r missing from block" % (king,))
@@ -141,7 +141,7 @@ def atomize_backward(sigma_set, state):
                 raise NotRemovable(
                     "cell %r has a cofacet %r outside the block" % (cell, cof)
                 )
-        if cell in m.queue_cells and m.pair_up[cell] not in sigma_set:
+        if cell in m.pair_up and m.pair_up[cell] not in sigma_set:
             raise NotRemovable(
                 "queue cell %r leaves without its king" % (cell,)
             )
@@ -169,7 +169,7 @@ def atomize_backward(sigma_set, state):
         _, cell = heapq.heappop(heap)
         if cell not in remaining or count[cell] != 0:
             continue
-        if cell in m.king_cells:
+        if cell in m.pair_down:
             tau = m.pair_down[cell]
             if tau not in sigma_set:
                 out.append(RemoveUnpaired(cell, tau))
@@ -180,7 +180,7 @@ def atomize_backward(sigma_set, state):
                 clear(tau)
             else:
                 parked[tau] = cell
-        elif cell in m.queue_cells:
+        elif cell in m.pair_up:
             continue  # leaves with its king
         else:
             out.append(RemoveCritical(cell))

@@ -37,15 +37,15 @@ def check_matrix(matrix, boundary_fn):
     the pairing, and the occurrence-index and cycle-count bookkeeping.
     """
     p = matrix.p
-    rowkey = matrix.rowkey
-    if set(matrix.cols) != set(rowkey):
+    rowseq = matrix.rowseq
+    if set(matrix.cols) != set(rowseq):
         raise BrokenInvariant("columns and rows list different cells")
 
-    for cell in rowkey:
+    for cell in rowseq:
         for facet in boundary_fn(cell):
-            if facet not in rowkey:
+            if facet not in rowseq:
                 raise BrokenInvariant("boundary of %r leaves the rows" % (cell,))
-            if rowkey[facet] >= rowkey[cell]:
+            if rowseq[facet] >= rowseq[cell]:
                 raise BrokenInvariant(
                     "row order is not a filtration: %r above %r" % (facet, cell))
 
@@ -55,7 +55,7 @@ def check_matrix(matrix, boundary_fn):
             raise BrokenInvariant("empty column at %r" % (slot,))
         dim = matrix.rowdim[slot]
         for cell, coeff in col.chain.items():
-            if cell not in rowkey:
+            if cell not in rowseq:
                 raise BrokenInvariant("column %r touches a dead row" % (slot,))
             if matrix.rowdim[cell] != dim:
                 raise BrokenInvariant("column %r mixes dimensions" % (slot,))
@@ -63,7 +63,7 @@ def check_matrix(matrix, boundary_fn):
                 raise BrokenInvariant("stored zero coefficient in %r" % (slot,))
             if slot not in matrix.occ[cell]:
                 raise BrokenInvariant("occurrence index misses %r" % (slot,))
-        if max(col.chain, key=rowkey.get) != slot:
+        if max(col.chain, key=rowseq.get) != slot:
             raise BrokenInvariant("column at %r does not lead there" % (slot,))
 
         bd = apply_boundary(col.chain, boundary_fn, p)

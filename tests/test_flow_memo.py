@@ -26,7 +26,7 @@ def memo_auditor(seen):
         assert len(memo) <= len(cx)
         for cell, chain in memo.items():
             assert cell in cx, "memo keeps removed cell %r" % (cell,)
-            fresh = _flow(cx.facets, m.pair_up, m.critical, m.king_cells,
+            fresh = _flow(cx.facets, m.pair_up, m.critical, m.pair_down,
                           {cell: 1}, cx.p)
             assert chain == fresh, "stale memo entry for %r" % (cell,)
         seen["ops"] += 1
@@ -128,7 +128,7 @@ def test_cyclic_matching_detected_with_prefilled_memo():
     with pytest.raises(CyclicMatching):
         morse_boundary(cx, m, ids[(1, 4)], memo=memo)
     with pytest.raises(CyclicMatching):
-        _flow(cx.facets, m.pair_up, m.critical, m.king_cells,
+        _flow(cx.facets, m.pair_up, m.critical, m.pair_down,
               {ids[(1,)]: 1}, cx.p, {v4: {v4: 1}})
 
 

@@ -203,15 +203,41 @@ def test_unpair_inserts_the_pair_and_corrects_cycles():
     assert m.cols["e23"].chain == {"e23": 1}
     assert m.cols["e23"].label == "H"
     assert m.cols["e23"].partner == "v3"
-    order = sorted(m.rowkey, key=m.rowkey.get)
+    order = sorted(m.rowseq, key=m.rowseq.get)
     assert order == ["v1", "v3", "e23", "e13"]
 
     event = m.backward_remove("e23", (False, 3, 2))
     assert event == (1, (True, 2, 1))
-    assert sorted(m.rowkey, key=m.rowkey.get) == ["v1", "v3", "e13"]
+    assert sorted(m.rowseq, key=m.rowseq.get) == ["v1", "v3", "e13"]
     assert m.cols["e13"].label == "H"
     assert m.cols["e13"].partner == "v3"
     assert m.cols["v3"].label == "G"
+
+
+def test_insert_rejects_a_seq_not_above_every_earlier_one():
+    m = HomologyMatrix(2)
+    m.forward_insert("a", 0, {}, (True, 1, 1), 3)
+    with pytest.raises(KernelError):
+        m.forward_insert("b", 0, {}, (True, 2, 1), 3)
+    m.backward_remove("a", (False, 2, 2))
+    with pytest.raises(KernelError):
+        m.forward_insert("b", 0, {}, (True, 3, 3), 2)
+    assert len(m) == 0 and not m.rowseq
+    m.forward_insert("b", 0, {}, (True, 3, 3), 4)
+    assert m.rowseq == {"b": 4}
+
+
+def test_unpair_rejects_a_pair_not_inserted_consecutively():
+    m = HomologyMatrix(2)
+    m.forward_insert("v1", 0, {}, (True, 1, 1), 0)
+    m.forward_insert("e13", 1, {}, (True, 2, 1), 5)
+    with pytest.raises(KernelError):
+        m.unpair_update("v3", "e23", {"v1": 1, "v3": 1},
+                        {"e13": 1, "e23": 1}, 1, 0, 2, 4)
+    with pytest.raises(KernelError):
+        m.unpair_update("v1", "e23", {"v1": 1}, {"e13": 1, "e23": 1},
+                        1, 0, 0, 1)
+    assert set(m.rowseq) == {"v1", "e13"}
 
 
 def test_removal_pairs_the_birth_order_minimum():

@@ -41,14 +41,14 @@ def alternating_paths(cx, m, nu):
                 continue
             if rho in m.critical:
                 out.append(path + [rho])
-            elif rho in m.queue_cells:
+            elif rho in m.pair_up:
                 up = m.pair_up[rho]
                 extend(path + [rho, up], seen | {rho, up})
 
     for tau in cx.facets[nu]:
         if tau in m.critical:
             out.append([nu, tau])
-        elif tau in m.queue_cells:
+        elif tau in m.pair_up:
             up = m.pair_up[tau]
             extend([nu, tau, up], {nu, tau, up})
     return out
@@ -180,11 +180,10 @@ def test_coreduce_single_vertex():
 
 def test_coreduce_cap_over_frozen_circle():
     cx = circle()
-    frozen = circle_matching(cx)
     t = cx.insert_cell(2, {cx.simplex_ids[(1, 2)]: 1,
                            cx.simplex_ids[(2, 3)]: 1,
                            cx.simplex_ids[(1, 3)]: 1})
-    m = coreduce(cx, {t}, frozen=frozen)
+    m = coreduce(cx, {t})
     assert m.critical == {t}
 
 

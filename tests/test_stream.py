@@ -99,7 +99,7 @@ def test_atomize_forward_random_prefix_closed(seed):
     p = rng.choice([2, 5])
     cx = random_complex(rng, p=p, n=6)
     records = grow_records(rng, cx, rng.randint(1, 8))
-    m = coreduce(cx, set(records), frozen=None, overlay=records)
+    m = coreduce(cx, set(records), overlay=records)
     ops = atomize_forward(records, m)
     assert_prefix_closed(records, ops)
 
@@ -275,7 +275,7 @@ def test_block_round_trip(seed):
     state = MorseState(cx, base_matching)
 
     records = grow_records(rng, cx, rng.randint(1, 8))
-    block = coreduce(cx, set(records), frozen=base_matching, overlay=records)
+    block = coreduce(cx, set(records), overlay=records)
     state.stage(records)
     for op in atomize_forward(records, block):
         apply_atomic(state, op)
@@ -304,7 +304,7 @@ def test_betti_preserved_after_every_atomic_op(seed):
 
     for _ in range(4):
         records = grow_records(rng, cx, rng.randint(1, 6))
-        block = coreduce(cx, set(records), frozen=state.matching, overlay=records)
+        block = coreduce(cx, set(records), overlay=records)
         state.stage(records)
         for op in atomize_forward(records, block):
             apply_atomic(state, op)

@@ -58,7 +58,7 @@ def test_rejects_a_stored_zero_coefficient():
 
 def test_rejects_a_column_leading_off_its_slot():
     def swap(m):
-        m.rowkey["a"], m.rowkey["ab"] = m.rowkey["ab"], m.rowkey["a"]
+        m.rowseq["a"], m.rowseq["ab"] = m.rowseq["ab"], m.rowseq["a"]
     corrupt(swap)
 
 
