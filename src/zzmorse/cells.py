@@ -6,6 +6,7 @@ is stored mirrored.  Chains are plain dicts CellId -> nonzero coefficient in
 [1, p).  All coefficients are reduced mod p at the door.
 """
 
+import operator
 from itertools import combinations
 
 from .errors import (
@@ -21,9 +22,14 @@ from .errors import (
 
 
 def check_prime(p):
-    """Raise BadParameters unless p is a prime field characteristic."""
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    """Return p as an int; raise BadParameters unless it is a prime."""
+    try:
+        q = operator.index(p)
+    except TypeError:
+        q = 0
+    if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
         raise BadParameters("field characteristic %r is not prime" % (p,))
+    return q
 
 
 def field_inv(a, p):
@@ -55,8 +61,7 @@ class Complex:
     """
 
     def __init__(self, p=2, validate=False):
-        check_prime(p)
-        self.p = p
+        self.p = check_prime(p)
         self.validate = validate
         self.dims = {}          # CellId -> dimension
         self.facets = {}        # CellId -> {facet CellId: coeff}

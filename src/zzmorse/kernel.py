@@ -6,6 +6,7 @@ traffic to the column kernel in ``matrix``.  The output is the interval
 decomposition in block indices plus operation/size metrics.
 """
 
+import operator
 from collections import namedtuple
 
 from .cells import Complex
@@ -22,11 +23,11 @@ Interval = namedtuple("Interval", "dim birth death")
 Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
 
 
-def insert_into_matrix(matrix, update, birth, seq):
+def insert_into_matrix(matrix, update, birth):
     """Feed one critical insertion to the column kernel; returns an event."""
     try:
-        return matrix.forward_insert(update.cell, update.dim,
-                                     update.boundary, birth, seq)
+        return matrix.forward_insert(update.cell, update.dim, update.boundary,
+                                     birth, update.seq)
     except KernelError as exc:
         raise InconsistentBoundary(str(exc)) from None
 
@@ -38,38 +39,64 @@ def remove_from_matrix(matrix, cell, birth):
     return matrix.backward_remove(cell, birth)
 
 
-def unpair_in_matrix(matrix, update, tau_dim):
+def unpair_in_matrix(matrix, update):
     """Feed a pair split to the column kernel."""
     if update.pair_incidence % matrix.p == 0:
         raise ZeroPairIncidence(
             "pair (%r, %r) has zero incidence" % (update.tau, update.sigma))
     matrix.unpair_update(update.tau, update.sigma, update.sigma_boundary,
                          update.tau_cofacets, update.pair_incidence,
-                         tau_dim, update.tau_seq, update.sigma_seq)
+                         update.tau_dim, update.tau_seq, update.sigma_seq)
 
 
 def _translate_forward(cells, cx, ext2int):
-    """Map one insertion block to internal ids; returns insertion records."""
-    fresh = {}
+    """Map one insertion block to internal ids; returns insertion records.
+
+    This is the door for cell data, so both pipelines reject the same
+    input: a dimension must be a non-negative integer and a coefficient an
+    integer (``InvalidOp``), and every listed facet must be alive before
+    the block or be another cell of it, one dimension down (``MissingFacet``).
+    """
+    fresh = {}  # external id -> (internal id, dimension)
     for fc in cells:
         if fc.cell in ext2int or fc.cell in fresh:
             raise InvalidOp("cell id %r is already alive" % (fc.cell,))
-        fresh[fc.cell] = cx.fresh_id()
+        try:
+            dim = operator.index(fc.dim)
+        except TypeError:
+            dim = -1
+        if dim < 0:
+            raise InvalidOp("cell %r has dimension %r, not a non-negative "
+                            "integer" % (fc.cell, fc.dim))
+        fresh[fc.cell] = (cx.fresh_id(), dim)
     p = cx.p
+    dims = cx.dims
     records = {}
     for fc in cells:
+        cell, dim = fresh[fc.cell]
         bd = {}
         for facet, coeff in fc.boundary.items():
-            target = fresh.get(facet)
-            if target is None:
-                target = ext2int.get(facet)
-            if target is None:
+            if facet in fresh:
+                target, facet_dim = fresh[facet]
+            elif facet in ext2int:
+                target = ext2int[facet]
+                facet_dim = dims[target]
+            else:
                 raise MissingFacet("facet %r is not alive" % (facet,))
-            coeff %= p
+            if facet_dim != dim - 1:
+                raise MissingFacet("facet %r of cell %r has dimension %d, "
+                                   "expected %d"
+                                   % (facet, fc.cell, facet_dim, dim - 1))
+            try:
+                coeff = operator.index(coeff) % p
+            except TypeError:
+                raise InvalidOp("coefficient %r on facet %r is not an integer"
+                                % (coeff, facet)) from None
             if coeff:
                 bd[target] = coeff
-        records[fresh[fc.cell]] = (fc.dim, bd)
-    ext2int.update(fresh)
+        records[cell] = (dim, bd)
+    for ext, (cell, _) in fresh.items():
+        ext2int[ext] = cell
     return records
 
 
@@ -92,9 +119,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     the empty complex.  Intervals are (dim, birth, death) with inclusive
     block indices counted from 1: the class is alive in the complexes seen
     after those blocks.  ``p`` must be prime (``BadParameters`` otherwise).
-    ``morse=False`` skips the matching step and runs
-    every cell through the kernel.  ``observer(state, matrix, op)`` is called
-    after every atomic operation.
+    ``morse=False`` skips the matching step and runs every cell through the
+    kernel.  ``observer(state, matrix, op)`` is called after every atomic
+    operation.
 
     ``validate=True`` turns on consistency checks, including an unreduced
     shadow kernel whose cycle counts are compared with the reduced matrix
@@ -103,8 +130,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     """
     state = MorseState(Complex(p=p, validate=validate), Matching())
     cx = state.complex
-    matrix = HomologyMatrix(p)
-    shadow = ShadowMatrix(p) if validate and morse else None
+    matrix = HomologyMatrix(cx.p)
+    shadow = ShadowMatrix(cx.p) if validate and morse else None
     ext2int = {}
     events = []
     raw_ops = reduced_ops = max_cells = max_critical = 0
@@ -117,71 +144,54 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
         if block.direction == "F":
             records = _translate_forward(block.cells, cx, ext2int)
             if morse:
-                matching = coreduce(cx, records, overlay=records)
+                matching = coreduce(records)
             else:
                 matching = Matching()
                 for cell in records:
                     matching.add_critical(cell)
             ops = atomize_forward(records, matching)
-            state.stage(records)
-            for op in ops:
-                update = apply_atomic(state, op)
-                raw_ops += 2 if isinstance(op, InsertPair) else 1
-                if update is not None:
-                    reduced_ops += 1
-                    atomic_pos += 1
-                    event = insert_into_matrix(
-                        matrix, update, (True, atomic_pos, block_index),
-                        cx.seq[update.cell])
-                    if event is not None:
-                        events.append((event[0], event[1], block_index))
-                if shadow is not None:
-                    shadow.mirror(state, op)
-                    shadow.compare(matrix)
-                if observer is not None:
-                    observer(state, matrix, op)
-
+            exts = ()
         elif block.direction == "B":
             exts = list(block.cells)  # read twice; cells may be an iterator
-            sigma_set = _translate_backward(exts, ext2int)
-            ops = atomize_backward(sigma_set, state)
-            for op in ops:
-                update = apply_atomic(state, op)
-                raw_ops += 2 if isinstance(op, RemovePair) else 1
-                if isinstance(update, KernelUnpair):
-                    reduced_ops += 3
-                    atomic_pos += 1
-                    unpair_in_matrix(matrix, update, cx.dims[update.tau])
-                    atomic_pos += 1
-                    event = remove_from_matrix(
-                        matrix, update.sigma,
-                        (False, atomic_pos, block_index))
-                    if event is not None:
-                        events.append((event[0], event[1], block_index))
-                elif isinstance(update, KernelRemove):
-                    reduced_ops += 1
-                    atomic_pos += 1
-                    event = remove_from_matrix(
-                        matrix, update.cell,
-                        (False, atomic_pos, block_index))
-                    if event is not None:
-                        events.append((event[0], event[1], block_index))
-                if shadow is not None:
-                    shadow.mirror(state, op)
-                    shadow.compare(matrix)
-                if observer is not None:
-                    observer(state, matrix, op)
-            for ext in exts:
-                del ext2int[ext]
-
+            ops = atomize_backward(_translate_backward(exts, ext2int), state)
         else:
             raise InvalidOp("unknown block direction %r" % (block.direction,))
 
-        if validate:
-            if state.pending:
-                raise InvalidOp("staged cells were never inserted")
-            if len(matrix) != len(state.matching.critical):
-                raise InvalidOp("matrix rows diverge from the critical cells")
+        for op in ops:
+            update = apply_atomic(state, op)
+            raw_ops += 2 if isinstance(op, (InsertPair, RemovePair)) else 1
+            kind = type(update)
+            if kind is KernelInsert:
+                reduced_ops += 1
+                atomic_pos += 1
+                event = insert_into_matrix(
+                    matrix, update, (True, atomic_pos, block_index))
+            elif kind is KernelRemove:
+                reduced_ops += 1
+                atomic_pos += 1
+                event = remove_from_matrix(
+                    matrix, update.cell, (False, atomic_pos, block_index))
+            elif kind is KernelUnpair:
+                reduced_ops += 3
+                atomic_pos += 1
+                unpair_in_matrix(matrix, update)
+                atomic_pos += 1
+                event = remove_from_matrix(
+                    matrix, update.sigma, (False, atomic_pos, block_index))
+            else:
+                event = None
+            if event is not None:
+                events.append((event[0], event[1], block_index))
+            if shadow is not None:
+                shadow.mirror(state, op)
+                shadow.compare(matrix)
+            if observer is not None:
+                observer(state, matrix, op)
+        for ext in exts:
+            del ext2int[ext]
+
+        if validate and len(matrix) != len(state.matching.critical):
+            raise InvalidOp("matrix rows diverge from the critical cells")
         max_cells = max(max_cells, len(cx))
         max_critical = max(max_critical, len(state.matching.critical))
 

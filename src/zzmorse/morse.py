@@ -63,57 +63,44 @@ class Matching:
 # coreduction
 # ---------------------------------------------------------------------------
 
-def coreduce(cx, sigma_set, overlay=None):
-    """Build a matching on ``sigma_set`` by coreduction.
+def coreduce(records):
+    """Build a matching on the cells of ``records`` by coreduction.
 
-    Repeatedly pairs a cell with its single remaining unmatched facet; when
-    stuck, the lowest (dim, id) unmatched cell becomes critical.  Cells
-    outside ``sigma_set`` are treated as already matched, and pairs never
-    cross that boundary.  ``overlay`` may supply ``(dim, boundary)`` records
-    for cells not yet present in ``cx``, so a pending insertion block can be
-    matched before it is applied.
+    ``records`` maps each cell to ``(dim, boundary)``.  Repeatedly pairs a
+    cell with its single remaining unmatched facet; when stuck, the lowest
+    (dim, id) unmatched cell becomes critical.  Facets outside ``records``
+    count as already matched, so pairs never leave the records, and an
+    insertion block can be matched before any of it enters the complex.
     """
-    overlay = overlay or {}
-    sigma_set = set(sigma_set)
-
-    def facets(cell):
-        if cell in overlay:
-            return overlay[cell][1]
-        return cx.facets[cell]
-
-    def dim_of(cell):
-        if cell in overlay:
-            return overlay[cell][0]
-        return cx.dims[cell]
     inner_cofacets = {}
-    for cell in sigma_set:
-        for facet in facets(cell):
+    for cell, (_, bnd) in records.items():
+        for facet in bnd:
             inner_cofacets.setdefault(facet, []).append(cell)
 
-    avail = set(sigma_set)
-    count = {cell: sum(1 for f in facets(cell) if f in avail)
-             for cell in sigma_set}
-    pairable = [(dim_of(c), c) for c in sigma_set if count[c] == 1]
+    avail = set(records)
+    count = {cell: sum(1 for f in bnd if f in avail)
+             for cell, (_, bnd) in records.items()}
+    pairable = [(dim, c) for c, (dim, _) in records.items() if count[c] == 1]
     heapq.heapify(pairable)
-    fallback = [(dim_of(c), c) for c in sigma_set]
+    fallback = [(dim, c) for c, (dim, _) in records.items()]
     heapq.heapify(fallback)
 
     out = Matching()
 
     def retire(cell):
-        # cell left avail: its cofacets inside sigma_set lose one free facet
+        # cell left avail: its cofacets among the records lose one free facet
         for cof in inner_cofacets.get(cell, ()):
             if cof in avail:
                 count[cof] -= 1
                 if count[cof] == 1:
-                    heapq.heappush(pairable, (dim_of(cof), cof))
+                    heapq.heappush(pairable, (records[cof][0], cof))
 
     while avail:
         while pairable:
             _, sigma = heapq.heappop(pairable)
             if sigma not in avail or count[sigma] != 1:
                 continue
-            tau = next(f for f in facets(sigma) if f in avail)
+            tau = next(f for f in records[sigma][1] if f in avail)
             avail.discard(tau)
             avail.discard(sigma)
             out.add_pair(tau, sigma)

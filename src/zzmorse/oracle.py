@@ -19,8 +19,7 @@ from .errors import (
     TooLarge,
     UnknownCell,
 )
-from .linalg import boundary_matrix, nullspace, rank_mod, solve_in_span
-from .linalg import rref as _rref
+from .linalg import boundary_matrix, nullspace, rank_mod, rref, solve_in_span
 
 MAX_CELLS = 200
 
@@ -58,7 +57,7 @@ class _SnapshotHomology:
         bd_up = boundary_matrix(state, self.cells, above)
         cycles = nullspace(bd_q, p)
         stacked = np.hstack([bd_up, cycles])
-        _, pivots = _rref(stacked, p)
+        _, pivots = rref(stacked, p)
         nb = bd_up.shape[1]
         reps = cycles[:, [j - nb for j in pivots if j >= nb]]
         self.reps = reps
@@ -230,7 +229,7 @@ def _full_rank(mod, b, d):
            else np.zeros((total, 0), dtype=np.int64))
     images = np.zeros((total, sections.shape[1]), dtype=np.int64)
     images[:dims[0]] = sections[:dims[0]]
-    _, pivots = _rref(np.hstack([rel, images]), p)
+    _, pivots = rref(np.hstack([rel, images]), p)
     nrel = rel.shape[1]
     return len(pivots) - sum(1 for c in pivots if c < nrel)
 

@@ -19,23 +19,26 @@ from .morse import morse_boundary, morse_coboundary
 ForwardCell = namedtuple("ForwardCell", "cell dim boundary")
 BlockOp = namedtuple("BlockOp", "direction cells")  # direction: "F" | "B"
 
-InsertCritical = namedtuple("InsertCritical", "cell")
-InsertPair = namedtuple("InsertPair", "tau sigma")
+InsertCritical = namedtuple("InsertCritical", "cell dim boundary")
+InsertPair = namedtuple(
+    "InsertPair", "tau sigma tau_dim tau_boundary sigma_dim sigma_boundary")
 RemoveCritical = namedtuple("RemoveCritical", "cell")
 RemovePair = namedtuple("RemovePair", "tau sigma")
 RemoveUnpaired = namedtuple("RemoveUnpaired", "sigma tau")
 
-KernelInsert = namedtuple("KernelInsert", "cell dim boundary")
-KernelRemove = namedtuple("KernelRemove", "cell dim boundary")
+KernelInsert = namedtuple("KernelInsert", "cell dim boundary seq")
+KernelRemove = namedtuple("KernelRemove", "cell")
 KernelUnpair = namedtuple(
     "KernelUnpair",
-    "tau sigma sigma_boundary tau_cofacets pair_incidence tau_seq sigma_seq",
+    "tau sigma tau_dim sigma_boundary tau_cofacets pair_incidence"
+    " tau_seq sigma_seq",
 )
 
 
 class MorseState:
     """The streamed complex, its global matching, and its downward-flow memo.
 
+    Nothing is staged here: insertion ops carry their own cell data.
     ``flow_memo`` (cell -> reduced chain, see ``morse._flow``) lives across
     blocks.  ``apply_atomic`` keeps it valid: insertions leave it alone,
     removals drop the removed cells' entries, and an unpair clears it.
@@ -45,10 +48,6 @@ class MorseState:
         self.complex = complex_
         self.matching = matching
         self.flow_memo = {}
-        self.pending = {}  # staged records for the forward block being applied
-
-    def stage(self, records):
-        self.pending.update(records)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +73,10 @@ def atomize_forward(records, matching):
             if king not in records:
                 raise UnknownCell("king %r missing from block" % (king,))
             members = (cell, king)
-            op = InsertPair(cell, king)
+            op = InsertPair(cell, king, *records[cell], *records[king])
         else:
             members = (cell,)
-            op = InsertCritical(cell)
+            op = InsertCritical(cell, *records[cell])
         idx = len(units)
         units.append((members, op))
         for m in members:
@@ -208,26 +207,25 @@ def _reduced_boundary(state, cell):
 def apply_atomic(state, op):
     """Mutate the Morse state by one atomic op; return the kernel's view of it.
 
-    Insertions take their cell data from the staged block records.  The
-    return value is a KernelInsert/KernelRemove/KernelUnpair, or None for
-    pair operations, which are invisible to the reduced complex.
+    Insertions carry their own cell data.  The return value is a
+    KernelInsert/KernelRemove/KernelUnpair, or None for pair operations,
+    which are invisible to the reduced complex.
     """
     cx = state.complex
     m = state.matching
 
     if isinstance(op, InsertCritical):
-        dim, bnd = state.pending.pop(op.cell)
-        cx.insert_cell(dim, bnd, cell=op.cell)
+        cx.insert_cell(op.dim, op.boundary, cell=op.cell)
         m.add_critical(op.cell)
-        return KernelInsert(op.cell, dim, _reduced_boundary(state, op.cell))
+        return KernelInsert(op.cell, op.dim, _reduced_boundary(state, op.cell),
+                            cx.seq[op.cell])
 
     if isinstance(op, InsertPair):
-        tdim, tbnd = state.pending.pop(op.tau)
-        sdim, sbnd = state.pending.pop(op.sigma)
-        if sdim != tdim + 1 or not (sbnd.get(op.tau, 0) % cx.p):
+        if (op.sigma_dim != op.tau_dim + 1
+                or not op.sigma_boundary.get(op.tau, 0) % cx.p):
             raise InvalidOp("cells %r, %r do not form a pair" % (op.tau, op.sigma))
-        cx.insert_cell(tdim, tbnd, cell=op.tau)
-        cx.insert_cell(sdim, sbnd, cell=op.sigma)
+        cx.insert_cell(op.tau_dim, op.tau_boundary, cell=op.tau)
+        cx.insert_cell(op.sigma_dim, op.sigma_boundary, cell=op.sigma)
         m.add_pair(op.tau, op.sigma)
         return None
 
@@ -236,12 +234,10 @@ def apply_atomic(state, op):
             raise InvalidOp("cell %r is not critical" % (op.cell,))
         if not cx.is_maximal(op.cell):
             raise InvalidOp("cell %r is not maximal" % (op.cell,))
-        update = KernelRemove(op.cell, cx.dims[op.cell],
-                              _reduced_boundary(state, op.cell))
         m.drop_critical(op.cell)
         cx.remove_cell(op.cell)
         state.flow_memo.pop(op.cell, None)
-        return update
+        return KernelRemove(op.cell)
 
     if isinstance(op, RemovePair):
         if m.pair_up.get(op.tau) != op.sigma:
@@ -271,11 +267,11 @@ def apply_atomic(state, op):
         tau_cofacets = morse_coboundary(cx, m, op.tau)
         if sigma_boundary.get(op.tau) != incidence:
             raise InvalidOp("reduced boundary lost the pair incidence")
-        tau_seq = cx.seq[op.tau]
-        sigma_seq = cx.seq[op.sigma]
+        update = KernelUnpair(op.tau, op.sigma, cx.dims[op.tau], sigma_boundary,
+                              tau_cofacets, incidence, cx.seq[op.tau],
+                              cx.seq[op.sigma])
         m.drop_critical(op.sigma)
         cx.remove_cell(op.sigma)
-        return KernelUnpair(op.tau, op.sigma, sigma_boundary,
-                            tau_cofacets, incidence, tau_seq, sigma_seq)
+        return update
 
     raise InvalidOp("unknown atomic op %r" % (op,))

@@ -63,5 +63,12 @@ def grow_records(rng, cx, k, max_dim=3):
     return records
 
 
+def cell_records(cx, cells=None):
+    """``{cell: (dim, boundary)}`` for the given cells of cx (default: all)."""
+    if cells is None:
+        cells = cx.dims
+    return {c: (cx.dims[c], cx.facets[c]) for c in cells}
+
+
 def make_rng(seed):
     return random.Random(seed)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import ACCEPTANCE, make_rng, random_complex
+from conftest import ACCEPTANCE, cell_records, make_rng, random_complex
 from test_morse import brute_boundary
 from test_stream import update_formula
 from zzmorse.cli import RunConfig, emit_image, emit_stream, format_diagram, run_cli
@@ -124,7 +124,7 @@ def test_criterion_3_boundary_update_formula(p):
         assert attempts < 2000
         rng = make_rng(40_000 + 1000 * p + attempts)
         cx = random_complex(rng, p=p, n=rng.randint(8, 20))
-        m = coreduce(cx, set(cx.dims))
+        m = coreduce(cell_records(cx))
         pairs = [(t, s) for t, s in m.pair_up.items() if cx.is_maximal(s)]
         if not pairs:
             continue

@@ -102,9 +102,10 @@ def test_validate_mode_names_a_stale_memo_entry():
         for cell in state.flow_memo:
             state.flow_memo[cell] = {}
 
-    # e02, the sixth cell inserted, has internal id 5; removing it is the
-    # first boundary read after its facets' entries were spoiled
-    with pytest.raises(BrokenInvariant, match="stale boundary for 5$"):
+    # critical removals read no boundary, and the unpair that removes e01
+    # clears the memo first; f02, the seventh cell inserted, has internal
+    # id 6, and its insertion is the first boundary read from spoiled entries
+    with pytest.raises(BrokenInvariant, match="stale boundary for 6$"):
         run_stream(path_stream(2), validate=True, observer=spoil)
 
 

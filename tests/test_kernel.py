@@ -259,10 +259,10 @@ def test_errors_surface_through_the_wrappers():
     m = HomologyMatrix(2)
     with pytest.raises(UnknownRow):
         remove_from_matrix(m, "ghost", (False, 1, 1))
-    update = KernelUnpair("t", "s", {}, {}, 2, 0, 1)
+    update = KernelUnpair("t", "s", 0, {}, {}, 2, 0, 1)
     with pytest.raises(ZeroPairIncidence):
         from zzmorse.kernel import unpair_in_matrix
-        unpair_in_matrix(m, update, 0)
+        unpair_in_matrix(m, update)
 
 
 def test_non_cycle_boundary_is_rejected():

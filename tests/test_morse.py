@@ -7,7 +7,7 @@ traversal-based implementation.
 
 import pytest
 
-from conftest import make_rng, random_complex
+from conftest import cell_records, make_rng, random_complex
 from zzmorse.cells import Complex, build_simplicial, field_inv, full_triangle
 from zzmorse.errors import CyclicMatching, NotCritical, UnknownCell
 from zzmorse.morse import Matching, coreduce, is_acyclic_matching, morse_boundary, morse_coboundary
@@ -163,7 +163,7 @@ def test_acyclicity_examples():
 
 def test_coreduce_filled_triangle():
     cx = full_triangle()
-    m = coreduce(cx, set(cx.dims))
+    m = coreduce(cell_records(cx))
     assert len(m.pair_up) == 3
     assert len(m.critical) == 1
     (crit,) = m.critical
@@ -174,7 +174,7 @@ def test_coreduce_filled_triangle():
 def test_coreduce_single_vertex():
     cx = Complex()
     v = cx.insert_cell(0, {})
-    m = coreduce(cx, {v})
+    m = coreduce(cell_records(cx, {v}))
     assert m.critical == {v} and not m.pair_up
 
 
@@ -183,28 +183,16 @@ def test_coreduce_cap_over_frozen_circle():
     t = cx.insert_cell(2, {cx.simplex_ids[(1, 2)]: 1,
                            cx.simplex_ids[(2, 3)]: 1,
                            cx.simplex_ids[(1, 3)]: 1})
-    m = coreduce(cx, {t})
+    m = coreduce(cell_records(cx, {t}))
     assert m.critical == {t}
 
 
 def test_coreduce_deterministic():
     rng = make_rng(7)
     cx = random_complex(rng, p=2, n=12)
-    a = coreduce(cx, set(cx.dims))
-    b = coreduce(cx, set(cx.dims))
+    a = coreduce(cell_records(cx))
+    b = coreduce(cell_records(cx))
     assert a.critical == b.critical and a.pair_up == b.pair_up
-
-
-def test_coreduce_overlay_matches_inserted():
-    cx = full_triangle(p=5)
-    ids = cx.simplex_ids
-    t = ids[(1, 2, 3)]
-    records = {t: (2, dict(cx.facets[t]))}
-    direct = coreduce(cx, {t}, overlay=None)
-    cx.remove_cell(t)
-    overlaid = coreduce(cx, {t}, overlay=records)
-    assert direct.critical == overlaid.critical
-    assert direct.pair_up == overlaid.pair_up
 
 
 # -- properties on random complexes -------------------------------------------
@@ -214,7 +202,7 @@ def test_coreduce_overlay_matches_inserted():
 def test_traversal_matches_path_enumeration(seed, p):
     rng = make_rng(100 * p + seed)
     cx = random_complex(rng, p=p, n=rng.randint(4, 12))
-    m = coreduce(cx, set(cx.dims))
+    m = coreduce(cell_records(cx))
     assert is_acyclic_matching(cx, m)
     for nu in m.critical:
         assert morse_boundary(cx, m, nu) == brute_boundary(cx, m, nu)
@@ -225,7 +213,7 @@ def test_traversal_matches_path_enumeration(seed, p):
 def test_morse_complex_squares_to_zero_and_betti(seed, p):
     rng = make_rng(3_000 + 100 * p + seed)
     cx = random_complex(rng, p=p, n=rng.randint(4, 12))
-    m = coreduce(cx, set(cx.dims))
+    m = coreduce(cell_records(cx))
     reduced = {nu: (cx.dims[nu], morse_boundary(cx, m, nu)) for nu in m.critical}
     # boundary of boundary vanishes
     for nu, (_, bnd) in reduced.items():
@@ -244,7 +232,7 @@ def test_coboundary_mirrors_boundary(seed):
     rng = make_rng(9_000 + seed)
     p = rng.choice([2, 5])
     cx = random_complex(rng, p=p, n=rng.randint(4, 12))
-    m = coreduce(cx, set(cx.dims))
+    m = coreduce(cell_records(cx))
     crits = sorted(m.critical)
     for nu in crits:
         bnd = morse_boundary(cx, m, nu)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_rng, random_block_ops
 from zzmorse.errors import InvalidOp, TooLarge
+from zzmorse.linalg import rref
 from zzmorse.oracle import (
     ExplicitModule,
     betti_numbers,
@@ -183,8 +184,7 @@ def _conjugate(mod, rng):
     for g in bases:
         d = g.shape[0]
         aug, piv = np.hstack([g, np.eye(d, dtype=np.int64)]), None
-        from zzmorse.oracle import _rref
-        red, piv = _rref(aug, p)
+        red, piv = rref(aug, p)
         assert piv == list(range(d))
         inverses.append(red[:, d:])
     maps = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import grow_records, make_rng, random_complex
+from conftest import cell_records, grow_records, make_rng, random_complex
 from zzmorse.cells import Complex, build_simplicial, chain_addmul, field_inv, full_triangle
 from zzmorse.errors import CyclicMatching, InvalidOp, NotRemovable
 from zzmorse.morse import Matching, coreduce, is_acyclic_matching, morse_boundary
@@ -70,7 +70,7 @@ def test_atomize_forward_triangle():
     ops = atomize_forward(TRIANGLE_RECORDS, triangle_matching())
     assert len(ops) == 4
     assert sum(isinstance(o, InsertPair) for o in ops) == 3
-    assert ops[0] == InsertCritical(0)
+    assert ops[0] == InsertCritical(0, 0, {})
     assert_prefix_closed(TRIANGLE_RECORDS, ops)
 
 
@@ -99,7 +99,7 @@ def test_atomize_forward_random_prefix_closed(seed):
     p = rng.choice([2, 5])
     cx = random_complex(rng, p=p, n=6)
     records = grow_records(rng, cx, rng.randint(1, 8))
-    m = coreduce(cx, set(records), overlay=records)
+    m = coreduce(records)
     ops = atomize_forward(records, m)
     assert_prefix_closed(records, ops)
 
@@ -153,7 +153,7 @@ def test_atomize_backward_never_splits_inner_pairs():
     rng = make_rng(42)
     for _ in range(10):
         cx = random_complex(rng, p=2, n=10)
-        m = coreduce(cx, set(cx.dims))
+        m = coreduce(cell_records(cx))
         ops = atomize_backward(set(cx.dims), MorseState(cx, m))
         assert not any(isinstance(o, RemoveUnpaired) for o in ops)
         removed = set()
@@ -174,8 +174,7 @@ def test_apply_forward_block_from_empty():
     for cell, (dim, bnd) in sorted(TRIANGLE_RECORDS.items()):
         assert cx.fresh_id() == cell
         records[cell] = (dim, bnd)
-    block = coreduce(cx, set(records), overlay=records)
-    state.stage(records)
+    block = coreduce(records)
     updates = [apply_atomic(state, op) for op in atomize_forward(records, block)]
     assert len(cx) == 7
     assert is_acyclic_matching(cx, state.matching)
@@ -242,7 +241,7 @@ def update_formula(old, correction, scale, sigma_boundary, p):
 def test_boundary_update_identity(seed, p):
     rng = make_rng(10_000 + 100 * p + seed)
     cx = random_complex(rng, p=p, n=rng.randint(10, 40))
-    m = coreduce(cx, set(cx.dims))
+    m = coreduce(cell_records(cx))
     pairs = [(tau, sigma) for tau, sigma in m.pair_up.items()
              if cx.is_maximal(sigma)]
     if not pairs:
@@ -270,13 +269,12 @@ def test_block_round_trip(seed):
     rng = make_rng(20_000 + seed)
     p = rng.choice([2, 5])
     cx = random_complex(rng, p=p, n=rng.randint(0, 8))
-    base_matching = coreduce(cx, set(cx.dims))
+    base_matching = coreduce(cell_records(cx))
     base_cells = set(cx.dims)
     state = MorseState(cx, base_matching)
 
     records = grow_records(rng, cx, rng.randint(1, 8))
-    block = coreduce(cx, set(records), overlay=records)
-    state.stage(records)
+    block = coreduce(records)
     for op in atomize_forward(records, block):
         apply_atomic(state, op)
     assert set(cx.dims) == base_cells | set(records)
@@ -304,8 +302,7 @@ def test_betti_preserved_after_every_atomic_op(seed):
 
     for _ in range(4):
         records = grow_records(rng, cx, rng.randint(1, 6))
-        block = coreduce(cx, set(records), overlay=records)
-        state.stage(records)
+        block = coreduce(records)
         for op in atomize_forward(records, block):
             apply_atomic(state, op)
             check()

@@ -109,11 +109,11 @@ def test_shadow_counts_match_and_then_diverge():
 
     state = MorseState.__new__(MorseState)
     state.complex = FakeComplex()
-    shadow.mirror(state, InsertCritical("a"))
+    shadow.mirror(state, InsertCritical("a", 0, {}))
     live.forward_insert("a", 0, {}, (True, 1, 1), 0)
     shadow.compare(live)
 
-    shadow.mirror(state, InsertCritical("b"))
+    shadow.mirror(state, InsertCritical("b", 0, {}))
     with pytest.raises(BrokenInvariant):
         shadow.compare(live)
 
