@@ -94,8 +94,9 @@ def emit_image(image):
 def parse_stream(path):
     """Block stream from one line per block: 'F' or 'B' plus cell records.
 
-    A forward cell record is "id dim k f_1 c_1 ... f_k c_k"; a backward
-    record is the bare id.  Ids and coefficients are integers.
+    A forward cell record is "id dim k f_1 c_1 ... f_k c_k" with k distinct
+    facets; a backward record is the bare id.  Ids and coefficients are
+    integers.
     """
     blocks = []
     with open(path) as fh:
@@ -118,7 +119,11 @@ def parse_stream(path):
                             raise BadStreamLine("line %d: truncated record" % ln)
                         bnd = {}
                         for _ in range(k):
-                            bnd[int(rest[i])] = int(rest[i + 1])
+                            facet = int(rest[i])
+                            if facet in bnd:
+                                raise BadStreamLine("line %d: facet %d listed "
+                                                    "twice" % (ln, facet))
+                            bnd[facet] = int(rest[i + 1])
                             i += 2
                         cells.append(ForwardCell(cid, dim, bnd))
                     blocks.append(BlockOp("F", cells))

@@ -53,13 +53,18 @@ def _translate_forward(cells, cx, ext2int):
     """Map one insertion block to internal ids; returns insertion records.
 
     This is the door for cell data, so both pipelines reject the same
-    input: a dimension must be a non-negative integer and a coefficient an
-    integer (``InvalidOp``), and every listed facet must be alive before
-    the block or be another cell of it, one dimension down (``MissingFacet``).
+    input: ids must be hashable, a boundary a mapping, a dimension a
+    non-negative integer and a coefficient an integer (``InvalidOp``), and
+    every listed facet must be alive before the block or be another cell of
+    it, one dimension down (``MissingFacet``).
     """
     fresh = {}  # external id -> (internal id, dimension)
     for fc in cells:
-        if fc.cell in ext2int or fc.cell in fresh:
+        try:
+            alive = fc.cell in ext2int or fc.cell in fresh
+        except TypeError:
+            raise InvalidOp("cell id %r is not hashable" % (fc.cell,)) from None
+        if alive:
             raise InvalidOp("cell id %r is already alive" % (fc.cell,))
         try:
             dim = operator.index(fc.dim)
@@ -75,8 +80,18 @@ def _translate_forward(cells, cx, ext2int):
     for fc in cells:
         cell, dim = fresh[fc.cell]
         bd = {}
-        for facet, coeff in fc.boundary.items():
-            if facet in fresh:
+        try:
+            chain = fc.boundary.items()
+        except AttributeError:
+            raise InvalidOp("boundary %r of cell %r is not a mapping"
+                            % (fc.boundary, fc.cell)) from None
+        for facet, coeff in chain:
+            try:
+                new = facet in fresh
+            except TypeError:
+                raise InvalidOp("facet id %r of cell %r is not hashable"
+                                % (facet, fc.cell)) from None
+            if new:
                 target, facet_dim = fresh[facet]
             elif facet in ext2int:
                 target = ext2int[facet]
@@ -103,9 +118,12 @@ def _translate_forward(cells, cx, ext2int):
 def _translate_backward(cells, ext2int):
     out = set()
     for ext in cells:
-        if ext not in ext2int:
-            raise UnknownCell("cell id %r is not alive" % (ext,))
-        cell = ext2int[ext]
+        try:
+            cell = ext2int[ext]
+        except KeyError:
+            raise UnknownCell("cell id %r is not alive" % (ext,)) from None
+        except TypeError:
+            raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
         if cell in out:
             raise InvalidOp("cell id %r removed twice in one block" % (ext,))
         out.add(cell)

@@ -71,6 +71,9 @@ def coreduce(records):
     (dim, id) unmatched cell becomes critical.  Facets outside ``records``
     count as already matched, so pairs never leave the records, and an
     insertion block can be matched before any of it enters the complex.
+
+    The result's ``pair_up`` lists the pairs in the order they formed;
+    ``stream.atomize_forward`` relies on that order.
     """
     inner_cofacets = {}
     for cell, (_, bnd) in records.items():
@@ -114,48 +117,6 @@ def coreduce(records):
                 retire(cell)
                 break
     return out
-
-
-def is_acyclic_matching(cx, matching):
-    """True iff the matching's oriented Hasse diagram has no directed cycle.
-
-    Any cycle must alternate queue and king cells, so it suffices to search
-    the digraph on queue cells with an edge tau -> tau' when tau' is another
-    facet of tau's king.
-    """
-    for tau in matching.pair_up:
-        if tau not in cx.dims or matching.pair_up[tau] not in cx.dims:
-            raise UnknownCell("matching references a missing cell")
-
-    WHITE, GRAY, DONE = 0, 1, 2
-    color = {}
-
-    def neighbours(tau):
-        for facet in cx.facets[matching.pair_up[tau]]:
-            if facet != tau and facet in matching.pair_up:
-                yield facet
-
-    for root in matching.pair_up:
-        if color.get(root, WHITE) != WHITE:
-            continue
-        stack = [(root, iter(neighbours(root)))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                state = color.get(nxt, WHITE)
-                if state == GRAY:
-                    return False
-                if state == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(neighbours(nxt))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = DONE
-                stack.pop()
-    return True
 
 
 # ---------------------------------------------------------------------------

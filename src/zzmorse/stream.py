@@ -3,17 +3,17 @@
 A zigzag filtration arrives as blocks: a forward block inserts a set of cells,
 a backward block removes one.  Each block is matched (forward) or classified
 against the standing matching (backward) and decomposed into atomic
-operations.  Critical insertions and removals reach the persistence kernel;
-paired cells come and go silently except when a removal splits a pair across
-the block boundary, which triggers a boundary update in the reduced complex
-before the cell leaves.
+operations, in an order that needs no scheduler: a forward block goes in by
+dimension level, each level's critical cells before its pairs, and a
+backward block leaves in reverse insertion order.  Critical insertions and
+removals reach the persistence kernel; paired cells come and go silently
+except when a removal splits a pair across the block boundary, which
+triggers a boundary update in the reduced complex before the cell leaves.
 """
 
-import heapq
 from collections import namedtuple
 
-from .errors import (BrokenInvariant, CyclicMatching, InvalidOp, NotRemovable,
-                     UnknownCell)
+from .errors import BrokenInvariant, InvalidOp, NotRemovable
 from .morse import morse_boundary, morse_coboundary
 
 ForwardCell = namedtuple("ForwardCell", "cell dim boundary")
@@ -57,64 +57,21 @@ class MorseState:
 def atomize_forward(records, matching):
     """Order a matched insertion block into prefix-closed atomic operations.
 
-    ``records`` maps each new cell to ``(dim, boundary)``; facets absent from
-    the records are assumed to exist already.  Paired cells are emitted
-    together, the queue cell first, once every outside facet of both is in.
+    ``records`` maps each new cell to ``(dim, boundary)``; ``matching`` is
+    the block's matching from ``coreduce``.  Ops go by level: for each d,
+    the critical d-cells by id, then the pairs whose queue cell has
+    dimension d, in ``pair_up`` order.  Facets thus come first: those of a
+    level-d cell lie at earlier levels, and the other facets of a king were
+    critical or paired before its pair formed (see ``coreduce``).
     """
-    unit_of = {}
-    units = []
-    for cell in records:
-        if cell in matching.pair_down:
-            if matching.pair_down[cell] not in records:
-                raise UnknownCell("queue cell for %r missing from block" % (cell,))
-            continue
-        if cell in matching.pair_up:
-            king = matching.pair_up[cell]
-            if king not in records:
-                raise UnknownCell("king %r missing from block" % (king,))
-            members = (cell, king)
-            op = InsertPair(cell, king, *records[cell], *records[king])
-        else:
-            members = (cell,)
-            op = InsertCritical(cell, *records[cell])
-        idx = len(units)
-        units.append((members, op))
-        for m in members:
-            unit_of[m] = idx
-
-    waiting = {}
-    needs = []
-    ready = []
-    for idx, (members, op) in enumerate(units):
-        deps = set()
-        for m in members:
-            for facet in records[m][1]:
-                if facet in records and facet not in members:
-                    deps.add(facet)
-        needs.append(deps)
-        for facet in deps:
-            waiting.setdefault(facet, []).append(idx)
-        if not deps:
-            key = min((records[m][0], m) for m in members)
-            heapq.heappush(ready, (key, idx))
-
-    out = []
-    emitted = 0
-    while ready:
-        _, idx = heapq.heappop(ready)
-        members, op = units[idx]
-        out.append(op)
-        emitted += 1
-        for m in members:
-            for widx in waiting.get(m, ()):
-                deps = needs[widx]
-                deps.discard(m)
-                if not deps:
-                    key = min((records[w][0], w) for w in units[widx][0])
-                    heapq.heappush(ready, (key, widx))
-    if emitted != len(units):
-        raise CyclicMatching("insertion block has no prefix-closed order")
-    return out
+    ops = [InsertCritical(cell, *records[cell])
+           for cell in sorted(matching.critical)]
+    ops += [InsertPair(tau, sigma, *records[tau], *records[sigma])
+            for tau, sigma in matching.pair_up.items()]
+    # op[0] is the critical or queue cell; the stable sort keeps each
+    # level's critical cells first, then its pairs, in the order built above
+    ops.sort(key=lambda op: records[op[0]][0])
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -122,68 +79,32 @@ def atomize_forward(records, matching):
 # ---------------------------------------------------------------------------
 
 def atomize_backward(sigma_set, state):
-    """Order a removal block into atomic operations, maximal cells first.
+    """Order a removal block of live cells into atomic ops, last inserted first.
 
-    Pairs lying inside the block leave together as RemovePair; a pair split
-    by the block boundary (king inside, queue cell outside) leaves as
-    RemoveUnpaired.  Preference among currently maximal cells is highest
-    dimension, then lowest id.
+    Facets are inserted before their cofacets, so descending ``cx.seq``
+    removes maximal cells only, once the block holds every cofacet of its
+    cells (``NotRemovable`` otherwise).  A pair holds consecutive seqs, so
+    a king comes just before its queue cell and gives the op for both:
+    RemovePair, or RemoveUnpaired if the queue cell stays.  A queue cell may
+    not leave without its king (``NotRemovable``).
     """
     cx = state.complex
     m = state.matching
     sigma_set = set(sigma_set)
-    for cell in sigma_set:
-        if cell not in cx.dims:
-            raise UnknownCell(repr(cell))
+    out = []
+    for cell in sorted(sigma_set, key=cx.seq.__getitem__, reverse=True):
         for cof in cx.cofacets[cell]:
             if cof not in sigma_set:
                 raise NotRemovable(
-                    "cell %r has a cofacet %r outside the block" % (cell, cof)
-                )
-        if cell in m.pair_up and m.pair_up[cell] not in sigma_set:
-            raise NotRemovable(
-                "queue cell %r leaves without its king" % (cell,)
-            )
-
-    remaining = set(sigma_set)
-    count = {c: len(cx.cofacets[c]) for c in sigma_set}
-    heap = [(-cx.dims[c], c) for c in sigma_set if count[c] == 0]
-    heapq.heapify(heap)
-    parked = {}  # queue cell -> its king, waiting for the queue cell to clear
-    out = []
-
-    def clear(cell):
-        remaining.discard(cell)
-        for facet in cx.facets[cell]:
-            if facet in remaining:
-                count[facet] -= 1
-                if count[facet] == 0:
-                    heapq.heappush(heap, (-cx.dims[facet], facet))
-                if count[facet] == 1 and facet in parked:
-                    heapq.heappush(heap, (-cx.dims[parked[facet]], parked.pop(facet)))
-
-    while remaining:
-        if not heap:
-            raise NotRemovable("no maximal cell available; matching not acyclic?")
-        _, cell = heapq.heappop(heap)
-        if cell not in remaining or count[cell] != 0:
-            continue
+                    "cell %r has a cofacet %r outside the block" % (cell, cof))
         if cell in m.pair_down:
             tau = m.pair_down[cell]
-            if tau not in sigma_set:
-                out.append(RemoveUnpaired(cell, tau))
-                clear(cell)
-            elif count[tau] == 1:
-                out.append(RemovePair(tau, cell))
-                clear(cell)
-                clear(tau)
-            else:
-                parked[tau] = cell
-        elif cell in m.pair_up:
-            continue  # leaves with its king
-        else:
+            out.append(RemovePair(tau, cell) if tau in sigma_set
+                       else RemoveUnpaired(cell, tau))
+        elif cell not in m.pair_up:
             out.append(RemoveCritical(cell))
-            clear(cell)
+        elif m.pair_up[cell] not in sigma_set:
+            raise NotRemovable("queue cell %r leaves without its king" % (cell,))
     return out
 
 

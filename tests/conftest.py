@@ -1,8 +1,10 @@
-"""Shared helpers: random atomic/block streams used for differential testing."""
+"""Shared helpers: random streams for differential testing, and a matching
+acyclicity check."""
 
 import random
 import re
 
+from zzmorse.errors import UnknownCell
 from zzmorse.generators import (_random_cycle, blocks_to_stream,
                                 random_block_stream)
 
@@ -72,3 +74,45 @@ def cell_records(cx, cells=None):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def is_acyclic_matching(cx, matching):
+    """True iff the matching's oriented Hasse diagram has no directed cycle.
+
+    Any cycle must alternate queue and king cells, so it suffices to search
+    the digraph on queue cells with an edge tau -> tau' when tau' is another
+    facet of tau's king.
+    """
+    for tau in matching.pair_up:
+        if tau not in cx.dims or matching.pair_up[tau] not in cx.dims:
+            raise UnknownCell("matching references a missing cell")
+
+    WHITE, GRAY, DONE = 0, 1, 2
+    color = {}
+
+    def neighbours(tau):
+        for facet in cx.facets[matching.pair_up[tau]]:
+            if facet != tau and facet in matching.pair_up:
+                yield facet
+
+    for root in matching.pair_up:
+        if color.get(root, WHITE) != WHITE:
+            continue
+        stack = [(root, iter(neighbours(root)))]
+        color[root] = GRAY
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                state = color.get(nxt, WHITE)
+                if state == GRAY:
+                    return False
+                if state == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(neighbours(nxt))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = DONE
+                stack.pop()
+    return True

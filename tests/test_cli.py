@@ -108,6 +108,9 @@ def test_stream_parse_errors(tmp_path):
     path.write_text("B one\n")
     with pytest.raises(BadStreamLine):
         parse_stream(path)
+    path.write_text("F 1 0 0 2 0 0\nF 3 1 2 1 1 1 -1\n")
+    with pytest.raises(BadStreamLine, match="line 2: facet 1 listed twice"):
+        parse_stream(path)
 
 
 def test_blank_lines_are_skipped(tmp_path):

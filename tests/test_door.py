@@ -1,9 +1,11 @@
-"""Forward blocks are checked at the door, the same way in both pipelines.
+"""Blocks are checked at the door, the same way in both pipelines.
 
-A malformed insertion block must raise one named ``ZigzagError`` whether or
-not the engine Morse-reduces the complex; a well-formed stream must give the
-same diagram either way.
+A malformed block must raise one named ``ZigzagError`` whether or not the
+engine Morse-reduces the complex; a well-formed stream must give the same
+diagram either way.
 """
+
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -25,11 +27,34 @@ DEFECTS = {
     "string coefficient": InvalidOp,
     "negative dimension": InvalidOp,
     "fractional dimension": InvalidOp,
+    "unhashable cell id": InvalidOp,
+    "unhashable facet id": InvalidOp,
+    "boundary not a mapping": InvalidOp,
+    "unhashable backward id": InvalidOp,
     "float p": BadParameters,
 }
 
 NEEDS_FACETS = ("facet of the wrong dimension", "float coefficient",
-                "string coefficient")
+                "string coefficient", "unhashable facet id")
+
+
+class PairList(Mapping):
+    """A mapping kept as a list of pairs, so its keys need not be hashable."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+
+    def __getitem__(self, key):
+        for k, v in self.pairs:
+            if k == key:
+                return v
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
 
 
 def outcome(blocks, p, morse):
@@ -41,9 +66,12 @@ def outcome(blocks, p, morse):
 
 
 def damage(cell, defect):
-    """A copy of one ForwardCell carrying the given defect."""
+    """A copy of one ForwardCell (or backward id) carrying the given defect."""
+    if defect == "unhashable backward id":
+        return [cell]
     bnd = dict(cell.boundary)
     dim = cell.dim
+    ext = cell.cell
     if defect == "self facet":
         bnd[cell.cell] = 1
     elif defect == "facet of the wrong dimension":
@@ -58,7 +86,13 @@ def damage(cell, defect):
         dim = -1
     elif defect == "fractional dimension":
         dim += 0.5
-    return ForwardCell(cell.cell, dim, bnd)
+    elif defect == "unhashable cell id":
+        ext = [ext]
+    elif defect == "unhashable facet id":
+        bnd = PairList([([f], c) for f, c in bnd.items()])
+    elif defect == "boundary not a mapping":
+        bnd = list(bnd)
+    return ForwardCell(ext, dim, bnd)
 
 
 def as_numpy(blocks):
@@ -85,17 +119,19 @@ def test_both_pipelines_refuse_the_same_input(seed, p, defect, data):
     elif defect == "float p":
         run_p = float(p)
     elif defect is not None:
+        direction = "B" if defect == "unhashable backward id" else "F"
         targets = [(b, i) for b, block in enumerate(blocks)
-                   if block.direction == "F"
+                   if block.direction == direction
                    for i, fc in enumerate(block.cells)
-                   if fc.boundary or defect not in NEEDS_FACETS]
+                   if direction == "B" or fc.boundary
+                   or defect not in NEEDS_FACETS]
         if not targets:
             targets = [(0, 0)]
             defect = "self facet"
         b, i = data.draw(st.sampled_from(targets))
         cells = list(blocks[b].cells)
         cells[i] = damage(cells[i], defect)
-        blocks[b] = BlockOp("F", cells)
+        blocks[b] = BlockOp(blocks[b].direction, cells)
 
     reduced = outcome(blocks, run_p, morse=True)
     unreduced = outcome(blocks, run_p, morse=False)
@@ -124,6 +160,19 @@ def test_door_errors_name_the_defect(morse):
         run(ForwardCell(1, -1, {}))
     with pytest.raises(InvalidOp, match="dimension 0.5"):
         run(ForwardCell(1, 0.5, {}))
+    with pytest.raises(InvalidOp, match=r"cell id \[1\] is not hashable"):
+        run(ForwardCell([1], 0, {}))
+    with pytest.raises(InvalidOp,
+                       match=r"facet id \[1\] of cell 2 is not hashable"):
+        run(ForwardCell(1, 0, {}), ForwardCell(2, 1, PairList([([1], 1)])))
+    with pytest.raises(InvalidOp,
+                       match=r"boundary \[1\] of cell 2 is not a mapping"):
+        run(ForwardCell(1, 0, {}), ForwardCell(2, 1, [1]))
+    with pytest.raises(InvalidOp, match="boundary None of cell 2"):
+        run(ForwardCell(2, 1, None))
+    with pytest.raises(InvalidOp, match=r"cell id \[1\] is not hashable"):
+        run_stream([BlockOp("F", [ForwardCell(1, 0, {})]), BlockOp("B", [[1]])],
+                   morse=morse)
     with pytest.raises(BadParameters):
         run(ForwardCell(1, 0, {}), p=5.0)
     blocks = [BlockOp("F", [ForwardCell(1, 0, {}), ForwardCell(2, 0, {}),

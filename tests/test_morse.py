@@ -7,10 +7,10 @@ traversal-based implementation.
 
 import pytest
 
-from conftest import cell_records, make_rng, random_complex
+from conftest import cell_records, is_acyclic_matching, make_rng, random_complex
 from zzmorse.cells import Complex, build_simplicial, field_inv, full_triangle
 from zzmorse.errors import CyclicMatching, NotCritical, UnknownCell
-from zzmorse.morse import Matching, coreduce, is_acyclic_matching, morse_boundary, morse_coboundary
+from zzmorse.morse import Matching, coreduce, morse_boundary, morse_coboundary
 from zzmorse.oracle import betti_numbers
 
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from conftest import cell_records, grow_records, make_rng, random_complex
+from conftest import (cell_records, grow_records, is_acyclic_matching, make_rng,
+                      random_complex)
 from zzmorse.cells import Complex, build_simplicial, chain_addmul, field_inv, full_triangle
-from zzmorse.errors import CyclicMatching, InvalidOp, NotRemovable
-from zzmorse.morse import Matching, coreduce, is_acyclic_matching, morse_boundary
+from zzmorse.errors import InvalidOp, NotRemovable
+from zzmorse.morse import Matching, coreduce, morse_boundary
 from zzmorse.oracle import betti_numbers
 from zzmorse.stream import (
     InsertCritical,
@@ -78,21 +79,6 @@ def test_atomize_forward_empty():
     assert atomize_forward({}, Matching()) == []
 
 
-def test_atomize_forward_cycle():
-    records = {
-        "a": (0, {}), "b": (0, {}), "c": (0, {}),
-        "ab": (1, {"a": 1, "b": 1}),
-        "bc": (1, {"b": 1, "c": 1}),
-        "ca": (1, {"c": 1, "a": 1}),
-    }
-    m = Matching()
-    m.add_pair("a", "ab")
-    m.add_pair("b", "bc")
-    m.add_pair("c", "ca")
-    with pytest.raises(CyclicMatching):
-        atomize_forward(records, m)
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_atomize_forward_random_prefix_closed(seed):
     rng = make_rng(seed)
@@ -104,7 +90,51 @@ def test_atomize_forward_random_prefix_closed(seed):
     assert_prefix_closed(records, ops)
 
 
+def test_atomize_forward_goes_by_level():
+    # level d: the critical d-cells by id, then the pairs with a d-dimensional
+    # queue cell in the order coreduce formed them
+    rng = make_rng(5)
+    for _ in range(50):
+        cx = random_complex(rng, p=5, n=rng.randint(0, 6))
+        records = grow_records(rng, cx, rng.randint(1, 12))
+        m = coreduce(records)
+        ops = atomize_forward(records, m)
+        expected = []
+        for d in sorted({dim for dim, _ in records.values()}):
+            expected += [c for c in sorted(m.critical) if records[c][0] == d]
+            expected += [(t, s) for t, s in m.pair_up.items()
+                         if records[t][0] == d]
+        assert [op.cell if isinstance(op, InsertCritical) else (op.tau, op.sigma)
+                for op in ops] == expected
+        assert_prefix_closed(records, ops)
+
+        everything = Matching()
+        for cell in records:
+            everything.add_critical(cell)
+        assert [op.cell for op in atomize_forward(records, everything)] == \
+            sorted(records, key=lambda c: (records[c][0], c))
+
+
 # -- backward atomization --------------------------------------------------------
+
+def test_atomize_backward_latest_insertion_first():
+    rng = make_rng(6)
+    for _ in range(30):
+        cx = Complex(p=2)
+        state = MorseState(cx, Matching())
+        records = grow_records(rng, cx, rng.randint(1, 12))
+        for op in atomize_forward(records, coreduce(records)):
+            apply_atomic(state, op)
+        block = _removable_subset(rng, cx)
+        ops = atomize_backward(block, state)
+        leaders = [op.cell if isinstance(op, RemoveCritical) else op.sigma
+                   for op in ops]
+        seqs = [cx.seq[c] for c in leaders]
+        assert seqs == sorted(seqs, reverse=True)
+        for op in ops:
+            apply_atomic(state, op)
+        assert not block & set(cx.dims)
+
 
 def test_atomize_backward_unpaired():
     cx, m, ids = triangle_state()
