@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .cells import Complex, build_cubical, build_simplicial, field_inv
-from .cli import RunConfig, run_cli
 from .generators import (
     ScalarImage,
     circle_points,
@@ -23,7 +22,6 @@ __all__ = [
     "ForwardCell",
     "Interval",
     "Metrics",
-    "RunConfig",
     "ScalarImage",
     "build_cubical",
     "build_simplicial",
@@ -35,7 +33,6 @@ __all__ = [
     "levelset_stream",
     "oscillating_rips_stream",
     "rips_complex",
-    "run_cli",
     "run_stream",
     "__version__",
 ]

@@ -1,14 +1,15 @@
 """Command-line front end and file formats.
 
-Subcommands build a block stream (from a point cloud, a scalar image, or a
-stream file), run it through the engine, and write the interval diagram plus
-an operation-count metrics block.  ``oracle-check`` instead runs seeded
-random streams through both engine modes and the brute-force decomposition
-and reports agreement.
+Each subcommand builds its own block stream (from a point cloud, a scalar
+image, or a stream file), hands it to ``run_stream`` and writes the interval
+diagram plus an operation-count metrics block.  ``oracle-check`` instead
+runs seeded random streams through both engine modes and the brute-force
+decomposition and reports agreement.  A ZigzagError or OSError ends any
+command with ``error: ...`` on stderr and exit code 2.  The package does
+not import this module; run it as ``zzmorse`` or ``python -m zzmorse.cli``.
 """
 
 import sys
-from collections import namedtuple
 
 import click
 import numpy as np
@@ -22,15 +23,6 @@ from .generators import (ScalarImage, as_point_cloud, blocks_to_stream,
 from .kernel import run_stream
 from .oracle import block_diagram
 from .stream import BlockOp, ForwardCell
-
-RunConfig = namedtuple(
-    "RunConfig",
-    "mode input_path out metrics_out p mu nu max_dim epsilon levels "
-    "morse seed noise runs validate")
-RunConfig.__new__.__defaults__ = (
-    None, None, None, 2, 4.0, 6.0, 2, None, None,
-    True, 0, 0.0, 25, False)
-
 
 # -- file formats --------------------------------------------------------------------
 
@@ -182,70 +174,30 @@ def _write(path, text):
             fh.write(text)
 
 
-# -- the pipeline driver -------------------------------------------------------------
+# -- commands ------------------------------------------------------------------------
 
-def _make_stream(config):
-    if config.mode == "rips":
-        points = parse_points(config.input_path)
-        return oscillating_rips_stream(points, config.mu, config.nu,
-                                       config.max_dim)
-    if config.mode == "levelset":
-        image = parse_image(config.input_path)
-        if config.noise:
-            rng = np.random.default_rng(config.seed)
-            image = ScalarImage(
-                image.dims,
-                image.values + rng.uniform(0.0, config.noise, image.dims))
-        levels = config.levels
-        if levels is None:
-            if config.epsilon is None:
-                raise BadParameters("levelset mode needs --epsilon or --levels")
-            levels = even_levels(image, config.epsilon)
-        return levelset_stream(image, levels)
-    if config.mode == "stream":
-        return parse_stream(config.input_path), None
-    raise BadParameters("unknown mode %r" % (config.mode,))
-
-
-def _oracle_check(config):
-    failures = 0
-    for k in range(config.runs):
-        seed = config.seed + k
-        ops = random_block_stream(seed, p=config.p)
-        stream = blocks_to_stream(ops)
-        want = block_diagram(ops, config.p)
-        reduced = [tuple(i) for i in run_stream(
-            stream, p=config.p, morse=True, validate=config.validate)[0]]
-        plain = [tuple(i) for i in run_stream(
-            stream, p=config.p, morse=False, validate=config.validate)[0]]
-        ok = reduced == want == plain
-        failures += not ok
-        click.echo("%s seed=%d intervals=%d"
-                   % ("ok  " if ok else "FAIL", seed, len(want)))
-    click.echo("passed %d/%d" % (config.runs - failures, config.runs))
-    return 1 if failures else 0
-
-
-def run_cli(config):
-    """Run one configured pipeline; returns a process exit code."""
+def _run(p, command):
+    """Check p and exit with ``command()``'s code; a ZigzagError or OSError
+    prints ``error: ...`` and exits 2."""
     try:
-        check_prime(config.p)
-        if config.mode == "oracle-check":
-            return _oracle_check(config)
-        blocks, scales = _make_stream(config)
-        intervals, metrics = run_stream(blocks, p=config.p,
-                                        morse=config.morse,
-                                        validate=config.validate)
-        _write(config.out, format_diagram(intervals, scales))
-        if config.metrics_out is not None:
-            _write(config.metrics_out, format_metrics(metrics))
-        return 0
+        check_prime(p)
+        code = command()
     except (ZigzagError, OSError) as exc:
         click.echo("error: %s" % exc, err=True)
-        return 2
+        code = 2
+    sys.exit(code)
 
 
-# -- click wiring --------------------------------------------------------------------
+def _diagram(stream, p, no_morse, validate, out, metrics_out):
+    """Run a (blocks, scales) stream; write its diagram and metrics."""
+    blocks, scales = stream
+    intervals, metrics = run_stream(blocks, p=p, morse=not no_morse,
+                                    validate=validate)
+    _write(out, format_diagram(intervals, scales))
+    if metrics_out is not None:
+        _write(metrics_out, format_metrics(metrics))
+    return 0
+
 
 def _common(fn):
     for deco in (
@@ -278,12 +230,10 @@ def main():
 @click.option("--max-dim", default=2, show_default=True,
               help="Top simplex dimension.")
 @_common
-def rips(points, mu, nu, max_dim, p, no_morse, validate, out, metrics_out):
+def rips(points, mu, nu, max_dim, p, **run):
     """Oscillating Rips zigzag of a point file."""
-    sys.exit(run_cli(RunConfig(
-        mode="rips", input_path=points, out=out, metrics_out=metrics_out,
-        p=p, mu=mu, nu=nu, max_dim=max_dim, morse=not no_morse,
-        validate=validate)))
+    _run(p, lambda: _diagram(oscillating_rips_stream(
+        parse_points(points), mu, nu, max_dim), p, **run))
 
 
 @main.command()
@@ -297,31 +247,34 @@ def rips(points, mu, nu, max_dim, p, no_morse, validate, out, metrics_out):
 @click.option("--noise", default=0.0, show_default=True,
               help="Max additive uniform vertex noise.")
 @_common
-def levelset(image, epsilon, levels, seed, noise, p, no_morse, validate,
-             out, metrics_out):
+def levelset(image, epsilon, levels, seed, noise, p, **run):
     """Levelset zigzag of a scalar image file."""
-    parsed = None
-    if levels is not None:
-        try:
-            parsed = [float(v) for v in levels.split(",")]
-        except ValueError:
-            click.echo("error: --levels expects comma-separated numbers",
-                       err=True)
-            sys.exit(2)
-    sys.exit(run_cli(RunConfig(
-        mode="levelset", input_path=image, out=out, metrics_out=metrics_out,
-        p=p, epsilon=epsilon, levels=parsed, morse=not no_morse, seed=seed,
-        noise=noise, validate=validate)))
+    def command():
+        if levels is not None:
+            try:
+                values = [float(v) for v in levels.split(",")]
+            except ValueError:
+                raise BadParameters(
+                    "--levels expects comma-separated numbers") from None
+        img = parse_image(image)
+        if noise:
+            rng = np.random.default_rng(seed)
+            img = ScalarImage(
+                img.dims, img.values + rng.uniform(0.0, noise, img.dims))
+        if levels is None:
+            if epsilon is None:
+                raise BadParameters("levelset mode needs --epsilon or --levels")
+            values = even_levels(img, epsilon)
+        return _diagram(levelset_stream(img, values), p, **run)
+    _run(p, command)
 
 
 @main.command()
 @click.argument("blocks", type=click.Path(exists=True, dir_okay=False))
 @_common
-def stream(blocks, p, no_morse, validate, out, metrics_out):
+def stream(blocks, p, **run):
     """Zigzag persistence of a block stream file."""
-    sys.exit(run_cli(RunConfig(
-        mode="stream", input_path=blocks, out=out, metrics_out=metrics_out,
-        p=p, morse=not no_morse, validate=validate)))
+    _run(p, lambda: _diagram((parse_stream(blocks), None), p, **run))
 
 
 @main.command(name="oracle-check")
@@ -334,8 +287,23 @@ def stream(blocks, p, no_morse, validate, out, metrics_out):
               help="Enable runtime invariant assertions.")
 def oracle_check(seed, runs, p, validate):
     """Differential test: engine vs brute-force decomposition."""
-    sys.exit(run_cli(RunConfig(mode="oracle-check", p=p, seed=seed,
-                               runs=runs, validate=validate)))
+    def command():
+        failures = 0
+        for s in range(seed, seed + runs):
+            ops = random_block_stream(s, p=p)
+            blocks = blocks_to_stream(ops)
+            want = block_diagram(ops, p)
+            reduced = [tuple(i) for i in run_stream(
+                blocks, p=p, morse=True, validate=validate)[0]]
+            plain = [tuple(i) for i in run_stream(
+                blocks, p=p, morse=False, validate=validate)[0]]
+            ok = reduced == want == plain
+            failures += not ok
+            click.echo("%s seed=%d intervals=%d"
+                       % ("ok  " if ok else "FAIL", s, len(want)))
+        click.echo("passed %d/%d" % (runs - failures, runs))
+        return 1 if failures else 0
+    _run(p, command)
 
 
 if __name__ == "__main__":

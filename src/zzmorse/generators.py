@@ -253,12 +253,12 @@ def even_levels(image, spacing):
     return [vmin + j * spacing for j in range(count + 1)]
 
 
-def fourier_image(dims, seed, terms, noise=0.0):
+def fourier_image(dims, seed, terms):
     """Seeded smooth test image: a random sum of sinusoids on the lattice.
 
     f(x) = sum of a_j * sin(2*pi*w_j.x + phi_j) with amplitudes in [-1, 1],
     integer frequencies of sup-norm <= 8 and phases in [0, 2*pi), over unit
-    lattice coordinates.  ``noise`` adds seeded uniform values in [0, noise].
+    lattice coordinates.
     """
     dims = tuple(int(v) for v in dims)
     if len(dims) != 3 or any(v < 1 for v in dims):
@@ -273,8 +273,6 @@ def fourier_image(dims, seed, terms, noise=0.0):
     vals = np.zeros(dims)
     for a, w, ph in zip(amp, freq, phase):
         vals += a * np.sin(2.0 * np.pi * (w[0] * x + w[1] * y + w[2] * z) + ph)
-    if noise:
-        vals += rng.uniform(0.0, noise, dims)
     return ScalarImage(dims, vals)
 
 

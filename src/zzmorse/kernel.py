@@ -14,9 +14,8 @@ from .errors import (InconsistentBoundary, InvalidOp, KernelError,
                      MissingFacet, UnknownCell, UnknownRow, ZeroPairIncidence)
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
-from .stream import (InsertPair, KernelInsert, KernelRemove, KernelUnpair,
-                     MorseState, RemovePair, apply_atomic, atomize_backward,
-                     atomize_forward)
+from .stream import (KernelInsert, KernelRemove, KernelUnpair, MorseState,
+                     apply_atomic, atomize_backward, atomize_forward)
 from .validate import ShadowMatrix
 
 Interval = namedtuple("Interval", "dim birth death")
@@ -169,15 +168,16 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                     matching.add_critical(cell)
             ops = atomize_forward(records, matching)
             exts = ()
+            raw_ops += len(records)  # N: one raw op per cell in or out
         elif block.direction == "B":
             exts = list(block.cells)  # read twice; cells may be an iterator
             ops = atomize_backward(_translate_backward(exts, ext2int), state)
+            raw_ops += len(exts)
         else:
             raise InvalidOp("unknown block direction %r" % (block.direction,))
 
         for op in ops:
             update = apply_atomic(state, op)
-            raw_ops += 2 if isinstance(op, (InsertPair, RemovePair)) else 1
             kind = type(update)
             if kind is KernelInsert:
                 reduced_ops += 1

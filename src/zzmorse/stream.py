@@ -165,9 +165,9 @@ def apply_atomic(state, op):
             raise InvalidOp("cells %r, %r are not paired" % (op.tau, op.sigma))
         if not cx.is_maximal(op.sigma):
             raise InvalidOp("king %r is not maximal" % (op.sigma,))
-        cx.remove_cell(op.sigma)
-        if not cx.is_maximal(op.tau):
+        if cx.cofacets[op.tau].keys() - {op.sigma}:
             raise InvalidOp("queue cell %r not maximal after its king" % (op.tau,))
+        cx.remove_cell(op.sigma)
         cx.remove_cell(op.tau)
         m.drop_pair(op.tau)
         state.flow_memo.pop(op.tau, None)

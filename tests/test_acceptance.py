@@ -10,11 +10,12 @@ them from different angles.
 import time
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import ACCEPTANCE, cell_records, make_rng, random_complex
 from test_morse import brute_boundary
 from test_stream import update_formula
-from zzmorse.cli import RunConfig, emit_image, emit_stream, format_diagram, run_cli
+from zzmorse.cli import emit_image, emit_stream, format_diagram, main
 from zzmorse.generators import (
     blocks_to_stream,
     circle_points,
@@ -218,12 +219,14 @@ def test_criterion_7_circle_topology(circle_run):
 
 # -- 8: byte-identical reruns --------------------------------------------------------
 
-def rerun_twice(config, tmp_path, tag):
+def rerun_twice(args, tmp_path, tag):
     outputs = []
     for k in (0, 1):
         out = tmp_path / ("%s_%d.dgm" % (tag, k))
         met = tmp_path / ("%s_%d.met" % (tag, k))
-        assert run_cli(config._replace(out=str(out), metrics_out=str(met))) == 0
+        result = CliRunner().invoke(
+            main, args + ["--out", str(out), "--metrics-out", str(met)])
+        assert result.exit_code == 0
         outputs.append(out.read_bytes() + met.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -232,16 +235,16 @@ def test_criterion_8_deterministic_reruns(tmp_path, circle_run, image_run):
     pts = tmp_path / "circle.pts"
     pts.write_text("".join("%.17g %.17g\n" % (x, y)
                            for x, y in circle_run["points"]))
-    rerun_twice(RunConfig(mode="rips", input_path=str(pts), mu=4.0, nu=6.0,
-                          max_dim=2), tmp_path, "rips")
+    rerun_twice(["rips", str(pts), "--mu", "4.0", "--nu", "6.0",
+                 "--max-dim", "2"], tmp_path, "rips")
 
     img = tmp_path / "field.img"
     img.write_text(emit_image(image_run["image"]))
-    rerun_twice(RunConfig(mode="levelset", input_path=str(img), epsilon=0.2,
-                          seed=11, noise=0.05), tmp_path, "levelset")
+    rerun_twice(["levelset", str(img), "--epsilon", "0.2", "--seed", "11",
+                 "--noise", "0.05"], tmp_path, "levelset")
 
     stream = tmp_path / "run.stream"
     stream.write_text(emit_stream(blocks_to_stream(random_block_stream(3, p=5))))
-    rerun_twice(RunConfig(mode="stream", input_path=str(stream), p=5),
+    rerun_twice(["stream", str(stream), "--field-char", "5"],
                 tmp_path, "stream")
     ACCEPTANCE[8] = "double runs byte-identical (diagram + metrics), all modes"

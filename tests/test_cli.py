@@ -1,17 +1,23 @@
 """File formats and the command-line pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from zzmorse.cli import (RunConfig, emit_image, emit_stream, format_diagram,
+from zzmorse.cli import (emit_image, emit_stream, format_diagram,
                          format_metrics, main, parse_image, parse_points,
-                         parse_stream, run_cli)
+                         parse_stream)
 from zzmorse.errors import (BadHeader, BadStreamLine, CountMismatch,
                             EmptyFile, RaggedRow)
 from zzmorse.generators import (ScalarImage, blocks_to_stream,
-                                fourier_image, random_block_stream)
-from zzmorse.kernel import Interval
+                                fourier_image, levelset_stream,
+                                random_block_stream)
+from zzmorse.kernel import Interval, run_stream
 
 
 # -- point files ---------------------------------------------------------------------
@@ -147,14 +153,14 @@ def test_stream_mode_single_vertex(tmp_path):
     assert result.output == "0 1 1\n"
 
 
-def test_run_cli_writes_diagram_and_metrics(tmp_path):
+def test_stream_writes_diagram_and_metrics(tmp_path):
     src = tmp_path / "run.stream"
     src.write_text("F 1 0 0 2 0 0\nF 3 1 2 1 1 2 1\nB 3\nB 1 2\n")
     out = tmp_path / "dgm.txt"
     met = tmp_path / "met.txt"
-    code = run_cli(RunConfig(mode="stream", input_path=str(src),
-                             out=str(out), metrics_out=str(met)))
-    assert code == 0
+    result = CliRunner().invoke(main, ["stream", str(src), "--out", str(out),
+                                       "--metrics-out", str(met)])
+    assert result.exit_code == 0
     assert out.read_text() == "0 1 1\n0 1 3\n0 3 3\n"
     assert met.read_text() == "N=6, n=6, Xmax=3, Amax=3\n"
 
@@ -205,6 +211,17 @@ def test_levelset_noise_is_seeded(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_levelset_explicit_levels(tmp_path):
+    path = tmp_path / "img.txt"
+    path.write_text(emit_image(fourier_image((4, 3, 2), seed=5, terms=3)))
+    blocks, scales = levelset_stream(parse_image(path), [-1, 0, 0.5, 1])
+    runner = CliRunner()
+    result = runner.invoke(main, ["levelset", str(path),
+                                  "--levels", "-1,0,0.5,1"])
+    assert result.exit_code == 0
+    assert result.output == format_diagram(run_stream(blocks)[0], scales)
+
+
 def test_levelset_requires_a_level_spec(tmp_path):
     img = tmp_path / "img.txt"
     img.write_text("dims 2 1 1\n0 1\n")
@@ -212,6 +229,9 @@ def test_levelset_requires_a_level_spec(tmp_path):
     result = runner.invoke(main, ["levelset", str(img)])
     assert result.exit_code == 2
     assert "error:" in result.output
+    result = runner.invoke(main, ["levelset", str(img), "--levels", "a,b"])
+    assert result.exit_code == 2
+    assert "error: --levels expects comma-separated numbers" in result.output
 
 
 def test_composite_field_char_is_rejected(tmp_path):
@@ -229,3 +249,22 @@ def test_oracle_check_reports_pass_counts():
                                   "--field-char", "5"])
     assert result.exit_code == 0
     assert "passed 5/5" in result.output
+
+
+def test_module_entry_point(tmp_path):
+    # a subprocess does not see pytest's pythonpath setting, hence PYTHONPATH
+    path = tmp_path / "run.stream"
+    path.write_text("F 1 0 0\nB 1\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "zzmorse.cli", "stream", str(path), *flags],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    plain = run()
+    assert (plain.returncode, plain.stdout, plain.stderr) == (0, "0 1 1\n", "")
+    composite = run("--field-char", "4")
+    assert composite.returncode == 2
+    assert "not prime" in composite.stderr

@@ -295,15 +295,6 @@ def test_full_resolution_vertex_count():
     assert img.values.size == 2_146_689
 
 
-def test_noise_is_additive_uniform_and_seeded():
-    base = fourier_image((4, 3, 2), seed=5, terms=3)
-    noisy = fourier_image((4, 3, 2), seed=5, terms=3, noise=0.5)
-    diff = noisy.values - base.values
-    assert (diff >= 0).all() and (diff <= 0.5).all() and diff.any()
-    again = fourier_image((4, 3, 2), seed=5, terms=3, noise=0.5)
-    assert np.array_equal(noisy.values, again.values)
-
-
 # -- random streams -------------------------------------------------------------------
 
 def test_random_streams_are_seed_reproducible():

@@ -1,5 +1,7 @@
 """Atomizing insertion/removal blocks and applying them to the Morse state."""
 
+import copy
+
 import pytest
 
 from conftest import (cell_records, grow_records, is_acyclic_matching, make_rng,
@@ -256,6 +258,30 @@ def test_remove_pair_order_enforced():
     state = MorseState(cx, m)
     apply_atomic(state, RemovePair(ids[(2,)], ids[(1, 2)]))
     assert len(cx) == 1 and ids[(1,)] in cx
+
+
+def test_remove_pair_error_leaves_state_unchanged():
+    # after the triangle leaves, the pair (3,)-(2,3) holds seqs 2 and 5, so
+    # descending seq emits it before (1,3), a cofacet of its queue cell
+    cx, m, ids = triangle_state()
+    state = MorseState(cx, m)
+    for op in atomize_backward({ids[(1, 2, 3)]}, state):
+        apply_atomic(state, op)
+    morse_boundary(cx, m, ids[(1, 3)], memo=state.flow_memo)
+    assert state.flow_memo
+    ops = atomize_backward({ids[(3,)], ids[(2, 3)], ids[(1, 3)]}, state)
+    assert ops == [RemovePair(ids[(3,)], ids[(2, 3)]),
+                   RemoveCritical(ids[(1, 3)])]
+
+    def snapshot():
+        return copy.deepcopy((cx.dims, cx.facets, cx.cofacets, cx.seq,
+                              m.critical, m.pair_up, m.pair_down,
+                              state.flow_memo))
+
+    before = snapshot()
+    with pytest.raises(InvalidOp, match="queue cell"):
+        apply_atomic(state, ops[0])
+    assert snapshot() == before
 
 
 # -- the boundary-update identity -------------------------------------------------
