@@ -3,7 +3,7 @@
 A complex is a mutable Hasse diagram: cells carry a dimension, incidence
 coefficients live on the (cofacet, facet) edges, and facet/cofacet adjacency
 is stored mirrored.  Chains are plain dicts CellId -> nonzero coefficient in
-[1, p).  All coefficients are reduced mod p at the door.
+[1, p).  All coefficients are reduced mod p at the door, ``check_boundary``.
 """
 
 import operator
@@ -13,6 +13,7 @@ from .errors import (
     BadParameters,
     BrokenBoundary,
     EmptyDims,
+    InvalidOp,
     MissingFace,
     MissingFacet,
     NotMaximal,
@@ -53,6 +54,52 @@ def chain_addmul(dst, src, scalar, p):
     return dst
 
 
+def check_dim(cell, dim):
+    """Return dim as an int; raise InvalidOp unless it is a non-negative integer."""
+    try:
+        d = operator.index(dim)
+    except TypeError:
+        d = -1
+    if d < 0:
+        raise InvalidOp("cell %r has dimension %r, not a non-negative integer"
+                        % (cell, dim))
+    return d
+
+
+def check_boundary(cell, dim, boundary, facet_lookup, p):
+    """The facet chain of a cell record, checked and reduced mod p.
+
+    The one record check of ``Complex.insert_cell`` and ``run_stream``;
+    ``facet_lookup(facet)`` gives a live facet's ``(id, dim)``, else None.
+    """
+    try:
+        chain = boundary.items()
+    except AttributeError:
+        raise InvalidOp("boundary %r of cell %r is not a mapping"
+                        % (boundary, cell)) from None
+    bd = {}
+    for facet, coeff in chain:
+        try:
+            found = facet_lookup(facet)
+        except TypeError:
+            raise InvalidOp("facet id %r of cell %r is not hashable"
+                            % (facet, cell)) from None
+        if found is None:
+            raise MissingFacet("facet %r is not alive" % (facet,))
+        target, facet_dim = found
+        if facet_dim != dim - 1:
+            raise MissingFacet("facet %r of cell %r has dimension %d, expected %d"
+                               % (facet, cell, facet_dim, dim - 1))
+        try:
+            coeff = operator.index(coeff) % p
+        except TypeError:
+            raise InvalidOp("coefficient %r on facet %r is not an integer"
+                            % (coeff, facet)) from None
+        if coeff:
+            bd[target] = coeff
+    return bd
+
+
 class Complex:
     """Mutable cell complex with field incidence coefficients.
 
@@ -82,48 +129,37 @@ class Complex:
         self._next_id += 1
         return cid
 
-    def insert_cell(self, dim, boundary, cell=None):
-        """Insert a cell with the given facet chain; returns its CellId.
+    def insert_cell(self, dim, boundary):
+        """Check a record as ``run_stream`` does, insert it, return its id."""
+        cell, dims = self._next_id, self.dims
+        dim = check_dim(cell, dim)
+        bd = check_boundary(cell, dim, boundary,
+                            lambda f: (f, dims[f]) if f in dims else None, self.p)
+        self.attach(self.fresh_id(), dim, bd)
+        return cell
 
-        Pass ``cell`` (obtained from fresh_id) to insert under a
-        pre-reserved id, e.g. when the id was handed out before the cell's
-        turn in an insertion sequence.
+    def attach(self, cell, dim, bd):
+        """Write a record checked at the door under an id from ``fresh_id``.
+
+        Checks only what the door cannot: every facet is already in the
+        complex (``MissingFacet``), and in validate mode dd = 0.
         """
-        p = self.p
-        bd = {}
-        for facet, coeff in boundary.items():
-            coeff %= p
-            if coeff == 0:
-                continue
-            d = self.dims.get(facet)
-            if d is None:
-                raise MissingFacet("facet %r not in complex" % (facet,))
-            if d != dim - 1:
-                raise MissingFacet(
-                    "facet %r has dimension %d, expected %d" % (facet, d, dim - 1)
-                )
-            bd[facet] = coeff
+        if not bd.keys() <= self.dims.keys():
+            raise MissingFacet("facet %r of cell %r is not in the complex"
+                               % (next(iter(bd.keys() - self.dims.keys())), cell))
         if self.validate and bd:
             dd = {}
             for facet, coeff in bd.items():
-                chain_addmul(dd, self.facets[facet], coeff, p)
+                chain_addmul(dd, self.facets[facet], coeff, self.p)
             if dd:
                 raise BrokenBoundary("boundary of the boundary is nonzero: %r" % dd)
-        if cell is None:
-            cid = self.fresh_id()
-        else:
-            cid = cell
-            if cid in self.dims:
-                raise UnknownCell("CellId %r already in use" % (cid,))
-            self._next_id = max(self._next_id, cid + 1)
-        self.dims[cid] = dim
-        self.facets[cid] = bd
-        self.cofacets[cid] = {}
-        self.seq[cid] = self._next_seq
+        self.dims[cell] = dim
+        self.facets[cell] = bd
+        self.cofacets[cell] = {}
+        self.seq[cell] = self._next_seq
         self._next_seq += 1
         for facet, coeff in bd.items():
-            self.cofacets[facet][cid] = coeff
-        return cid
+            self.cofacets[facet][cell] = coeff
 
     def remove_cell(self, cell):
         """Remove a maximal cell."""

@@ -59,7 +59,13 @@ class NotRemovable(ZigzagError):
 
 
 class InvalidOp(ZigzagError):
-    """Atomic operation inconsistent with the current state."""
+    """Malformed input or an atomic operation inconsistent with the state.
+
+    Raised at the door, by ``run_stream`` and by the complex layer
+    (``Complex.insert_cell``) alike, for a block or record of the wrong
+    shape, an unhashable id, a boundary that is not a mapping, or a
+    dimension or coefficient that is not an integer.
+    """
 
 
 # --- zigzag kernel ---

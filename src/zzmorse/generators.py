@@ -8,6 +8,8 @@ parallel list of scale annotations, one per block.  A seeded random-stream
 generator for differential testing against the oracle lives here too.
 """
 
+import math
+import operator
 import random
 from itertools import combinations
 
@@ -21,7 +23,19 @@ from .linalg import boundary_matrix, nullspace
 from .stream import BlockOp, ForwardCell
 
 
-# -- point clouds -------------------------------------------------------------------
+# -- parameters and point clouds ----------------------------------------------------
+
+def _integer(name, value, low=-math.inf, high=math.inf):
+    """value as an int in [low, high); raises BadParameters otherwise."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        v = None
+    if v is None or not low <= v < high:
+        raise BadParameters("%s must be an integer in [%s, %s), got %r"
+                            % (name, low, high, value))
+    return v
+
 
 def as_point_cloud(points):
     """Points as an (n, d) float array; scalars are treated as 1-d points."""
@@ -37,6 +51,8 @@ def as_point_cloud(points):
         raise RaggedRow("points do not share one dimension")
     if pts.shape[1] > 16:
         raise BadParameters("point dimension %d exceeds 16" % pts.shape[1])
+    if not np.isfinite(pts).all():
+        raise BadParameters("point cloud has a non-finite coordinate")
     return pts
 
 
@@ -53,6 +69,7 @@ def furthest_point_ordering(points, start=0):
     """
     pts = as_point_cloud(points)
     n = len(pts)
+    start = _integer("start", start, 0, n)
     best = ((pts - pts[start]) ** 2).sum(axis=1)
     best[start] = -1.0
     order = [start]
@@ -106,6 +123,7 @@ def rips_complex(points, rho, max_dim=2, subset=None, p=2, validate=False):
     from .cells import build_simplicial
 
     pts = as_point_cloud(points)
+    max_dim = _integer("max_dim", max_dim, 0)
     members = range(len(pts)) if subset is None else subset
     thr2 = rho * rho if rho >= 0 else -1.0
     cl = _cliques(_pairwise_sq(pts), members, thr2, max_dim + 1)
@@ -126,6 +144,7 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     """
     if not 0 < mu <= nu:
         raise BadParameters("scale factors must satisfy 0 < mu <= nu")
+    max_dim = _integer("max_dim", max_dim, 0)
     pts = as_point_cloud(points)
     order, eps = furthest_point_ordering(pts, start)
     d2 = _pairwise_sq(pts[np.array(order)])
@@ -167,7 +186,7 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
 
 def circle_points(n, seed, jitter=0.3):
     """n points spread around the unit circle, spacing jittered by the seed."""
-    if n < 1:
+    if _integer("point count", n) < 1:
         raise EmptyCloud("need at least one point")
     rng = np.random.default_rng(seed)
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -245,8 +264,9 @@ def levelset_stream(image, levels):
 
 def even_levels(image, spacing):
     """Evenly spaced level values covering the image's value range."""
-    if spacing <= 0:
-        raise BadParameters("level spacing must be positive, got %r" % (spacing,))
+    if not 0 < spacing < math.inf:
+        raise BadParameters("level spacing must be positive and finite, got %r"
+                            % (spacing,))
     vmin = float(image.values.min())
     vmax = float(image.values.max())
     count = max(1, int(np.ceil((vmax - vmin) / spacing)))
@@ -264,6 +284,7 @@ def fourier_image(dims, seed, terms):
     if len(dims) != 3 or any(v < 1 for v in dims):
         raise EmptyDims("image dims must be three positive extents, got %r"
                         % (dims,))
+    terms = _integer("terms", terms, 0)
     rng = np.random.default_rng(seed)
     amp = rng.uniform(-1.0, 1.0, terms)
     freq = rng.integers(-8, 9, (terms, 3))

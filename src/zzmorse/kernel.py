@@ -6,12 +6,11 @@ traffic to the column kernel in ``matrix``.  The output is the interval
 decomposition in block indices plus operation/size metrics.
 """
 
-import operator
 from collections import namedtuple
 
-from .cells import Complex
+from .cells import Complex, check_boundary, check_dim
 from .errors import (InconsistentBoundary, InvalidOp, KernelError,
-                     MissingFacet, UnknownCell, UnknownRow, ZeroPairIncidence)
+                     UnknownCell, UnknownRow, ZeroPairIncidence)
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (KernelInsert, KernelRemove, KernelUnpair, MorseState,
@@ -48,77 +47,37 @@ def unpair_in_matrix(matrix, update):
                          update.tau_dim, update.tau_seq, update.sigma_seq)
 
 
-def _translate_forward(cells, cx, ext2int):
+def _translate_forward(cells, cx, alive):
     """Map one insertion block to internal ids; returns insertion records.
 
-    This is the door for cell data, so both pipelines reject the same
-    input: ids must be hashable, a boundary a mapping, a dimension a
-    non-negative integer and a coefficient an integer (``InvalidOp``), and
-    every listed facet must be alive before the block or be another cell of
-    it, one dimension down (``MissingFacet``).
+    ``alive`` maps each live external id to ``(internal id, dim)``.  The
+    block's cells join it first, so a facet may also be another cell of the
+    block; then ``check_boundary`` checks each record, as in ``Complex``.
     """
-    fresh = {}  # external id -> (internal id, dimension)
-    for fc in cells:
+    new = []
+    for record in cells:
         try:
-            alive = fc.cell in ext2int or fc.cell in fresh
+            ext, dim, boundary = record
+        except (TypeError, ValueError):
+            raise InvalidOp("forward record %r is not (cell, dim, boundary)"
+                            % (record,)) from None
+        try:
+            known = ext in alive
         except TypeError:
-            raise InvalidOp("cell id %r is not hashable" % (fc.cell,)) from None
-        if alive:
-            raise InvalidOp("cell id %r is already alive" % (fc.cell,))
-        try:
-            dim = operator.index(fc.dim)
-        except TypeError:
-            dim = -1
-        if dim < 0:
-            raise InvalidOp("cell %r has dimension %r, not a non-negative "
-                            "integer" % (fc.cell, fc.dim))
-        fresh[fc.cell] = (cx.fresh_id(), dim)
-    p = cx.p
-    dims = cx.dims
-    records = {}
-    for fc in cells:
-        cell, dim = fresh[fc.cell]
-        bd = {}
-        try:
-            chain = fc.boundary.items()
-        except AttributeError:
-            raise InvalidOp("boundary %r of cell %r is not a mapping"
-                            % (fc.boundary, fc.cell)) from None
-        for facet, coeff in chain:
-            try:
-                new = facet in fresh
-            except TypeError:
-                raise InvalidOp("facet id %r of cell %r is not hashable"
-                                % (facet, fc.cell)) from None
-            if new:
-                target, facet_dim = fresh[facet]
-            elif facet in ext2int:
-                target = ext2int[facet]
-                facet_dim = dims[target]
-            else:
-                raise MissingFacet("facet %r is not alive" % (facet,))
-            if facet_dim != dim - 1:
-                raise MissingFacet("facet %r of cell %r has dimension %d, "
-                                   "expected %d"
-                                   % (facet, fc.cell, facet_dim, dim - 1))
-            try:
-                coeff = operator.index(coeff) % p
-            except TypeError:
-                raise InvalidOp("coefficient %r on facet %r is not an integer"
-                                % (coeff, facet)) from None
-            if coeff:
-                bd[target] = coeff
-        records[cell] = (dim, bd)
-    for ext, (cell, _) in fresh.items():
-        ext2int[ext] = cell
-    return records
+            raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
+        if known:
+            raise InvalidOp("cell id %r is already alive" % (ext,))
+        entry = alive[ext] = (cx.fresh_id(), check_dim(ext, dim))
+        new.append((ext, boundary, entry))
+    return {cell: (dim, check_boundary(ext, dim, boundary, alive.get, cx.p))
+            for ext, boundary, (cell, dim) in new}
 
 
-def _translate_backward(cells, ext2int):
+def _translate_backward(cells, alive):
     out = set()
     for ext in cells:
         try:
-            cell = ext2int[ext]
+            cell = alive[ext][0]
         except KeyError:
             raise UnknownCell("cell id %r is not alive" % (ext,)) from None
         except TypeError:
@@ -132,10 +91,13 @@ def _translate_backward(cells, ext2int):
 def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     """Run a zigzag stream; returns (intervals, metrics).
 
-    ``blocks`` is an iterable of BlockOp; the stream must start and end at
-    the empty complex.  Intervals are (dim, birth, death) with inclusive
-    block indices counted from 1: the class is alive in the complexes seen
-    after those blocks.  ``p`` must be prime (``BadParameters`` otherwise).
+    ``blocks`` is an iterable of ``(direction, cells)`` pairs such as
+    BlockOp: ``("F", [(cell, dim, boundary), ...])`` with records such as
+    ForwardCell, or ``("B", [cell, ...])``; any other shape raises
+    ``InvalidOp``.  The stream must start and end at the empty complex.
+    Intervals are (dim, birth, death) with inclusive block indices counted
+    from 1: the class is alive in the complexes seen after those blocks.
+    ``p`` must be prime (``BadParameters`` otherwise).
     ``morse=False`` skips the matching step and runs every cell through the
     kernel.  ``observer(state, matrix, op)`` is called after every atomic
     operation.
@@ -149,7 +111,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     cx = state.complex
     matrix = HomologyMatrix(cx.p)
     shadow = ShadowMatrix(cx.p) if validate and morse else None
-    ext2int = {}
+    alive = {}  # external id -> (internal id, dimension)
     events = []
     raw_ops = reduced_ops = max_cells = max_critical = 0
     atomic_pos = 0
@@ -157,9 +119,16 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
 
     for block in blocks:
         block_index += 1
+        try:
+            direction, cells = block
+            cells = list(cells)
+        except (TypeError, ValueError):
+            raise InvalidOp("block %d is not (direction, cells)"
+                            % (block_index,)) from None
+        raw_ops += len(cells)  # N: one raw op per cell in or out
 
-        if block.direction == "F":
-            records = _translate_forward(block.cells, cx, ext2int)
+        if direction == "F":
+            records = _translate_forward(cells, cx, alive)
             if morse:
                 matching = coreduce(records)
             else:
@@ -167,14 +136,12 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 for cell in records:
                     matching.add_critical(cell)
             ops = atomize_forward(records, matching)
-            exts = ()
-            raw_ops += len(records)  # N: one raw op per cell in or out
-        elif block.direction == "B":
-            exts = list(block.cells)  # read twice; cells may be an iterator
-            ops = atomize_backward(_translate_backward(exts, ext2int), state)
-            raw_ops += len(exts)
+        elif direction == "B":
+            ops = atomize_backward(_translate_backward(cells, alive), state)
+            for ext in cells:
+                del alive[ext]
         else:
-            raise InvalidOp("unknown block direction %r" % (block.direction,))
+            raise InvalidOp("unknown block direction %r" % (direction,))
 
         for op in ops:
             update = apply_atomic(state, op)
@@ -205,8 +172,6 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 shadow.compare(matrix)
             if observer is not None:
                 observer(state, matrix, op)
-        for ext in exts:
-            del ext2int[ext]
 
         if validate and len(matrix) != len(state.matching.critical):
             raise InvalidOp("matrix rows diverge from the critical cells")

@@ -85,8 +85,9 @@ def coreduce(records):
              for cell, (_, bnd) in records.items()}
     pairable = [(dim, c) for c, (dim, _) in records.items() if count[c] == 1]
     heapq.heapify(pairable)
-    fallback = [(dim, c) for c, (dim, _) in records.items()]
-    heapq.heapify(fallback)
+    # a cell never returns to avail, so one pass over the (dim, id) order,
+    # resumed where the last critical was found, reads it like a heap
+    fallback = iter(sorted(records, key=lambda c: (records[c][0], c)))
 
     out = Matching()
 
@@ -109,8 +110,7 @@ def coreduce(records):
             out.add_pair(tau, sigma)
             retire(tau)
             retire(sigma)
-        while fallback:
-            _, cell = heapq.heappop(fallback)
+        for cell in fallback:
             if cell in avail:
                 avail.discard(cell)
                 out.add_critical(cell)

@@ -128,25 +128,24 @@ def _reduced_boundary(state, cell):
 def apply_atomic(state, op):
     """Mutate the Morse state by one atomic op; return the kernel's view of it.
 
-    Insertions carry their own cell data.  The return value is a
-    KernelInsert/KernelRemove/KernelUnpair, or None for pair operations,
-    which are invisible to the reduced complex.
+    Insertions carry cell data checked at the door and go in through
+    ``Complex.attach``.  The return value is a KernelInsert/KernelRemove/
+    KernelUnpair, or None for pair operations, invisible to the kernel.
     """
     cx = state.complex
     m = state.matching
 
     if isinstance(op, InsertCritical):
-        cx.insert_cell(op.dim, op.boundary, cell=op.cell)
+        cx.attach(op.cell, op.dim, op.boundary)
         m.add_critical(op.cell)
         return KernelInsert(op.cell, op.dim, _reduced_boundary(state, op.cell),
                             cx.seq[op.cell])
 
     if isinstance(op, InsertPair):
-        if (op.sigma_dim != op.tau_dim + 1
-                or not op.sigma_boundary.get(op.tau, 0) % cx.p):
+        if op.tau not in op.sigma_boundary:
             raise InvalidOp("cells %r, %r do not form a pair" % (op.tau, op.sigma))
-        cx.insert_cell(op.tau_dim, op.tau_boundary, cell=op.tau)
-        cx.insert_cell(op.sigma_dim, op.sigma_boundary, cell=op.sigma)
+        cx.attach(op.tau, op.tau_dim, op.tau_boundary)
+        cx.attach(op.sigma, op.sigma_dim, op.sigma_boundary)
         m.add_pair(op.tau, op.sigma)
         return None
 

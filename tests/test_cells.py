@@ -81,6 +81,16 @@ def test_insert_wrong_dim_facet():
         cx.insert_cell(2, {v: 1})
 
 
+def test_attach_refuses_a_facet_not_yet_in_the_complex():
+    # only a wrong insertion order reaches this: the door saw the facet
+    cx = Complex()
+    v = cx.insert_cell(0, {})
+    e = cx.fresh_id()
+    with pytest.raises(MissingFacet, match="not in the complex"):
+        cx.attach(e, 1, {v: 1, e + 1: 1})
+    assert len(cx) == 1 and not cx.cofacets[v]
+
+
 def test_broken_boundary_detected_in_validate_mode():
     # boundary e12 + e23 over p=2 is not a cycle: its boundary is v1 + v3
     cx = Complex(p=2, validate=True)

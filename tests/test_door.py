@@ -2,7 +2,8 @@
 
 A malformed block must raise one named ``ZigzagError`` whether or not the
 engine Morse-reduces the complex; a well-formed stream must give the same
-diagram either way.
+diagram either way.  ``Complex.insert_cell`` makes the same record check,
+so it refuses a malformed record with the same error.
 """
 
 from collections.abc import Mapping
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blocks_to_stream, random_block_ops
+from zzmorse.cells import Complex
 from zzmorse.errors import BadParameters, InvalidOp, MissingFacet, ZigzagError
 from zzmorse.kernel import run_stream
 from zzmorse.stream import BlockOp, ForwardCell
@@ -21,18 +23,25 @@ from zzmorse.stream import BlockOp, ForwardCell
 DEFECTS = {
     None: None,
     "numpy integers": None,
+    "plain tuples": None,
     "self facet": MissingFacet,
     "facet of the wrong dimension": MissingFacet,
     "float coefficient": InvalidOp,
     "string coefficient": InvalidOp,
     "negative dimension": InvalidOp,
     "fractional dimension": InvalidOp,
+    "string dimension": InvalidOp,
+    "record not a triple": InvalidOp,
     "unhashable cell id": InvalidOp,
     "unhashable facet id": InvalidOp,
     "boundary not a mapping": InvalidOp,
     "unhashable backward id": InvalidOp,
+    "block not a pair": InvalidOp,
+    "cells not iterable": InvalidOp,
     "float p": BadParameters,
 }
+
+BLOCK_DEFECTS = ("block not a pair", "cells not iterable")
 
 NEEDS_FACETS = ("facet of the wrong dimension", "float coefficient",
                 "string coefficient", "unhashable facet id")
@@ -86,6 +95,10 @@ def damage(cell, defect):
         dim = -1
     elif defect == "fractional dimension":
         dim += 0.5
+    elif defect == "string dimension":
+        dim = str(dim)
+    elif defect == "record not a triple":
+        return (ext, dim)
     elif defect == "unhashable cell id":
         ext = [ext]
     elif defect == "unhashable facet id":
@@ -116,8 +129,15 @@ def test_both_pipelines_refuse_the_same_input(seed, p, defect, data):
     run_p = p
     if defect == "numpy integers":
         blocks, run_p = as_numpy(blocks), np.int64(p)
+    elif defect == "plain tuples":
+        blocks = [(d, [tuple(fc) for fc in cells] if d == "F" else list(cells))
+                  for d, cells in blocks]
     elif defect == "float p":
         run_p = float(p)
+    elif defect in BLOCK_DEFECTS:
+        b = data.draw(st.integers(0, len(blocks) - 1))
+        blocks[b] = (None if defect == "block not a pair"
+                     else BlockOp(blocks[b].direction, None))
     elif defect is not None:
         direction = "B" if defect == "unhashable backward id" else "F"
         targets = [(b, i) for b, block in enumerate(blocks)
@@ -173,9 +193,52 @@ def test_door_errors_name_the_defect(morse):
     with pytest.raises(InvalidOp, match=r"cell id \[1\] is not hashable"):
         run_stream([BlockOp("F", [ForwardCell(1, 0, {})]), BlockOp("B", [[1]])],
                    morse=morse)
+    with pytest.raises(InvalidOp, match="dimension '1'"):
+        run(ForwardCell(1, "1", {}))
+    with pytest.raises(InvalidOp, match="block 1 is not"):
+        run_stream([None], morse=morse)
+    with pytest.raises(InvalidOp, match="block 1 is not"):
+        run_stream([BlockOp("F", None)], morse=morse)
+    with pytest.raises(InvalidOp, match=r"forward record \(1, 0\)"):
+        run_stream([BlockOp("F", [(1, 0)])], morse=morse)
     with pytest.raises(BadParameters):
         run(ForwardCell(1, 0, {}), p=5.0)
+    plain = [("F", [ForwardCell(1, 0, {})]), ("B", [1])]
+    assert run_stream(plain, morse=morse)[0] == [(0, 1, 1)]
     blocks = [BlockOp("F", [ForwardCell(1, 0, {}), ForwardCell(2, 0, {}),
                             ForwardCell(3, 1, {1: 1, 2: np.int64(4)})]),
               BlockOp("B", [3, 1, 2])]
     assert run_stream(blocks, p=np.int64(5), morse=morse)[0] == [(0, 1, 1)]
+
+
+# one malformed record on top of the vertices 0 and 1 -> the error for it
+RECORD_DEFECTS = {
+    "float coefficient": ((1, {0: 1.5, 1: 1}), InvalidOp),
+    "string coefficient": ((1, {0: "1", 1: 1}), InvalidOp),
+    "negative dimension": ((-1, {}), InvalidOp),
+    "fractional dimension": ((0.5, {}), InvalidOp),
+    "string dimension": (("1", {0: 1, 1: 1}), InvalidOp),
+    "boundary not a mapping": ((1, [0, 1]), InvalidOp),
+    "unhashable facet": ((1, PairList([([0], 1)])), InvalidOp),
+    "missing facet": ((1, {0: 1, 7: 1}), MissingFacet),
+    "missing facet with coefficient 0": ((1, {0: 1, 7: 3}), MissingFacet),
+    "wrong-dimension facet": ((2, {0: 1, 1: 1}), MissingFacet),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(RECORD_DEFECTS))
+def test_complex_and_run_stream_refuse_a_record_alike(defect):
+    (dim, boundary), expected = RECORD_DEFECTS[defect]
+    cx = Complex(p=3)
+    assert [cx.insert_cell(0, {}), cx.insert_cell(0, {})] == [0, 1]
+    raised = []
+    try:
+        cx.insert_cell(dim, boundary)
+    except ZigzagError as exc:
+        raised.append(type(exc))
+    assert len(cx) == 2 and cx.insert_cell(0, {}) == 2  # nothing was written
+    vertices = BlockOp("F", [ForwardCell(0, 0, {}), ForwardCell(1, 0, {})])
+    for morse in (True, False):
+        bad = BlockOp("F", [ForwardCell(2, dim, boundary)])
+        raised.append(outcome([vertices, bad], 3, morse))
+    assert raised == [expected] * 3

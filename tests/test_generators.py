@@ -304,3 +304,49 @@ def test_random_streams_are_seed_reproducible():
     stream = blocks_to_stream(a)
     assert sum(len(bl.cells) for bl in stream if bl.direction == "F") == \
         sum(len(bl.cells) for bl in stream if bl.direction == "B")
+
+
+# -- parameter checks ----------------------------------------------------------------
+
+@pytest.mark.parametrize("start", [10, 99, -1, 1.5, "0"])
+def test_ordering_start_must_index_a_point(start):
+    with pytest.raises(BadParameters, match="start"):
+        furthest_point_ordering(circle_points(10, seed=1), start=start)
+
+
+@pytest.mark.parametrize("start", [99, -1])
+def test_rips_stream_start_must_index_a_point(start):
+    with pytest.raises(BadParameters, match="start"):
+        oscillating_rips_stream(circle_points(10, seed=1), 4.0, 6.0, start=start)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_are_rejected(bad):
+    with pytest.raises(BadParameters, match="non-finite"):
+        as_point_cloud([[0.0, 0.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize("max_dim", [1.5, -1, "2", None])
+def test_max_dim_must_be_a_non_negative_integer(max_dim):
+    pts = circle_points(6, seed=2)
+    with pytest.raises(BadParameters, match="max_dim"):
+        oscillating_rips_stream(pts, 4.0, 6.0, max_dim=max_dim)
+    with pytest.raises(BadParameters, match="max_dim"):
+        rips_complex(pts, 0.5, max_dim=max_dim)
+
+
+@pytest.mark.parametrize("spacing", [np.nan, np.inf])
+def test_level_spacing_must_be_finite(spacing):
+    with pytest.raises(BadParameters, match="spacing"):
+        even_levels(fourier_image((3, 3, 3), seed=1, terms=2), spacing)
+
+
+def test_fourier_terms_must_be_a_non_negative_integer():
+    with pytest.raises(BadParameters, match="terms"):
+        fourier_image((3, 3, 3), seed=1, terms=-1)
+
+
+@pytest.mark.parametrize("n", ["a", 2.5])
+def test_circle_point_count_must_be_an_integer(n):
+    with pytest.raises(BadParameters, match="point count"):
+        circle_points(n, seed=1)

@@ -1,0 +1,50 @@
+"""Relabelling external cell ids by an injective map changes nothing.
+
+The engine names cells by internal ids handed out in block order, so the
+diagram and the ``Metrics`` must not depend on the ids a stream uses.
+"""
+
+import random
+
+import pytest
+
+from conftest import blocks_to_stream, random_block_ops
+from zzmorse.generators import circle_points, oscillating_rips_stream
+from zzmorse.kernel import run_stream
+from zzmorse.stream import BlockOp, ForwardCell
+
+
+def relabel(blocks, label):
+    out = []
+    for direction, cells in blocks:
+        if direction == "F":
+            cells = [ForwardCell(label(cell), dim,
+                                 {label(f): c for f, c in boundary.items()})
+                     for cell, dim, boundary in cells]
+        else:
+            cells = [label(cell) for cell in cells]
+        out.append(BlockOp(direction, cells))
+    return out
+
+
+@pytest.mark.parametrize("morse", [True, False])
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_int_ids_to_strings(seed, morse):
+    # "c10" sorts before "c2": the new ids also reorder the old ones
+    blocks = blocks_to_stream(random_block_ops(seed, p=5, max_live=10,
+                                               max_arrows=24))
+    assert (run_stream(relabel(blocks, "c{}".format), p=5, morse=morse)
+            == run_stream(blocks, p=5, morse=morse))
+
+
+@pytest.mark.parametrize("morse", [True, False])
+def test_simplex_tuples_to_ints(morse):
+    blocks, _ = oscillating_rips_stream(circle_points(12, seed=3), 4.0, 6.0)
+    simplices = sorted({s for block in blocks if block.direction == "B"
+                        for s in block.cells})
+    ints = list(range(len(simplices)))
+    random.Random(5).shuffle(ints)
+    label = dict(zip(simplices, ints)).__getitem__
+    out = run_stream(relabel(blocks, label), morse=morse)
+    assert out == run_stream(blocks, morse=morse)
+    assert any(dim == 1 for dim, _, _ in out[0])  # the circle shows up
