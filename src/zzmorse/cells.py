@@ -54,6 +54,14 @@ def chain_addmul(dst, src, scalar, p):
     return dst
 
 
+def apply_boundary(chain, boundary_fn, p):
+    """Boundary of a chain under a cell -> facet-chain operator."""
+    out = {}
+    for cell, coeff in chain.items():
+        chain_addmul(out, boundary_fn(cell), coeff, p)
+    return out
+
+
 def check_dim(cell, dim):
     """Return dim as an int; raise InvalidOp unless it is a non-negative integer."""
     try:
@@ -147,10 +155,8 @@ class Complex:
         if not bd.keys() <= self.dims.keys():
             raise MissingFacet("facet %r of cell %r is not in the complex"
                                % (next(iter(bd.keys() - self.dims.keys())), cell))
-        if self.validate and bd:
-            dd = {}
-            for facet, coeff in bd.items():
-                chain_addmul(dd, self.facets[facet], coeff, self.p)
+        if self.validate:
+            dd = apply_boundary(bd, self.facets.__getitem__, self.p)
             if dd:
                 raise BrokenBoundary("boundary of the boundary is nonzero: %r" % dd)
         self.dims[cell] = dim
@@ -191,10 +197,8 @@ class Complex:
     def check_dd_zero(self):
         """Assert d(d(cell)) = 0 for every cell (test hook)."""
         for cell, bd in self.facets.items():
-            dd = {}
-            for facet, coeff in bd.items():
-                chain_addmul(dd, self.facets[facet], coeff, self.p)
-            assert not dd, "dd != 0 at cell %r" % (cell,)
+            assert not apply_boundary(bd, self.facets.__getitem__, self.p), \
+                "dd != 0 at cell %r" % (cell,)
 
 
 def simplex_facets(simplex):

@@ -196,19 +196,27 @@ def circle_points(n, seed, jitter=0.3):
 
 # -- scalar images and levelset zigzags ---------------------------------------------
 
+def _extents(dims):
+    """Image dims as three ints >= 1; BadParameters for a non-integer."""
+    dims = tuple(_integer("image extent", v) for v in dims)
+    if len(dims) != 3 or any(v < 1 for v in dims):
+        raise EmptyDims("image dims must be three positive extents, got %r"
+                        % (dims,))
+    return dims
+
+
 class ScalarImage:
-    """Scalar values on the vertices of an (nx, ny, nz) lattice."""
+    """Finite scalar values on the vertices of an (nx, ny, nz) lattice."""
 
     def __init__(self, dims, values):
-        dims = tuple(int(v) for v in dims)
-        if len(dims) != 3 or any(v < 1 for v in dims):
-            raise EmptyDims("image dims must be three positive extents, got %r"
-                            % (dims,))
+        dims = _extents(dims)
         vals = np.asarray(values, dtype=float)
         want = dims[0] * dims[1] * dims[2]
         if vals.size != want:
             raise CountMismatch("expected %d values for dims %r, got %d"
                                 % (want, dims, vals.size))
+        if not np.isfinite(vals).all():
+            raise BadParameters("image has a non-finite value")
         self.dims = dims
         self.values = vals.reshape(dims)
 
@@ -222,7 +230,7 @@ def levelset_stream(image, levels):
     ceiling, backward blocks with its new floor.  Returns (blocks, scales).
     """
     s = [float(v) for v in levels]
-    if len(s) < 2 or any(b <= a for a, b in zip(s, s[1:])):
+    if len(s) < 2 or any(not a < b for a, b in zip(s, s[1:])):
         raise NonMonotoneLevels("levels must be strictly increasing, got %r"
                                 % (levels,))
     cubes = iter_cubes(image.dims)
@@ -280,10 +288,7 @@ def fourier_image(dims, seed, terms):
     integer frequencies of sup-norm <= 8 and phases in [0, 2*pi), over unit
     lattice coordinates.
     """
-    dims = tuple(int(v) for v in dims)
-    if len(dims) != 3 or any(v < 1 for v in dims):
-        raise EmptyDims("image dims must be three positive extents, got %r"
-                        % (dims,))
+    dims = _extents(dims)
     terms = _integer("terms", terms, 0)
     rng = np.random.default_rng(seed)
     amp = rng.uniform(-1.0, 1.0, terms)
@@ -330,6 +335,7 @@ def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
     kind are grouped into blocks of random length; the stream always tears
     down to the empty complex at the end.
     """
+    max_dim = _integer("max_dim", max_dim, 0)
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
     state = {}

@@ -13,7 +13,7 @@ from .errors import (InconsistentBoundary, InvalidOp, KernelError,
                      UnknownCell, UnknownRow, ZeroPairIncidence)
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
-from .stream import (KernelInsert, KernelRemove, KernelUnpair, MorseState,
+from .stream import (KernelInsert, KernelUnpair, MorseState, RemoveCritical,
                      apply_atomic, atomize_backward, atomize_forward)
 from .validate import ShadowMatrix
 
@@ -146,25 +146,21 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
         for op in ops:
             update = apply_atomic(state, op)
             kind = type(update)
+            event = None
             if kind is KernelInsert:
                 reduced_ops += 1
                 atomic_pos += 1
                 event = insert_into_matrix(
                     matrix, update, (True, atomic_pos, block_index))
-            elif kind is KernelRemove:
+            elif kind is RemoveCritical:
                 reduced_ops += 1
                 atomic_pos += 1
                 event = remove_from_matrix(
                     matrix, update.cell, (False, atomic_pos, block_index))
             elif kind is KernelUnpair:
-                reduced_ops += 3
+                reduced_ops += 2  # a split gives the matrix two new rows
                 atomic_pos += 1
                 unpair_in_matrix(matrix, update)
-                atomic_pos += 1
-                event = remove_from_matrix(
-                    matrix, update.sigma, (False, atomic_pos, block_index))
-            else:
-                event = None
             if event is not None:
                 events.append((event[0], event[1], block_index))
             if shadow is not None:

@@ -5,10 +5,12 @@ a backward block removes one.  Each block is matched (forward) or classified
 against the standing matching (backward) and decomposed into atomic
 operations, in an order that needs no scheduler: a forward block goes in by
 dimension level, each level's critical cells before its pairs, and a
-backward block leaves in reverse insertion order.  Critical insertions and
-removals reach the persistence kernel; paired cells come and go silently
-except when a removal splits a pair across the block boundary, which
-triggers a boundary update in the reduced complex before the cell leaves.
+backward block leaves in reverse insertion order.  The kernel sees the
+three maps of the zigzag Morse filtration: a critical insertion, a critical
+removal, and a pair split.  Paired cells come and go silently, except when
+a king leaves while its queue cell stays: the pair is first split, which
+makes both cells critical and updates the reduced boundaries, and the king
+then leaves as a critical cell.
 """
 
 from collections import namedtuple
@@ -24,10 +26,9 @@ InsertPair = namedtuple(
     "InsertPair", "tau sigma tau_dim tau_boundary sigma_dim sigma_boundary")
 RemoveCritical = namedtuple("RemoveCritical", "cell")
 RemovePair = namedtuple("RemovePair", "tau sigma")
-RemoveUnpaired = namedtuple("RemoveUnpaired", "sigma tau")
+Split = namedtuple("Split", "tau sigma")
 
 KernelInsert = namedtuple("KernelInsert", "cell dim boundary seq")
-KernelRemove = namedtuple("KernelRemove", "cell")
 KernelUnpair = namedtuple(
     "KernelUnpair",
     "tau sigma tau_dim sigma_boundary tau_cofacets pair_incidence"
@@ -85,8 +86,8 @@ def atomize_backward(sigma_set, state):
     removes maximal cells only, once the block holds every cofacet of its
     cells (``NotRemovable`` otherwise).  A pair holds consecutive seqs, so
     a king comes just before its queue cell and gives the op for both:
-    RemovePair, or RemoveUnpaired if the queue cell stays.  A queue cell may
-    not leave without its king (``NotRemovable``).
+    RemovePair, or Split then RemoveCritical of the king if the queue cell
+    stays.  A queue cell may not leave without its king (``NotRemovable``).
     """
     cx = state.complex
     m = state.matching
@@ -99,8 +100,10 @@ def atomize_backward(sigma_set, state):
                     "cell %r has a cofacet %r outside the block" % (cell, cof))
         if cell in m.pair_down:
             tau = m.pair_down[cell]
-            out.append(RemovePair(tau, cell) if tau in sigma_set
-                       else RemoveUnpaired(cell, tau))
+            if tau in sigma_set:
+                out.append(RemovePair(tau, cell))
+            else:
+                out += Split(tau, cell), RemoveCritical(cell)
         elif cell not in m.pair_up:
             out.append(RemoveCritical(cell))
         elif m.pair_up[cell] not in sigma_set:
@@ -129,8 +132,10 @@ def apply_atomic(state, op):
     """Mutate the Morse state by one atomic op; return the kernel's view of it.
 
     Insertions carry cell data checked at the door and go in through
-    ``Complex.attach``.  The return value is a KernelInsert/KernelRemove/
-    KernelUnpair, or None for pair operations, invisible to the kernel.
+    ``Complex.attach``.  The return value is one of the kernel's three
+    ops: a KernelInsert, the RemoveCritical op itself, or a KernelUnpair for
+    a Split, which leaves the complex as it is; pair insertions and removals
+    are invisible to the kernel and return None.
     """
     cx = state.complex
     m = state.matching
@@ -157,7 +162,7 @@ def apply_atomic(state, op):
         m.drop_critical(op.cell)
         cx.remove_cell(op.cell)
         state.flow_memo.pop(op.cell, None)
-        return KernelRemove(op.cell)
+        return op
 
     if isinstance(op, RemovePair):
         if m.pair_up.get(op.tau) != op.sigma:
@@ -173,7 +178,7 @@ def apply_atomic(state, op):
         state.flow_memo.pop(op.sigma, None)
         return None
 
-    if isinstance(op, RemoveUnpaired):
+    if isinstance(op, Split):
         if m.pair_up.get(op.tau) != op.sigma:
             raise InvalidOp("cells %r, %r are not paired" % (op.tau, op.sigma))
         if not cx.is_maximal(op.sigma):
@@ -184,14 +189,10 @@ def apply_atomic(state, op):
         m.unpair(op.tau)
         state.flow_memo.clear()  # the pair's flows, and all through them, change
         sigma_boundary = _reduced_boundary(state, op.sigma)
-        tau_cofacets = morse_coboundary(cx, m, op.tau)
         if sigma_boundary.get(op.tau) != incidence:
             raise InvalidOp("reduced boundary lost the pair incidence")
-        update = KernelUnpair(op.tau, op.sigma, cx.dims[op.tau], sigma_boundary,
-                              tau_cofacets, incidence, cx.seq[op.tau],
-                              cx.seq[op.sigma])
-        m.drop_critical(op.sigma)
-        cx.remove_cell(op.sigma)
-        return update
+        return KernelUnpair(op.tau, op.sigma, cx.dims[op.tau], sigma_boundary,
+                            morse_coboundary(cx, m, op.tau), incidence,
+                            cx.seq[op.tau], cx.seq[op.sigma])
 
     raise InvalidOp("unknown atomic op %r" % (op,))

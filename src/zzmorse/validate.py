@@ -9,24 +9,15 @@ per-dimension cycle counts are the Betti numbers of the full complex and can
 be compared with the Morse-reduced matrix after each atomic operation.
 """
 
-from .cells import chain_addmul
+from .cells import apply_boundary
 from .errors import BrokenInvariant, KernelError
 from .matrix import HomologyMatrix
 from .morse import morse_boundary
 from .oracle import betti_numbers
-from .stream import (InsertCritical, InsertPair, RemoveCritical, RemovePair,
-                     RemoveUnpaired)
+from .stream import InsertCritical, InsertPair, RemoveCritical, RemovePair, Split
 
 
 # -- structural audit of the homology matrix ---------------------------------------
-
-def apply_boundary(chain, boundary_fn, p):
-    """Boundary of a chain under a cell -> facet-chain operator."""
-    out = {}
-    for cell, coeff in chain.items():
-        chain_addmul(out, boundary_fn(cell), coeff, p)
-    return out
-
 
 def check_matrix(matrix, boundary_fn):
     """Audit the homology matrix; raises BrokenInvariant on any violation.
@@ -164,9 +155,7 @@ class ShadowMatrix:
         elif isinstance(op, RemovePair):
             self._remove(op.sigma)
             self._remove(op.tau)
-        elif isinstance(op, RemoveUnpaired):
-            self._remove(op.sigma)
-        else:
+        elif not isinstance(op, Split):  # a split leaves the raw complex as is
             raise BrokenInvariant("shadow cannot mirror %r" % (op,))
 
     def compare(self, reduced):

@@ -28,7 +28,7 @@ from zzmorse.generators import (
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce
 from zzmorse.oracle import block_diagram
-from zzmorse.stream import MorseState, RemoveUnpaired, apply_atomic
+from zzmorse.stream import MorseState, RemoveCritical, Split, apply_atomic
 from zzmorse.validate import check_betti, check_invariants
 
 
@@ -100,7 +100,7 @@ def test_criterion_2_reduction_invisible_at_scale(circle_run, image_run):
                      "image %.1fs" % (circle_run["elapsed"], image_run["elapsed"]))
 
 
-# -- 3: the unpaired-removal boundary formula against literal path sums -------------
+# -- 3: the pair-split boundary formula against literal path sums -------------------
 
 def split_pair(m, tau):
     """Copy of a matching with tau's pair released to critical."""
@@ -141,7 +141,9 @@ def test_criterion_3_boundary_update_formula(p):
         sigma_bnd = brute_boundary(cx, released, sigma)
         scale = cx.facets[sigma][tau] % p
 
-        update = apply_atomic(MorseState(cx, m), RemoveUnpaired(sigma, tau))
+        state = MorseState(cx, m)
+        update = apply_atomic(state, Split(tau, sigma))
+        apply_atomic(state, RemoveCritical(sigma))
         # the engine's operands agree with the enumeration-derived ones
         assert update.sigma_boundary == sigma_bnd
         assert update.pair_incidence % p == scale

@@ -14,7 +14,7 @@ from zzmorse.errors import BrokenInvariant, CyclicMatching
 from zzmorse.generators import circle_points, oscillating_rips_stream
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, _flow, morse_boundary
-from zzmorse.stream import BlockOp, ForwardCell, RemoveUnpaired
+from zzmorse.stream import BlockOp, ForwardCell, Split
 
 
 def memo_auditor(seen):
@@ -31,7 +31,7 @@ def memo_auditor(seen):
             assert chain == fresh, "stale memo entry for %r" % (cell,)
         seen["ops"] += 1
         seen["entries"] += len(memo)
-        seen["unpairs"] += isinstance(op, RemoveUnpaired)
+        seen["unpairs"] += isinstance(op, Split)
 
     return audit
 

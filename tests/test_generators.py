@@ -275,6 +275,30 @@ def test_image_shape_is_checked():
         ScalarImage((0, 2, 2), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_image_values_are_rejected(bad):
+    values = np.zeros(27)
+    values[13] = bad
+    with pytest.raises(BadParameters, match="non-finite"):
+        ScalarImage((3, 3, 3), values)
+
+
+def test_nan_level_is_rejected():
+    img = ScalarImage((2, 1, 1), [0.0, 1.0])
+    with pytest.raises(NonMonotoneLevels):
+        levelset_stream(img, [0.0, np.nan, 1.0])
+
+
+@pytest.mark.parametrize("dims", [(2.5, 2, 2), ("3", 3, 3), (3, 3, None)])
+def test_image_extents_must_be_integers(dims):
+    with pytest.raises(BadParameters, match="extent"):
+        ScalarImage(dims, np.zeros(18))
+    with pytest.raises(BadParameters, match="extent"):
+        fourier_image(dims, seed=1, terms=2)
+    # numpy integers, as in an array's shape, are integers
+    assert ScalarImage(np.array([2, 1, 1]), [0.0, 1.0]).dims == (2, 1, 1)
+
+
 # -- synthetic images -----------------------------------------------------------------
 
 def test_fourier_image_is_deterministic():
@@ -333,6 +357,8 @@ def test_max_dim_must_be_a_non_negative_integer(max_dim):
         oscillating_rips_stream(pts, 4.0, 6.0, max_dim=max_dim)
     with pytest.raises(BadParameters, match="max_dim"):
         rips_complex(pts, 0.5, max_dim=max_dim)
+    with pytest.raises(BadParameters, match="max_dim"):
+        random_block_stream(1, max_dim=max_dim)
 
 
 @pytest.mark.parametrize("spacing", [np.nan, np.inf])

@@ -1,7 +1,9 @@
-"""Relabelling external cell ids by an injective map changes nothing.
+"""Metamorphic tests: relabelling ids changes nothing, reversal mirrors.
 
 The engine names cells by internal ids handed out in block order, so the
 diagram and the ``Metrics`` must not depend on the ids a stream uses.
+Played backwards, a zigzag of N blocks sees the same complexes in reverse
+order, so each interval ``(dim, b, d)`` becomes ``(dim, N-d, N-b)``.
 """
 
 import random
@@ -48,3 +50,37 @@ def test_simplex_tuples_to_ints(morse):
     out = run_stream(relabel(blocks, label), morse=morse)
     assert out == run_stream(blocks, morse=morse)
     assert any(dim == 1 for dim, _, _ in out[0])  # the circle shows up
+
+
+def reverse(blocks):
+    """The stream played backwards: removals re-insert the recorded cells."""
+    records = {}  # a re-inserted id (a Rips simplex) keeps its record
+    for direction, cells in blocks:
+        if direction == "F":
+            records.update((cell.cell, cell) for cell in cells)
+    return [BlockOp("B", [cell.cell for cell in cells]) if direction == "F"
+            else BlockOp("F", [records[cell] for cell in cells])
+            for direction, cells in reversed(blocks)]
+
+
+def assert_reversal_mirrors(blocks, p, morse):
+    n = len(blocks)
+    forward, _ = run_stream(blocks, p=p, morse=morse)
+    backward, _ = run_stream(reverse(blocks), p=p, morse=morse)
+    assert sorted((dim, n - d, n - b) for dim, b, d in forward) == backward
+    return forward
+
+
+@pytest.mark.parametrize("morse", [True, False])
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_reversal_mirrors_intervals(seed, morse):
+    blocks = blocks_to_stream(random_block_ops(seed, p=5, max_live=10,
+                                               max_arrows=24))
+    assert_reversal_mirrors(blocks, 5, morse)
+
+
+@pytest.mark.parametrize("morse", [True, False])
+def test_reversed_rips_stream_mirrors_intervals(morse):
+    blocks, _ = oscillating_rips_stream(circle_points(12, seed=3), 4.0, 6.0)
+    intervals = assert_reversal_mirrors(blocks, 2, morse)
+    assert any(dim == 1 for dim, _, _ in intervals)  # the circle shows up

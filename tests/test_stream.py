@@ -14,12 +14,11 @@ from zzmorse.stream import (
     InsertCritical,
     InsertPair,
     KernelInsert,
-    KernelRemove,
     KernelUnpair,
     MorseState,
     RemoveCritical,
     RemovePair,
-    RemoveUnpaired,
+    Split,
     apply_atomic,
     atomize_backward,
     atomize_forward,
@@ -142,7 +141,8 @@ def test_atomize_backward_unpaired():
     cx, m, ids = triangle_state()
     state = MorseState(cx, m)
     t = ids[(1, 2, 3)]
-    assert atomize_backward({t}, state) == [RemoveUnpaired(t, ids[(1, 3)])]
+    assert atomize_backward({t}, state) == [Split(ids[(1, 3)], t),
+                                            RemoveCritical(t)]
 
 
 def test_atomize_backward_pair():
@@ -187,7 +187,7 @@ def test_atomize_backward_never_splits_inner_pairs():
         cx = random_complex(rng, p=2, n=10)
         m = coreduce(cell_records(cx))
         ops = atomize_backward(set(cx.dims), MorseState(cx, m))
-        assert not any(isinstance(o, RemoveUnpaired) for o in ops)
+        assert not any(isinstance(o, Split) for o in ops)
         removed = set()
         for op in ops:
             if isinstance(op, RemovePair):
@@ -226,12 +226,15 @@ def test_remove_unpaired_circle_fixture():
     state = MorseState(cx, m)
     v1, v3, e13, e23 = ids[(1,)], ids[(3,)], ids[(1, 3)], ids[(2, 3)]
 
-    update = apply_atomic(state, RemoveUnpaired(e23, v3))
+    update = apply_atomic(state, Split(v3, e23))
     assert isinstance(update, KernelUnpair)
     assert update.tau == v3 and update.sigma == e23
     assert update.sigma_boundary == {v1: 1, v3: 1}
     assert update.tau_cofacets == {e13: 1, e23: 1}
     assert update.pair_incidence == 1
+    assert m.critical == {v1, e13, v3, e23}
+    assert e23 in cx  # a split leaves the complex as it is
+    assert apply_atomic(state, RemoveCritical(e23)) == RemoveCritical(e23)
     assert m.critical == {v1, e13, v3}
     assert e23 not in cx
     # the surviving critical edge now closes up on v1 + v3
@@ -246,7 +249,7 @@ def test_apply_errors():
     with pytest.raises(InvalidOp):
         apply_atomic(state, RemovePair(ids[(2,)], ids[(2, 3)]))  # king not maximal
     with pytest.raises(InvalidOp):
-        apply_atomic(state, RemoveUnpaired(ids[(1, 2, 3)], ids[(2,)]))  # wrong tau
+        apply_atomic(state, Split(ids[(2,)], ids[(1, 2, 3)]))  # wrong tau
 
 
 def test_remove_pair_order_enforced():
@@ -306,7 +309,9 @@ def test_boundary_update_identity(seed, p):
     before = {nu: morse_boundary(cx, m, nu) for nu in m.critical}
     sdim = cx.dims[sigma]
 
-    update = apply_atomic(MorseState(cx, m), RemoveUnpaired(sigma, tau))
+    state = MorseState(cx, m)
+    update = apply_atomic(state, Split(tau, sigma))
+    apply_atomic(state, RemoveCritical(sigma))
     for nu, old in before.items():
         new = morse_boundary(cx, m, nu)
         if cx.dims[nu] != sdim:
@@ -337,7 +342,7 @@ def test_block_round_trip(seed):
     assert is_acyclic_matching(cx, state.matching)
 
     for op in atomize_backward(set(records), state):
-        assert not isinstance(op, RemoveUnpaired) or op.tau in base_cells
+        assert not isinstance(op, Split) or op.tau in base_cells
         apply_atomic(state, op)
     assert set(cx.dims) == base_cells
 
