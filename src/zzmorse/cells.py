@@ -213,12 +213,12 @@ def simplex_facets(simplex):
             for j in range(len(simplex))}
 
 
-def build_simplicial(simplices, p=2, validate=False):
+def build_simplicial(simplices, p=2):
     """Complex from a face-closed list of strictly sorted vertex tuples.
 
     The tuple -> CellId map is left on the result as ``simplex_ids``.
     """
-    cx = Complex(p, validate=validate)
+    cx = Complex(p)
     index = {}
     for simplex in sorted(set(tuple(s) for s in simplices), key=lambda s: (len(s), s)):
         if list(simplex) != sorted(set(simplex)):
@@ -285,7 +285,7 @@ def cube_vertices(cube):
     return [(x, y, z) for x in spans[0] for y in spans[1] for z in spans[2]]
 
 
-def build_cubical(dims, p=2, validate=False):
+def build_cubical(dims, p=2):
     """Full cubical grid complex with nx*ny*nz vertices.
 
     The cube -> CellId map is left on the result as ``cube_ids``.
@@ -294,7 +294,7 @@ def build_cubical(dims, p=2, validate=False):
         raise EmptyDims("dims must be a 3-tuple")
     if any(n < 1 for n in dims):
         raise EmptyDims("grid extents must be >= 1, got %r" % (dims,))
-    cx = Complex(p, validate=validate)
+    cx = Complex(p)
     index = {}
     for cube in iter_cubes(dims):
         bd = {index[c]: sign for c, sign in cube_facets(cube).items()}

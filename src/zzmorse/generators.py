@@ -9,14 +9,15 @@ generator for differential testing against the oracle lives here too.
 """
 
 import math
+import numbers
 import operator
 import random
 from itertools import combinations
 
 import numpy as np
 
-from .cells import (cube_dim, cube_facets, cube_vertices, iter_cubes,
-                    simplex_facets)
+from .cells import (check_prime, cube_dim, cube_facets, cube_vertices,
+                    iter_cubes, simplex_facets)
 from .errors import (BadParameters, CountMismatch, EmptyCloud, EmptyDims,
                      NonMonotoneLevels, RaggedRow)
 from .linalg import boundary_matrix, nullspace
@@ -35,6 +36,14 @@ def _integer(name, value, low=-math.inf, high=math.inf):
         raise BadParameters("%s must be an integer in [%s, %s), got %r"
                             % (name, low, high, value))
     return v
+
+
+def _real(name, value, low=-math.inf):
+    """value as a finite float above low; raises BadParameters otherwise."""
+    if not (isinstance(value, numbers.Real) and low < value < math.inf):
+        raise BadParameters("%s must be a finite real number above %s, got %r"
+                            % (name, low, value))
+    return float(value)
 
 
 def as_point_cloud(points):
@@ -114,7 +123,7 @@ def _cliques(d2, members, thr2, max_verts):
     return out
 
 
-def rips_complex(points, rho, max_dim=2, subset=None, p=2, validate=False):
+def rips_complex(points, rho, max_dim=2, subset=None, p=2):
     """Clique complex of the threshold-rho graph, simplices up to max_dim.
 
     Membership compares squared distances against rho**2 exactly; the
@@ -124,11 +133,11 @@ def rips_complex(points, rho, max_dim=2, subset=None, p=2, validate=False):
 
     pts = as_point_cloud(points)
     max_dim = _integer("max_dim", max_dim, 0)
+    rho = _real("rho", rho)
     members = range(len(pts)) if subset is None else subset
     thr2 = rho * rho if rho >= 0 else -1.0
     cl = _cliques(_pairwise_sq(pts), members, thr2, max_dim + 1)
-    return build_simplicial(sorted(cl, key=lambda s: (len(s), s)),
-                            p=p, validate=validate)
+    return build_simplicial(sorted(cl, key=lambda s: (len(s), s)), p=p)
 
 
 # -- oscillating Rips zigzag --------------------------------------------------------
@@ -142,6 +151,7 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     final backward block tears everything down.  Returns (blocks, scales)
     with one scale annotation per block.
     """
+    mu, nu = _real("mu", mu), _real("nu", nu)
     if not 0 < mu <= nu:
         raise BadParameters("scale factors must satisfy 0 < mu <= nu")
     max_dim = _integer("max_dim", max_dim, 0)
@@ -229,10 +239,12 @@ def levelset_stream(image, levels):
     value does.  Forward blocks are annotated with the window's new
     ceiling, backward blocks with its new floor.  Returns (blocks, scales).
     """
-    s = [float(v) for v in levels]
-    if len(s) < 2 or any(not a < b for a, b in zip(s, s[1:])):
-        raise NonMonotoneLevels("levels must be strictly increasing, got %r"
-                                % (levels,))
+    s = list(levels) if np.iterable(levels) else []
+    if (len(s) < 2 or not all(isinstance(v, numbers.Real) for v in s)
+            or any(not a < b for a, b in zip(s, s[1:]))):
+        raise NonMonotoneLevels("levels must be strictly increasing reals, "
+                                "got %r" % (levels,))
+    s = [float(v) for v in s]
     cubes = iter_cubes(image.dims)
     lo = {}
     hi = {}
@@ -272,9 +284,7 @@ def levelset_stream(image, levels):
 
 def even_levels(image, spacing):
     """Evenly spaced level values covering the image's value range."""
-    if not 0 < spacing < math.inf:
-        raise BadParameters("level spacing must be positive and finite, got %r"
-                            % (spacing,))
+    spacing = _real("level spacing", spacing, 0)
     vmin = float(image.values.min())
     vmax = float(image.values.max())
     count = max(1, int(np.ceil((vmax - vmin) / spacing)))
@@ -335,6 +345,9 @@ def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
     kind are grouped into blocks of random length; the stream always tears
     down to the empty complex at the end.
     """
+    p = check_prime(p)
+    max_live = _integer("max_live", max_live, 1)
+    max_arrows = _integer("max_arrows", max_arrows, 4)
     max_dim = _integer("max_dim", max_dim, 0)
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)

@@ -21,30 +21,30 @@ Interval = namedtuple("Interval", "dim birth death")
 Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
 
 
-def insert_into_matrix(matrix, update, birth):
+def insert_into_matrix(matrix, update, block):
     """Feed one critical insertion to the column kernel; returns an event."""
     try:
         return matrix.forward_insert(update.cell, update.dim, update.boundary,
-                                     birth, update.seq)
+                                     block, update.seq)
     except KernelError as exc:
         raise InconsistentBoundary(str(exc)) from None
 
 
-def remove_from_matrix(matrix, cell, birth):
+def remove_from_matrix(matrix, cell, block):
     """Feed one critical removal to the column kernel; returns an event."""
     if cell not in matrix.rowseq:
         raise UnknownRow("cell %r has no row in the matrix" % (cell,))
-    return matrix.backward_remove(cell, birth)
+    return matrix.backward_remove(cell, block)
 
 
 def unpair_in_matrix(matrix, update):
     """Feed a pair split to the column kernel."""
-    if update.pair_incidence % matrix.p == 0:
+    if update.sigma_boundary.get(update.tau, 0) % matrix.p == 0:
         raise ZeroPairIncidence(
             "pair (%r, %r) has zero incidence" % (update.tau, update.sigma))
     matrix.unpair_update(update.tau, update.sigma, update.sigma_boundary,
-                         update.tau_cofacets, update.pair_incidence,
-                         update.tau_dim, update.tau_seq, update.sigma_seq)
+                         update.tau_cofacets, update.tau_dim, update.tau_seq,
+                         update.sigma_seq)
 
 
 def _translate_forward(cells, cx, alive):
@@ -97,6 +97,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     ``InvalidOp``.  The stream must start and end at the empty complex.
     Intervals are (dim, birth, death) with inclusive block indices counted
     from 1: the class is alive in the complexes seen after those blocks.
+    The kernel is told each op's block index and orders births itself;
+    ``Metrics.reduced_ops`` counts the rows it added or removed.
     ``p`` must be prime (``BadParameters`` otherwise).
     ``morse=False`` skips the matching step and runs every cell through the
     kernel.  ``observer(state, matrix, op)`` is called after every atomic
@@ -112,9 +114,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     matrix = HomologyMatrix(cx.p)
     shadow = ShadowMatrix(cx.p) if validate and morse else None
     alive = {}  # external id -> (internal id, dimension)
-    events = []
-    raw_ops = reduced_ops = max_cells = max_critical = 0
-    atomic_pos = 0
+    intervals = []
+    raw_ops = max_cells = max_critical = 0
     block_index = 0
 
     for block in blocks:
@@ -148,21 +149,13 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
             kind = type(update)
             event = None
             if kind is KernelInsert:
-                reduced_ops += 1
-                atomic_pos += 1
-                event = insert_into_matrix(
-                    matrix, update, (True, atomic_pos, block_index))
+                event = insert_into_matrix(matrix, update, block_index)
             elif kind is RemoveCritical:
-                reduced_ops += 1
-                atomic_pos += 1
-                event = remove_from_matrix(
-                    matrix, update.cell, (False, atomic_pos, block_index))
+                event = remove_from_matrix(matrix, update.cell, block_index)
             elif kind is KernelUnpair:
-                reduced_ops += 2  # a split gives the matrix two new rows
-                atomic_pos += 1
                 unpair_in_matrix(matrix, update)
-            if event is not None:
-                events.append((event[0], event[1], block_index))
+            if event is not None and event[1] < block_index:
+                intervals.append(Interval(event[0], event[1], block_index - 1))
             if shadow is not None:
                 shadow.mirror(state, op)
                 shadow.compare(matrix)
@@ -177,9 +170,5 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     if len(cx):
         raise InvalidOp("stream must end at the empty complex")
 
-    intervals = []
-    for dim, birth, death_block in events:
-        if birth[2] <= death_block - 1:
-            intervals.append(Interval(dim, birth[2], death_block - 1))
     intervals.sort()
-    return intervals, Metrics(raw_ops, reduced_ops, max_cells, max_critical)
+    return intervals, Metrics(raw_ops, matrix.row_ops, max_cells, max_critical)

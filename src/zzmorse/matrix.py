@@ -9,9 +9,17 @@ order, and then deletes the row in place.  An unpair puts the split pair
 back at its own sequence numbers, which are consecutive, so no live row
 sits between them.
 
-Columns carry one of three labels.  F columns are cycles and own a birth tag;
+Columns carry one of three labels.  F columns are cycles and own a birth;
 G columns are boundaries; each H column has ``boundary(H) = G`` for its
 partnered G column.  Births/deaths of intervals fall out of label changes.
+
+The matrix keeps its own clock, ``row_ops``: the rows its ops have added or
+removed (an unpair adds two), which is the run's count of reduced ops.  A
+class an insertion creates is born ``(+row_ops, block)`` and one a removal
+reopens ``(-row_ops, block)``, so plain tuple order is the zigzag order of
+births (Carlsson & de Silva, 2010): forward births by arrival, above every
+backward birth, the latest lowest.  A removal kills the least class it
+meets, an insertion the greatest.
 
 Chain updates go through ``cells.chain_addmul``.  ``_addmul`` and
 ``_reduce`` keep their own loops because each also does per-entry
@@ -22,16 +30,6 @@ import heapq
 
 from .cells import chain_addmul, field_inv
 from .errors import KernelError
-
-
-def birth_key(birth):
-    """Total order on birth tags: forward beats backward, then arrival order.
-
-    The minimum under this order is the class that cannot survive a removal
-    it is entangled with; the maximum is the one a forward insertion kills.
-    """
-    forward, pos, _block = birth
-    return (1, pos) if forward else (0, -pos)
 
 
 class Column:
@@ -53,6 +51,7 @@ class HomologyMatrix:
         self.occ = {}     # cell -> set of slots whose chain contains it
         self.f_counts = {}  # dimension -> number of F columns
         self.last_seq = None  # largest seq forward_insert has been given
+        self.row_ops = 0  # rows added or removed so far: the clock of births
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -152,12 +151,12 @@ class HomologyMatrix:
 
     # -- the three kernel operations ------------------------------------------
 
-    def forward_insert(self, cell, dim, boundary, birth, seq):
-        """Add a critical cell; returns (dim, birth) of a dying class, or None.
+    def forward_insert(self, cell, dim, boundary, block, seq):
+        """Add a critical cell in block ``block``; ticks ``row_ops`` by 1.
 
-        ``birth`` tags the class a plain insertion creates; ``seq`` is the
-        cell's insertion sequence number in the complex, and must exceed
-        every ``seq`` given before.
+        Returns (dim, birth block) of the class it kills, or None when it
+        creates a class, born ``(+row_ops, block)``.  ``seq`` is the cell's
+        insertion sequence number and must exceed every earlier one.
         """
         if cell in self.rowseq:
             raise KernelError("cell %r already has a row" % (cell,))
@@ -176,6 +175,7 @@ class HomologyMatrix:
             else:
                 raise KernelError("boundary is not a cycle in the reduced complex")
 
+        self.row_ops += 1
         self.last_seq = seq
         self._new_row(cell, dim, seq)
         chain = self._combination({self.cols[g].partner: -a
@@ -183,7 +183,7 @@ class HomologyMatrix:
         chain[cell] = 1
 
         if not fs:
-            self._set_column(cell, Column(chain, "F", birth=birth))
+            self._set_column(cell, Column(chain, "F", birth=(self.row_ops, block)))
             self._count(dim, 1)
             return None
 
@@ -194,8 +194,8 @@ class HomologyMatrix:
         # column settles which row each survivor occupies.
         rowseq = self.rowseq
         lead = max(fs, key=rowseq.get)
-        order = sorted(fs, key=lambda f: birth_key(self.cols[f].birth))
-        event = (self.rowdim[lead], self.cols[order[-1]].birth)
+        order = sorted(fs, key=lambda f: self.cols[f].birth)
+        event = (self.rowdim[lead], self.cols[order[-1]].birth[1])
         g_chain = self._combination(fs)
         p = self.p
         placed = {}
@@ -222,13 +222,15 @@ class HomologyMatrix:
         self._count(self.rowdim[lead], -1)
         return event
 
-    def backward_remove(self, cell, birth):
-        """Remove a cell's row; returns (dim, birth) of a dying class, or None.
+    def backward_remove(self, cell, block):
+        """Remove a cell's row in block ``block``; ticks ``row_ops`` by 1.
 
-        ``birth`` tags the class reborn when the removal splits a pair.
+        Returns (dim, birth block) of the class it kills, or None when it
+        reopens one, born ``(-row_ops, block)``.
         """
         if cell not in self.rowseq:
             raise KernelError("cell %r has no row" % (cell,))
+        self.row_ops += 1
         p = self.p
         rowseq = self.rowseq
         blockers = sorted((b for b in self.occ[cell] if b != cell),
@@ -244,7 +246,7 @@ class HomologyMatrix:
             if lb == "G":
                 raise KernelError("a boundary column contains a removable cell")
             if la == "F":
-                if lb == "F" and birth_key(beta_col.birth) < birth_key(alpha_col.birth):
+                if lb == "F" and beta_col.birth < alpha_col.birth:
                     # The blocker's class dies sooner, so its column rides
                     # up with the removed cell; the decoupled mix stays at
                     # the blocker's row carrying the larger birth.
@@ -289,12 +291,12 @@ class HomologyMatrix:
         dim = self.rowdim[cell]
         event = None
         if col.label == "F":
-            event = (dim, col.birth)
+            event = (dim, col.birth[1])
             self._count(dim, -1)
         elif col.label == "H":
             partner = self.cols[col.partner]
             partner.label = "F"
-            partner.birth = birth
+            partner.birth = (-self.row_ops, block)
             partner.partner = None
             self._count(self.rowdim[col.partner], 1)
         else:
@@ -305,15 +307,16 @@ class HomologyMatrix:
         return event
 
     def unpair_update(self, tau, sigma, sigma_boundary, tau_cofacets,
-                      incidence, tau_dim, tau_seq, sigma_seq):
+                      tau_dim, tau_seq, sigma_seq):
         """Splice the freshly unpaired cells tau, sigma into the matrix.
 
-        ``sigma_boundary`` is sigma's reduced boundary after unpairing,
-        ``tau_cofacets`` the reduced coboundary of tau; existing cycle and
-        pairing columns are corrected so all invariants survive.  The new
-        rows take the pair's original, consecutive insertion sequence
-        numbers (``tau_seq``, ``sigma_seq``).  Returns the number of
-        corrected columns.
+        ``sigma_boundary`` is sigma's reduced boundary after unpairing, its
+        tau coefficient the pair's incidence (``ZeroInverse`` before any
+        write if that is 0); ``tau_cofacets`` is the reduced coboundary of
+        tau.  Existing cycle and pairing columns are corrected so all
+        invariants survive.  The two new rows tick ``row_ops`` by 2 and take
+        the pair's consecutive insertion sequence numbers (``tau_seq``,
+        ``sigma_seq``).  Returns the number of corrected columns.
         """
         if sigma_seq != tau_seq + 1:
             raise KernelError("pair (%r, %r) was not inserted consecutively"
@@ -334,10 +337,11 @@ class HomologyMatrix:
             if self.rowseq[c] <= sigma_seq:
                 raise KernelError("cofacet %r sits below the spliced pair"
                                   % (c,))
+        scale = -field_inv(sigma_boundary.get(tau, 0), p) % p
+        self.row_ops += 2
         self._new_row(tau, tau_dim, tau_seq)
         self._new_row(sigma, tau_dim + 1, sigma_seq)
 
-        scale = -field_inv(incidence, p) % p
         touched = 0
         seen = set()
         for nu, w in tau_cofacets.items():

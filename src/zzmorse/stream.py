@@ -31,8 +31,7 @@ Split = namedtuple("Split", "tau sigma")
 KernelInsert = namedtuple("KernelInsert", "cell dim boundary seq")
 KernelUnpair = namedtuple(
     "KernelUnpair",
-    "tau sigma tau_dim sigma_boundary tau_cofacets pair_incidence"
-    " tau_seq sigma_seq",
+    "tau sigma tau_dim sigma_boundary tau_cofacets tau_seq sigma_seq",
 )
 
 
@@ -192,7 +191,7 @@ def apply_atomic(state, op):
         if sigma_boundary.get(op.tau) != incidence:
             raise InvalidOp("reduced boundary lost the pair incidence")
         return KernelUnpair(op.tau, op.sigma, cx.dims[op.tau], sigma_boundary,
-                            morse_coboundary(cx, m, op.tau), incidence,
-                            cx.seq[op.tau], cx.seq[op.sigma])
+                            morse_coboundary(cx, m, op.tau), cx.seq[op.tau],
+                            cx.seq[op.sigma])
 
     raise InvalidOp("unknown atomic op %r" % (op,))

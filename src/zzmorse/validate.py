@@ -115,31 +115,24 @@ def check_betti(state, matrix, op=None):
 
 # -- unreduced shadow kernel ---------------------------------------------------------
 
-class ShadowMatrix:
+class ShadowMatrix(HomologyMatrix):
     """Twin kernel that skips Morse reduction: one row per raw cell.
 
     ``mirror`` replays an atomic operation with the raw cells involved;
     ``compare`` then asserts its per-dimension cycle counts match the
-    reduced matrix's.  Births are dummies since only counts are read.
+    reduced matrix's.  Every op is given block 0, since only counts are read.
     """
 
-    def __init__(self, p):
-        self.matrix = HomologyMatrix(p)
-        self._clock = 0
-
     def _insert(self, cx, cell):
-        self._clock += 1
         try:
-            self.matrix.forward_insert(cell, cx.dims[cell],
-                                       dict(cx.facets[cell]),
-                                       (True, self._clock, 0), cx.seq[cell])
+            self.forward_insert(cell, cx.dims[cell], dict(cx.facets[cell]), 0,
+                                cx.seq[cell])
         except KernelError as exc:
             raise BrokenInvariant("shadow insert of %r: %s" % (cell, exc)) from None
 
     def _remove(self, cell):
-        self._clock += 1
         try:
-            self.matrix.backward_remove(cell, (False, self._clock, 0))
+            self.backward_remove(cell, 0)
         except KernelError as exc:
             raise BrokenInvariant("shadow removal of %r: %s" % (cell, exc)) from None
 
@@ -159,7 +152,6 @@ class ShadowMatrix:
             raise BrokenInvariant("shadow cannot mirror %r" % (op,))
 
     def compare(self, reduced):
-        if self.matrix.f_counts != reduced.f_counts:
-            raise BrokenInvariant(
-                "cycle counts diverge: full %r, reduced %r"
-                % (self.matrix.f_counts, reduced.f_counts))
+        if self.f_counts != reduced.f_counts:
+            raise BrokenInvariant("cycle counts diverge: full %r, reduced %r"
+                                  % (self.f_counts, reduced.f_counts))

@@ -146,7 +146,7 @@ def test_criterion_3_boundary_update_formula(p):
         apply_atomic(state, RemoveCritical(sigma))
         # the engine's operands agree with the enumeration-derived ones
         assert update.sigma_boundary == sigma_bnd
-        assert update.pair_incidence % p == scale
+        assert update.sigma_boundary.get(tau, 0) % p == scale
         for nu, corr in correction.items():
             assert update.tau_cofacets.get(nu, 0) % p == corr
 

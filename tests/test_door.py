@@ -3,7 +3,8 @@
 A malformed block must raise one named ``ZigzagError`` whether or not the
 engine Morse-reduces the complex; a well-formed stream must give the same
 diagram either way.  ``Complex.insert_cell`` makes the same record check,
-so it refuses a malformed record with the same error.
+so it refuses a malformed record with the same error.  A stream file is
+either refused by ``parse_stream`` or gives blocks that reach that door.
 """
 
 from collections.abc import Mapping
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import blocks_to_stream, random_block_ops
 from zzmorse.cells import Complex
-from zzmorse.errors import BadParameters, InvalidOp, MissingFacet, ZigzagError
+from zzmorse.cli import emit_stream, parse_stream
+from zzmorse.errors import (BadParameters, BadStreamLine, InvalidOp,
+                            MissingFacet, ZigzagError)
 from zzmorse.kernel import run_stream
 from zzmorse.stream import BlockOp, ForwardCell
 
@@ -242,3 +245,76 @@ def test_complex_and_run_stream_refuse_a_record_alike(defect):
         bad = BlockOp("F", [ForwardCell(2, dim, boundary)])
         raised.append(outcome([vertices, bad], 3, morse))
     assert raised == [expected] * 3
+
+
+# -- stream files ----------------------------------------------------------------------
+
+BAD_TOKENS = ["0", "1", "2", "-1", "+2", "9", "x", "1.5", "0x1", "F", "B"]
+
+
+@st.composite
+def stream_lines(draw):
+    """Stream file lines: a small graph zigzag torn down at the end, then damaged.
+
+    Undamaged draws parse and run, so both legs of the property see real
+    input.  The draw adds empty blocks, duplicate facets (an edge on one
+    vertex twice), bad or dropped tokens, stray lines and blank lines.
+    """
+    lines, vertices, edges = [], [], {}
+    fresh = iter(range(100))
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            parts = ["F"]
+            for _ in range(draw(st.integers(0, 3))):
+                new = next(fresh)
+                if len(vertices) >= 2 and draw(st.booleans()):
+                    a, b = draw(st.lists(st.sampled_from(vertices),
+                                         min_size=2, max_size=2))
+                    parts += [new, 1, 2, a, 1, b, -1]
+                    edges[new] = (a, b)
+                else:
+                    parts += [new, 0, 0]
+                    vertices.append(new)
+        else:
+            gone = [e for e in edges if draw(st.booleans())]
+            for e in gone:
+                del edges[e]
+            kept = {v for pair in edges.values() for v in pair}
+            gone += [v for v in vertices
+                     if v not in kept and draw(st.booleans())]
+            vertices = [v for v in vertices if v not in gone]
+            parts = ["B"] + gone
+        lines.append(" ".join(map(str, parts)))
+    lines.append(" ".join(map(str, ["B"] + list(edges) + vertices)))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split()
+        kind = draw(st.sampled_from(["replace", "drop", "stray", "blank"]))
+        if kind == "stray":
+            lines.insert(at, " ".join(draw(st.lists(st.sampled_from(BAD_TOKENS),
+                                                    max_size=6))))
+        elif kind == "blank" or not tokens:
+            lines.insert(at, "  ")
+        else:
+            i = draw(st.integers(0, len(tokens) - 1))
+            if kind == "replace":
+                tokens[i] = draw(st.sampled_from(BAD_TOKENS))
+            else:
+                del tokens[i]
+            lines[at] = " ".join(tokens)
+    return lines
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=stream_lines(), p=st.sampled_from([2, 5]))
+def test_stream_files_parse_round_trip_and_run_alike(tmp_path_factory, lines, p):
+    path = tmp_path_factory.getbasetemp() / "fuzz.stream"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        blocks = parse_stream(path)
+    except BadStreamLine:
+        return
+    path.write_text(emit_stream(blocks))
+    assert parse_stream(path) == blocks
+    # a run either ends or raises a named ZigzagError, the same with Morse
+    assert outcome(blocks, p, morse=True) == outcome(blocks, p, morse=False)

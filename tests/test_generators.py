@@ -361,7 +361,7 @@ def test_max_dim_must_be_a_non_negative_integer(max_dim):
         random_block_stream(1, max_dim=max_dim)
 
 
-@pytest.mark.parametrize("spacing", [np.nan, np.inf])
+@pytest.mark.parametrize("spacing", [np.nan, np.inf, "0.2"])
 def test_level_spacing_must_be_finite(spacing):
     with pytest.raises(BadParameters, match="spacing"):
         even_levels(fourier_image((3, 3, 3), seed=1, terms=2), spacing)
@@ -376,3 +376,31 @@ def test_fourier_terms_must_be_a_non_negative_integer():
 def test_circle_point_count_must_be_an_integer(n):
     with pytest.raises(BadParameters, match="point count"):
         circle_points(n, seed=1)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_arrows": 3}, "max_arrows"), ({"max_arrows": 2.5}, "max_arrows"),
+    ({"max_live": 0}, "max_live"), ({"max_live": -1}, "max_live"),
+    ({"max_live": 2.5}, "max_live"), ({"p": 1}, "prime"), ({"p": 4}, "prime")])
+def test_random_stream_parameters_are_checked(kwargs, name):
+    with pytest.raises(BadParameters, match=name):
+        random_block_stream(1, **kwargs)
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, "0.5", None])
+def test_rips_radius_must_be_a_finite_real(rho):
+    with pytest.raises(BadParameters, match="rho"):
+        rips_complex(circle_points(6, seed=2), rho)
+
+
+@pytest.mark.parametrize("mu, nu", [("4", 6.0), (4.0, "6"), (4.0, np.inf)])
+def test_rips_scale_factors_must_be_finite_reals(mu, nu):
+    with pytest.raises(BadParameters, match="mu|nu"):
+        oscillating_rips_stream(circle_points(6, seed=2), mu, nu)
+
+
+@pytest.mark.parametrize("levels", [None, "ab", [0.0, "1", 2.0]])
+def test_levels_must_be_reals(levels):
+    img = ScalarImage((2, 1, 1), [0.0, 1.0])
+    with pytest.raises(NonMonotoneLevels):
+        levelset_stream(img, levels)

@@ -14,6 +14,7 @@ from zzmorse.errors import (
     KernelError,
     UnknownCell,
     UnknownRow,
+    ZeroInverse,
     ZeroPairIncidence,
     ZigzagError,
 )
@@ -165,36 +166,38 @@ def circle_no_morse_matrix():
     for seq, (cell, dim, bd) in enumerate([
             ("v1", 0, {}), ("v2", 0, {}), ("v3", 0, {}),
             ("e12", 1, {"v1": 1, "v2": 1}), ("e23", 1, {"v2": 1, "v3": 1})]):
-        m.forward_insert(cell, dim, bd, (True, seq + 1, 1), seq)
+        m.forward_insert(cell, dim, bd, 1, seq)
     return m
 
 
 def test_insert_closing_edge_births_a_cycle():
     m = circle_no_morse_matrix()
-    event = m.forward_insert("e13", 1, {"v1": 1, "v3": 1}, (True, 6, 1), 5)
+    event = m.forward_insert("e13", 1, {"v1": 1, "v3": 1}, 2, 5)
     assert event is None
     assert m.cols["e13"].label == "F"
+    assert m.cols["e13"].birth == (6, 2)
     assert m.f_counts == {0: 1, 1: 1}
 
-    event = m.forward_insert("t123", 2, {"e12": 1, "e23": 1, "e13": 1},
-                             (True, 7, 1), 6)
-    assert event == (1, (True, 6, 1))
+    event = m.forward_insert("t123", 2, {"e12": 1, "e23": 1, "e13": 1}, 3, 6)
+    assert event == (1, 2)
     assert m.f_counts == {0: 1}
 
-    event = m.backward_remove("t123", (False, 8, 2))
+    event = m.backward_remove("t123", 4)
     assert event is None
     assert m.f_counts == {0: 1, 1: 1}
+    assert m.row_ops == 8
 
 
 def test_unpair_inserts_the_pair_and_corrects_cycles():
     # Circle with pairs (v2,e12),(v3,e23); rows v1, e13; then the pair
     # (v3,e23) is unpaired: the e13 cycle column must pick up an e23 term.
     m = HomologyMatrix(2)
-    m.forward_insert("v1", 0, {}, (True, 1, 1), 0)
-    m.forward_insert("e13", 1, {}, (True, 2, 1), 5)
+    m.forward_insert("v1", 0, {}, 1, 0)
+    m.forward_insert("e13", 1, {}, 1, 5)
     touched = m.unpair_update("v3", "e23", {"v1": 1, "v3": 1},
-                              {"e13": 1, "e23": 1}, 1, 0, 3, 4)
+                              {"e13": 1, "e23": 1}, 0, 3, 4)
     assert touched == 1
+    assert m.row_ops == 4  # a split gives the matrix two new rows
     assert m.cols["e13"].chain == {"e13": 1, "e23": 1}
     assert m.cols["e13"].label == "F"
     assert m.cols["v3"].chain == {"v1": 1, "v3": 1}
@@ -206,8 +209,8 @@ def test_unpair_inserts_the_pair_and_corrects_cycles():
     order = sorted(m.rowseq, key=m.rowseq.get)
     assert order == ["v1", "v3", "e23", "e13"]
 
-    event = m.backward_remove("e23", (False, 3, 2))
-    assert event == (1, (True, 2, 1))
+    event = m.backward_remove("e23", 2)
+    assert event == (1, 1)
     assert sorted(m.rowseq, key=m.rowseq.get) == ["v1", "v3", "e13"]
     assert m.cols["e13"].label == "H"
     assert m.cols["e13"].partner == "v3"
@@ -216,50 +219,68 @@ def test_unpair_inserts_the_pair_and_corrects_cycles():
 
 def test_insert_rejects_a_seq_not_above_every_earlier_one():
     m = HomologyMatrix(2)
-    m.forward_insert("a", 0, {}, (True, 1, 1), 3)
+    m.forward_insert("a", 0, {}, 1, 3)
     with pytest.raises(KernelError):
-        m.forward_insert("b", 0, {}, (True, 2, 1), 3)
-    m.backward_remove("a", (False, 2, 2))
+        m.forward_insert("b", 0, {}, 1, 3)
+    m.backward_remove("a", 2)
     with pytest.raises(KernelError):
-        m.forward_insert("b", 0, {}, (True, 3, 3), 2)
+        m.forward_insert("b", 0, {}, 3, 2)
     assert len(m) == 0 and not m.rowseq
-    m.forward_insert("b", 0, {}, (True, 3, 3), 4)
+    assert m.row_ops == 2  # a refused insertion does not tick the clock
+    m.forward_insert("b", 0, {}, 3, 4)
     assert m.rowseq == {"b": 4}
 
 
 def test_unpair_rejects_a_pair_not_inserted_consecutively():
     m = HomologyMatrix(2)
-    m.forward_insert("v1", 0, {}, (True, 1, 1), 0)
-    m.forward_insert("e13", 1, {}, (True, 2, 1), 5)
+    m.forward_insert("v1", 0, {}, 1, 0)
+    m.forward_insert("e13", 1, {}, 1, 5)
     with pytest.raises(KernelError):
         m.unpair_update("v3", "e23", {"v1": 1, "v3": 1},
-                        {"e13": 1, "e23": 1}, 1, 0, 2, 4)
+                        {"e13": 1, "e23": 1}, 0, 2, 4)
     with pytest.raises(KernelError):
         m.unpair_update("v1", "e23", {"v1": 1}, {"e13": 1, "e23": 1},
-                        1, 0, 0, 1)
+                        0, 0, 1)
     assert set(m.rowseq) == {"v1", "e13"}
+    assert m.row_ops == 2
+
+
+@pytest.mark.parametrize("incidence", [0, 2])
+def test_unpair_with_zero_incidence_leaves_the_matrix_unchanged(incidence):
+    m = HomologyMatrix(2)
+    m.forward_insert("v1", 0, {}, 1, 0)
+    m.forward_insert("e13", 1, {}, 1, 5)
+    rows = dict(m.rowseq)
+    chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
+    with pytest.raises(ZeroInverse):
+        m.unpair_update("v3", "e23", {"v1": 1, "v3": incidence},
+                        {"e13": 1, "e23": 1}, 0, 3, 4)
+    assert m.rowseq == rows and set(m.occ) == set(rows)
+    assert {slot: col.chain for slot, col in m.cols.items()} == chains
+    assert m.row_ops == 2
 
 
 def test_removal_pairs_the_birth_order_minimum():
-    # Forward class (fw, pos 1) and backward class (bw, pos 6) both meet the
-    # removed vertex; the backward one must die and the survivor keep its
-    # forward birth with the blocker's decoupled chain.
+    # Forward class (born in block 1) and backward class (born in block 4)
+    # both meet the removed vertex; the backward one must die and the
+    # survivor keep its forward birth with the blocker's decoupled chain.
     m = HomologyMatrix(2)
-    m.forward_insert("a", 0, {}, (True, 1, 1), 0)
-    m.forward_insert("b", 0, {}, (True, 2, 2), 1)
-    m.forward_insert("ab", 1, {"a": 1, "b": 1}, (True, 3, 3), 2)
-    m.backward_remove("ab", (False, 4, 4))      # reopens as (False, 4, 4)
-    event = m.backward_remove("a", (False, 5, 5))
-    assert event == (0, (False, 4, 4))
-    assert m.cols["b"].birth == (True, 1, 1)
+    m.forward_insert("a", 0, {}, 1, 0)
+    m.forward_insert("b", 0, {}, 2, 1)
+    m.forward_insert("ab", 1, {"a": 1, "b": 1}, 3, 2)  # kills b's class
+    m.backward_remove("ab", 4)      # reopens a class born (-4, 4)
+    assert m.cols["a"].birth == (1, 1) and m.cols["b"].birth == (-4, 4)
+    event = m.backward_remove("a", 5)
+    assert event == (0, 4)
+    assert m.cols["b"].birth == (1, 1)
     assert m.cols["b"].chain == {"b": 1}
 
 
 def test_errors_surface_through_the_wrappers():
     m = HomologyMatrix(2)
     with pytest.raises(UnknownRow):
-        remove_from_matrix(m, "ghost", (False, 1, 1))
-    update = KernelUnpair("t", "s", 0, {}, {}, 2, 0, 1)
+        remove_from_matrix(m, "ghost", 1)
+    update = KernelUnpair("t", "s", 0, {"t": 2}, {}, 0, 1)
     with pytest.raises(ZeroPairIncidence):
         from zzmorse.kernel import unpair_in_matrix
         unpair_in_matrix(m, update)

@@ -231,7 +231,7 @@ def test_remove_unpaired_circle_fixture():
     assert update.tau == v3 and update.sigma == e23
     assert update.sigma_boundary == {v1: 1, v3: 1}
     assert update.tau_cofacets == {e13: 1, e23: 1}
-    assert update.pair_incidence == 1
+    assert update.sigma_boundary[v3] == cx.facets[e23][v3] == 1
     assert m.critical == {v1, e13, v3, e23}
     assert e23 in cx  # a split leaves the complex as it is
     assert apply_atomic(state, RemoveCritical(e23)) == RemoveCritical(e23)
@@ -308,6 +308,7 @@ def test_boundary_update_identity(seed, p):
     tau, sigma = pairs[rng.randrange(len(pairs))]
     before = {nu: morse_boundary(cx, m, nu) for nu in m.critical}
     sdim = cx.dims[sigma]
+    incidence = cx.facets[sigma][tau]
 
     state = MorseState(cx, m)
     update = apply_atomic(state, Split(tau, sigma))
@@ -318,7 +319,7 @@ def test_boundary_update_identity(seed, p):
             assert new == old
         else:
             expected = update_formula(old, update.tau_cofacets.get(nu, 0),
-                                    update.pair_incidence,
+                                    incidence,
                                     update.sigma_boundary, p)
             assert new == expected
 

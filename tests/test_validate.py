@@ -16,7 +16,7 @@ def tiny_matrix(p=2):
     bd = {"a": {}, "b": {}, "ab": {"a": 1, "b": p - 1}}
     dims = {"a": 0, "b": 0, "ab": 1}
     for n, cell in enumerate(("a", "b", "ab")):
-        m.forward_insert(cell, dims[cell], dict(bd[cell]), (True, n + 1, 1), n)
+        m.forward_insert(cell, dims[cell], dict(bd[cell]), 1, n)
     return m, (lambda cell: bd[cell])
 
 
@@ -88,7 +88,7 @@ def test_rejects_a_non_cycle_relabelled_as_cycle():
     def relabel(m):
         for slot, col in m.cols.items():
             if col.label == "H":
-                m.cols[slot] = Column(col.chain, "F", birth=(True, 9, 1))
+                m.cols[slot] = Column(col.chain, "F", birth=(9, 1))
                 m._count(m.rowdim[slot], 1)
     corrupt(relabel)
 
@@ -110,7 +110,7 @@ def test_shadow_counts_match_and_then_diverge():
     state = MorseState.__new__(MorseState)
     state.complex = FakeComplex()
     shadow.mirror(state, InsertCritical("a", 0, {}))
-    live.forward_insert("a", 0, {}, (True, 1, 1), 0)
+    live.forward_insert("a", 0, {}, 1, 0)
     shadow.compare(live)
 
     shadow.mirror(state, InsertCritical("b", 0, {}))
