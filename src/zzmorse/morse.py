@@ -48,11 +48,6 @@ class Matching:
         self.critical.add(sigma)
         return sigma
 
-    def drop_critical(self, cell):
-        if cell not in self.critical:
-            raise NotCritical(repr(cell))
-        self.critical.discard(cell)
-
     def drop_pair(self, tau):
         sigma = self.pair_up.pop(tau)
         del self.pair_down[sigma]

@@ -15,7 +15,7 @@ then leaves as a critical cell.
 
 from collections import namedtuple
 
-from .errors import BrokenInvariant, InvalidOp, NotRemovable
+from .errors import BrokenInvariant, InvalidOp
 from .morse import morse_boundary, morse_coboundary
 
 ForwardCell = namedtuple("ForwardCell", "cell dim boundary")
@@ -81,22 +81,18 @@ def atomize_forward(records, matching):
 def atomize_backward(sigma_set, state):
     """Order a removal block of live cells into atomic ops, last inserted first.
 
-    Facets are inserted before their cofacets, so descending ``cx.seq``
-    removes maximal cells only, once the block holds every cofacet of its
-    cells (``NotRemovable`` otherwise).  A pair holds consecutive seqs, so
-    a king comes just before its queue cell and gives the op for both:
-    RemovePair, or Split then RemoveCritical of the king if the queue cell
-    stays.  A queue cell may not leave without its king (``NotRemovable``).
+    ``sigma_set`` must hold every cofacet of its cells, as
+    ``kernel._translate_backward`` checks.  Facets are inserted before
+    their cofacets, so descending ``cx.seq`` removes maximal cells only.  A
+    pair holds consecutive seqs, so a king comes just before its queue cell
+    and gives the op for both: RemovePair, or Split then RemoveCritical of
+    the king if the queue cell stays.  A queue cell never leaves without its
+    king, which is one of its cofacets.
     """
     cx = state.complex
     m = state.matching
-    sigma_set = set(sigma_set)
     out = []
     for cell in sorted(sigma_set, key=cx.seq.__getitem__, reverse=True):
-        for cof in cx.cofacets[cell]:
-            if cof not in sigma_set:
-                raise NotRemovable(
-                    "cell %r has a cofacet %r outside the block" % (cell, cof))
         if cell in m.pair_down:
             tau = m.pair_down[cell]
             if tau in sigma_set:
@@ -105,8 +101,6 @@ def atomize_backward(sigma_set, state):
                 out += Split(tau, cell), RemoveCritical(cell)
         elif cell not in m.pair_up:
             out.append(RemoveCritical(cell))
-        elif m.pair_up[cell] not in sigma_set:
-            raise NotRemovable("queue cell %r leaves without its king" % (cell,))
     return out
 
 
@@ -158,7 +152,7 @@ def apply_atomic(state, op):
             raise InvalidOp("cell %r is not critical" % (op.cell,))
         if not cx.is_maximal(op.cell):
             raise InvalidOp("cell %r is not maximal" % (op.cell,))
-        m.drop_critical(op.cell)
+        m.critical.discard(op.cell)
         cx.remove_cell(op.cell)
         state.flow_memo.pop(op.cell, None)
         return op

@@ -18,7 +18,8 @@ from conftest import blocks_to_stream, random_block_ops
 from zzmorse.cells import Complex
 from zzmorse.cli import emit_stream, parse_stream
 from zzmorse.errors import (BadParameters, BadStreamLine, InvalidOp,
-                            MissingFacet, ZigzagError)
+                            MissingFacet, NotRemovable, UnknownCell,
+                            ZigzagError)
 from zzmorse.kernel import run_stream
 from zzmorse.stream import BlockOp, ForwardCell
 
@@ -39,6 +40,7 @@ DEFECTS = {
     "unhashable facet id": InvalidOp,
     "boundary not a mapping": InvalidOp,
     "unhashable backward id": InvalidOp,
+    "facet removed before its cofacet": NotRemovable,
     "block not a pair": InvalidOp,
     "cells not iterable": InvalidOp,
     "float p": BadParameters,
@@ -141,6 +143,21 @@ def test_both_pipelines_refuse_the_same_input(seed, p, defect, data):
         b = data.draw(st.integers(0, len(blocks) - 1))
         blocks[b] = (None if defect == "block not a pair"
                      else BlockOp(blocks[b].direction, None))
+    elif defect == "facet removed before its cofacet":
+        facets = {fc.cell: fc.boundary for d, cells in blocks if d == "F"
+                  for fc in cells}
+        targets = [(b, f) for b, (d, cells) in enumerate(blocks) if d == "B"
+                   for cell in cells for f in facets[cell]]
+        if targets:
+            # f leaves in its own block just before a block taking a cofacet
+            b, f = data.draw(st.sampled_from(targets))
+            blocks = [BlockOp(d, [c for c in cells if c != f])
+                      if d == "B" else BlockOp(d, cells)
+                      for d, cells in blocks]
+            blocks.insert(b, BlockOp("B", [f]))
+        else:
+            blocks[0].cells[0] = damage(blocks[0].cells[0], "self facet")
+            defect = "self facet"
     elif defect is not None:
         direction = "B" if defect == "unhashable backward id" else "F"
         targets = [(b, i) for b, block in enumerate(blocks)
@@ -204,6 +221,10 @@ def test_door_errors_name_the_defect(morse):
         run_stream([BlockOp("F", None)], morse=morse)
     with pytest.raises(InvalidOp, match=r"forward record \(1, 0\)"):
         run_stream([BlockOp("F", [(1, 0)])], morse=morse)
+    with pytest.raises(InvalidOp, match="stream 5 is not iterable"):
+        run_stream(5, morse=morse)
+    with pytest.raises(InvalidOp, match="stream None is not iterable"):
+        run_stream(None, morse=morse)
     with pytest.raises(BadParameters):
         run(ForwardCell(1, 0, {}), p=5.0)
     plain = [("F", [ForwardCell(1, 0, {})]), ("B", [1])]
@@ -212,6 +233,27 @@ def test_door_errors_name_the_defect(morse):
                             ForwardCell(3, 1, {1: 1, 2: np.int64(4)})]),
               BlockOp("B", [3, 1, 2])]
     assert run_stream(blocks, p=np.int64(5), morse=morse)[0] == [(0, 1, 1)]
+
+
+@pytest.mark.parametrize("morse", [True, False])
+def test_removal_errors_name_the_callers_ids(morse):
+    edge = ("F", [("a", 0, {}), ("b", 0, {}), ("ab", 1, {"a": 1, "b": 1})])
+
+    def run(*removals):
+        return run_stream([edge] + [("B", r) for r in removals], morse=morse)
+
+    with pytest.raises(NotRemovable,
+                       match="cell 'a' has a cofacet 'ab' outside the block"):
+        run(["a"])
+    with pytest.raises(NotRemovable, match="cell 'b' has a cofacet 'ab'"):
+        run(["b", "a"])
+    with pytest.raises(UnknownCell, match="cell id 'z' is not alive"):
+        run(["ab", "z"])
+    with pytest.raises(InvalidOp, match="cell id 'ab' removed twice"):
+        run(["ab", "ab"])
+    with pytest.raises(UnknownCell, match="cell id 'ab' is not alive"):
+        run(["ab"], ["ab"])
+    assert run(["ab"], ["a", "b"])[0] == [(0, 1, 2), (0, 2, 2)]
 
 
 # one malformed record on top of the vertices 0 and 1 -> the error for it

@@ -361,7 +361,7 @@ def test_max_dim_must_be_a_non_negative_integer(max_dim):
         random_block_stream(1, max_dim=max_dim)
 
 
-@pytest.mark.parametrize("spacing", [np.nan, np.inf, "0.2"])
+@pytest.mark.parametrize("spacing", [np.nan, np.inf, "0.2", 1e-300, 5e-324])
 def test_level_spacing_must_be_finite(spacing):
     with pytest.raises(BadParameters, match="spacing"):
         even_levels(fourier_image((3, 3, 3), seed=1, terms=2), spacing)
@@ -404,3 +404,58 @@ def test_levels_must_be_reals(levels):
     img = ScalarImage((2, 1, 1), [0.0, 1.0])
     with pytest.raises(NonMonotoneLevels):
         levelset_stream(img, levels)
+
+
+@pytest.mark.parametrize("jitter", ["x", np.nan, None, -0.5])
+def test_circle_jitter_must_be_a_finite_real(jitter):
+    with pytest.raises(BadParameters, match="jitter"):
+        circle_points(5, 1, jitter=jitter)
+
+
+def test_zero_jitter_spaces_points_evenly():
+    pts = circle_points(4, 1, jitter=0.0)
+    assert np.allclose(pts, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: circle_points(5, seed),
+    lambda seed: fourier_image((3, 3, 3), seed, 2)], ids=["circle", "fourier"])
+@pytest.mark.parametrize("seed", ["abc", -1, 1.5])
+def test_seeds_must_be_non_negative_integers(call, seed):
+    with pytest.raises(BadParameters, match="seed"):
+        call(seed)
+
+
+def test_random_stream_seed_must_be_an_integer():
+    with pytest.raises(BadParameters, match="seed"):
+        random_block_stream([1, 2])
+
+
+def test_points_must_be_real_numbers():
+    with pytest.raises(BadParameters, match="real numbers"):
+        oscillating_rips_stream({1: 2}, 1, 2)
+
+
+def test_levelset_input_must_be_an_image():
+    with pytest.raises(BadParameters, match="ScalarImage"):
+        levelset_stream(None, [0, 1])
+    with pytest.raises(BadParameters, match="ScalarImage"):
+        even_levels(None, 0.1)
+
+
+def test_image_dims_and_values_are_checked():
+    with pytest.raises(BadParameters, match="dims must be a sequence"):
+        ScalarImage(3, [1, 2, 3])
+    with pytest.raises(BadParameters, match="values must be real"):
+        ScalarImage((1, 1, 1), "a")
+
+
+@pytest.mark.parametrize("subset", ["ab", [5], [-1], [0.5], 1])
+def test_rips_subset_must_index_points(subset):
+    with pytest.raises(BadParameters, match="subset"):
+        rips_complex([[0.0], [1.0]], 1.0, subset=subset)
+
+
+def test_rips_subset_accepts_numpy_indices():
+    cx = rips_complex([[0.0], [1.0], [5.0]], 1.0, subset=np.array([1, 0]))
+    assert sorted(cx.simplex_ids) == [(0,), (0, 1), (1,)]

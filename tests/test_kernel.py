@@ -13,12 +13,11 @@ from zzmorse.errors import (
     InvalidOp,
     KernelError,
     UnknownCell,
-    UnknownRow,
     ZeroInverse,
-    ZeroPairIncidence,
     ZigzagError,
 )
-from zzmorse.kernel import insert_into_matrix, remove_from_matrix, run_stream
+from zzmorse.kernel import (insert_into_matrix, remove_from_matrix, run_stream,
+                            unpair_in_matrix)
 from zzmorse.matrix import HomologyMatrix
 from zzmorse.oracle import block_diagram
 from zzmorse.stream import BlockOp, ForwardCell, KernelUnpair
@@ -277,13 +276,20 @@ def test_removal_pairs_the_birth_order_minimum():
 
 
 def test_errors_surface_through_the_wrappers():
+    # The wrappers add no checks of their own: the kernel refuses an unknown
+    # row and a zero pair incidence before it writes anything.
     m = HomologyMatrix(2)
-    with pytest.raises(UnknownRow):
-        remove_from_matrix(m, "ghost", 1)
-    update = KernelUnpair("t", "s", 0, {"t": 2}, {}, 0, 1)
-    with pytest.raises(ZeroPairIncidence):
-        from zzmorse.kernel import unpair_in_matrix
+    m.forward_insert("v", 0, {}, 1, 0)
+    rows = dict(m.rowseq)
+    chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
+    with pytest.raises(KernelError, match="'ghost' has no row"):
+        remove_from_matrix(m, "ghost", 2)
+    update = KernelUnpair("t", "s", 0, {"t": 2}, {}, 1, 2)
+    with pytest.raises(ZeroInverse):
         unpair_in_matrix(m, update)
+    assert m.rowseq == rows and set(m.occ) == set(rows)
+    assert {slot: col.chain for slot, col in m.cols.items()} == chains
+    assert m.row_ops == 1
 
 
 def test_non_cycle_boundary_is_rejected():

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import (cell_records, grow_records, is_acyclic_matching, make_rng,
                       random_complex)
-from zzmorse.cells import Complex, build_simplicial, chain_addmul, field_inv, full_triangle
+from zzmorse.cells import (Complex, build_simplicial, chain_addmul, field_inv,
+                           full_triangle, simplex_facets)
 from zzmorse.errors import InvalidOp, NotRemovable
+from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce, morse_boundary
 from zzmorse.oracle import betti_numbers
 from zzmorse.stream import (
@@ -160,25 +162,41 @@ def test_atomize_backward_critical_vertex():
     assert atomize_backward({v}, MorseState(cx, m)) == [RemoveCritical(v)]
 
 
+def triangle_blocks():
+    faces = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    return [("F", [(s, len(s) - 1, simplex_facets(s)) for s in faces])]
+
+
 def test_atomize_backward_not_removable():
-    cx, m, ids = triangle_state()
-    with pytest.raises(NotRemovable):
-        atomize_backward({ids[(1, 2)]}, MorseState(cx, m))
+    # the door refuses the block before any op, naming the caller's ids
+    blocks = triangle_blocks() + [("B", [(1, 2)])]
+    with pytest.raises(NotRemovable,
+                       match=r"cell \(1, 2\) has a cofacet \(1, 2, 3\) outside"):
+        run_stream(blocks)
 
 
 def test_atomize_backward_queue_without_king():
-    cx, m, ids = triangle_state()
-    cx.remove_cell(ids[(1, 2, 3)])
-    m.unpair(ids[(1, 3)])
-    m.drop_critical(ids[(1, 2, 3)])
-    with pytest.raises(NotRemovable):
-        # (3,) is queued under (2,3), which the block leaves behind
-        atomize_backward({ids[(3,)], ids[(1, 3)]}, MorseState(cx, m))
+    # Once the triangle is gone, two vertices are queue cells of edges.
+    # Every block taking a vertex and one of its edges leaves the other
+    # edge behind, a king among them; the door refuses each one.
+    seen = []
+
+    def observe(state, matrix, op):
+        queues = state.matching.pair_up
+        seen.append(sum(state.complex.dims[t] == 0 for t in queues))
+
+    start = triangle_blocks() + [("B", [(1, 2, 3)])]
+    edges = [(1, 2), (1, 3), (2, 3)]
+    for v in (1, 2, 3):
+        mine = [e for e in edges if v in e]
+        for gone, kept in (mine, mine[::-1]):
+            with pytest.raises(NotRemovable, match=r"cell \(%d,\) has a "
+                               r"cofacet \(%d, %d\)" % ((v,) + kept)):
+                run_stream(start + [("B", [(v,), gone])], observer=observe)
+    assert seen[-1] == 2
     # with the king included the same cells decompose fine
-    ops = atomize_backward({ids[(3,)], ids[(2, 3)], ids[(1, 3)]},
-                           MorseState(cx, m))
-    assert RemovePair(ids[(3,)], ids[(2, 3)]) in ops
-    assert RemoveCritical(ids[(1, 3)]) in ops
+    rest = [("B", [(3,), (1, 3), (2, 3)]), ("B", [(1, 2), (1,), (2,)])]
+    assert run_stream(start + rest)[0] == [(0, 1, 3), (1, 2, 2)]
 
 
 def test_atomize_backward_never_splits_inner_pairs():

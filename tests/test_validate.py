@@ -118,6 +118,17 @@ def test_shadow_counts_match_and_then_diverge():
         shadow.compare(live)
 
 
+@pytest.mark.parametrize("morse", [True, False])
+def test_block_audit_notices_a_phantom_critical_cell(morse):
+    def add_phantom(state, matrix, op):
+        state.matching.critical.add("phantom")
+
+    blocks = [("F", [("v", 0, {})]), ("B", ["v"])]
+    with pytest.raises(BrokenInvariant, match="matrix rows diverge"):
+        run_stream(blocks, morse=morse, validate=True, observer=add_phantom)
+    assert run_stream(blocks, morse=morse, observer=add_phantom)[0] == [(0, 1, 1)]
+
+
 def test_apply_boundary_is_linear():
     bd = {"x": {"u": 1, "v": 4}, "y": {"v": 1}}
     out = apply_boundary({"x": 1, "y": 1}, bd.get, 5)
