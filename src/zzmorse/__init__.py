@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cells import Complex, build_cubical, build_simplicial, field_inv
+from .cells import Complex
 from .generators import (
     ScalarImage,
     circle_points,
@@ -11,7 +11,6 @@ from .generators import (
     furthest_point_ordering,
     levelset_stream,
     oscillating_rips_stream,
-    rips_complex,
 )
 from .kernel import Interval, Metrics, run_stream
 from .stream import BlockOp, ForwardCell
@@ -23,16 +22,12 @@ __all__ = [
     "Interval",
     "Metrics",
     "ScalarImage",
-    "build_cubical",
-    "build_simplicial",
     "circle_points",
     "even_levels",
-    "field_inv",
     "fourier_image",
     "furthest_point_ordering",
     "levelset_stream",
     "oscillating_rips_stream",
-    "rips_complex",
     "run_stream",
     "__version__",
 ]

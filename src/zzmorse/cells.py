@@ -7,14 +7,11 @@ is stored mirrored.  Chains are plain dicts CellId -> nonzero coefficient in
 """
 
 import operator
-from itertools import combinations
 
 from .errors import (
     BadParameters,
     BrokenBoundary,
-    EmptyDims,
     InvalidOp,
-    MissingFace,
     MissingFacet,
     NotMaximal,
     UnknownCell,
@@ -128,9 +125,6 @@ class Complex:
     def __len__(self):
         return len(self.dims)
 
-    def __contains__(self, cell):
-        return cell in self.dims
-
     def fresh_id(self):
         """Reserve and return an unused CellId."""
         cid = self._next_id
@@ -185,21 +179,6 @@ class Complex:
             raise UnknownCell(repr(cell))
         return not self.cofacets[cell]
 
-    def check_mirrors(self):
-        """Assert facet/cofacet mirror consistency (test hook)."""
-        for cell, bd in self.facets.items():
-            for facet, coeff in bd.items():
-                assert self.cofacets[facet][cell] == coeff
-        for cell, cb in self.cofacets.items():
-            for cofacet, coeff in cb.items():
-                assert self.facets[cofacet][cell] == coeff
-
-    def check_dd_zero(self):
-        """Assert d(d(cell)) = 0 for every cell (test hook)."""
-        for cell, bd in self.facets.items():
-            assert not apply_boundary(bd, self.facets.__getitem__, self.p), \
-                "dd != 0 at cell %r" % (cell,)
-
 
 def simplex_facets(simplex):
     """Facet chain {face tuple: +-1} of a sorted vertex tuple.
@@ -211,26 +190,6 @@ def simplex_facets(simplex):
         return {}
     return {simplex[:j] + simplex[j + 1:]: (1 if j % 2 == 0 else -1)
             for j in range(len(simplex))}
-
-
-def build_simplicial(simplices, p=2):
-    """Complex from a face-closed list of strictly sorted vertex tuples.
-
-    The tuple -> CellId map is left on the result as ``simplex_ids``.
-    """
-    cx = Complex(p)
-    index = {}
-    for simplex in sorted(set(tuple(s) for s in simplices), key=lambda s: (len(s), s)):
-        if list(simplex) != sorted(set(simplex)):
-            raise MissingFace("vertex list %r is not strictly sorted" % (simplex,))
-        bd = {}
-        for face, sign in simplex_facets(simplex).items():
-            if face not in index:
-                raise MissingFace("face %r of %r is missing" % (face, simplex))
-            bd[index[face]] = sign
-        index[simplex] = cx.insert_cell(len(simplex) - 1, bd)
-    cx.simplex_ids = index
-    return cx
 
 
 def iter_cubes(dims):
@@ -283,31 +242,3 @@ def cube_vertices(cube):
         else:
             spans.append((v // 2, v // 2 + 1))
     return [(x, y, z) for x in spans[0] for y in spans[1] for z in spans[2]]
-
-
-def build_cubical(dims, p=2):
-    """Full cubical grid complex with nx*ny*nz vertices.
-
-    The cube -> CellId map is left on the result as ``cube_ids``.
-    """
-    if len(dims) != 3:
-        raise EmptyDims("dims must be a 3-tuple")
-    if any(n < 1 for n in dims):
-        raise EmptyDims("grid extents must be >= 1, got %r" % (dims,))
-    cx = Complex(p)
-    index = {}
-    for cube in iter_cubes(dims):
-        bd = {index[c]: sign for c, sign in cube_facets(cube).items()}
-        index[cube] = cx.insert_cell(cube_dim(cube), bd)
-    cx.cube_ids = index
-    return cx
-
-
-def full_triangle(p=2):
-    """The filled triangle on vertices 1,2,3 (test fixture)."""
-    return build_simplicial(
-        [(v,) for v in (1, 2, 3)]
-        + [e for e in combinations((1, 2, 3), 2)]
-        + [(1, 2, 3)],
-        p=p,
-    )

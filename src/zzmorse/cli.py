@@ -17,9 +17,9 @@ import numpy as np
 from .cells import check_prime
 from .errors import (BadHeader, BadParameters, BadStreamLine, CountMismatch,
                      EmptyFile, RaggedRow, ZigzagError)
-from .generators import (ScalarImage, as_point_cloud, blocks_to_stream,
-                         even_levels, levelset_stream, oscillating_rips_stream,
-                         random_block_stream)
+from .generators import (ScalarImage, _integer, _real, as_point_cloud,
+                         blocks_to_stream, even_levels, levelset_stream,
+                         oscillating_rips_stream, random_block_stream)
 from .kernel import run_stream
 from .oracle import block_diagram
 from .stream import BlockOp, ForwardCell
@@ -258,9 +258,9 @@ def levelset(image, epsilon, levels, seed, noise, p, **run):
                     "--levels expects comma-separated numbers") from None
         img = parse_image(image)
         if noise:
-            rng = np.random.default_rng(seed)
-            img = ScalarImage(
-                img.dims, img.values + rng.uniform(0.0, noise, img.dims))
+            rng = np.random.default_rng(_integer("seed", seed, 0))
+            img = ScalarImage(img.dims, img.values + rng.uniform(
+                0.0, _real("--noise", noise, 0), img.dims))
         if levels is None:
             if epsilon is None:
                 raise BadParameters("levelset mode needs --epsilon or --levels")
@@ -288,6 +288,7 @@ def stream(blocks, p, **run):
 def oracle_check(seed, runs, p, validate):
     """Differential test: engine vs brute-force decomposition."""
     def command():
+        _integer("--runs", runs, 1)
         failures = 0
         for s in range(seed, seed + runs):
             ops = random_block_stream(s, p=p)

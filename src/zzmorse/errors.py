@@ -24,10 +24,6 @@ class MissingFacet(ZigzagError):
     """A cell insertion references a facet that is not in the complex."""
 
 
-class MissingFace(MissingFacet):
-    """A simplex list is not closed under taking faces."""
-
-
 class BrokenBoundary(ZigzagError):
     """The provided boundary chain is not a cycle (d(d(cell)) != 0)."""
 

@@ -95,13 +95,12 @@ def furthest_point_ordering(points, start=0):
     return order, eps
 
 
-# -- Rips complexes -----------------------------------------------------------------
+# -- oscillating Rips zigzag --------------------------------------------------------
 
-def _cliques(d2, members, thr2, max_verts):
-    """Simplices (sorted member tuples) of squared diameter <= thr2 -> diam2."""
-    members = sorted(members)
-    adj = {v: set() for v in members}
-    for a, b in combinations(members, 2):
+def _cliques(d2, count, thr2, max_verts):
+    """Simplices on points 0..count-1 of squared diameter <= thr2 -> diam2."""
+    adj = {v: set() for v in range(count)}
+    for a, b in combinations(range(count), 2):
         if d2[a, b] <= thr2:
             adj[a].add(b)
             adj[b].add(a)
@@ -119,36 +118,12 @@ def _cliques(d2, members, thr2, max_verts):
             if len(s) < max_verts:
                 grow(s, nd, [u for u in cand[idx + 1:] if u in adj[w]])
 
-    for v in members:
+    for v in range(count):
         out[(v,)] = 0.0
         if max_verts > 1:
             grow((v,), 0.0, sorted(u for u in adj[v] if u > v))
     return out
 
-
-def rips_complex(points, rho, max_dim=2, subset=None, p=2):
-    """Clique complex of the threshold-rho graph, simplices up to max_dim.
-
-    Membership compares squared distances against rho**2 exactly; the
-    threshold is inclusive.  ``subset`` restricts to those point indices.
-    """
-    from .cells import build_simplicial
-
-    pts = as_point_cloud(points)
-    max_dim = _integer("max_dim", max_dim, 0)
-    rho = _real("rho", rho)
-    if subset is None:
-        members = range(len(pts))
-    elif np.iterable(subset):
-        members = {_integer("subset index", v, 0, len(pts)) for v in subset}
-    else:
-        raise BadParameters("subset must be point indices, got %r" % (subset,))
-    thr2 = rho * rho if rho >= 0 else -1.0
-    cl = _cliques(_pairwise_sq(pts), members, thr2, max_dim + 1)
-    return build_simplicial(sorted(cl, key=lambda s: (len(s), s)), p=p)
-
-
-# -- oscillating Rips zigzag --------------------------------------------------------
 
 def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     """Blocks growing the Rips scale at each new point, then shrinking it.
@@ -172,7 +147,7 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     live = {}  # simplex (position tuple) -> squared diameter
 
     def forward_to(count, scale):
-        target = _cliques(d2, range(count), scale * scale, max_dim + 1)
+        target = _cliques(d2, count, scale * scale, max_dim + 1)
         new = sorted((s for s in target if s not in live),
                      key=lambda s: (len(s), s))
         cells = [ForwardCell(s, len(s) - 1, simplex_facets(s)) for s in new]

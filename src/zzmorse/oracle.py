@@ -1,13 +1,14 @@
 """Brute-force zigzag interval decomposition for small instances.
 
 This module is the ground truth the streaming engine is tested against.  It
-replays an atomic stream into explicit complex snapshots, computes homology
+replays a block stream into explicit complex snapshots, computes homology
 spaces and inclusion-induced maps by dense mod-p linear algebra, and
 decomposes the resulting module into intervals.  It deliberately shares no
 code with the Morse engine or the streaming kernel beyond field arithmetic.
 
-Streams are plain tuples: ``("i", cell, dim, {facet: coeff})`` inserts a cell,
-``("r", cell)`` removes one.  Cell names may be any hashable.
+A stream is a list of blocks, each a list of plain tuples:
+``("i", cell, dim, {facet: coeff})`` inserts a cell, ``("r", cell)`` removes
+one.  Cell names may be any hashable.
 """
 
 import numpy as np
@@ -107,73 +108,62 @@ class ExplicitModule:
                                 % (i, mat.shape, (self.spaces[dst], self.spaces[src])))
 
 
-def _replay(ops):
-    """States before/after each op as plain ``{cell: (dim, boundary)}`` dicts."""
-    state = {}
-    states = [dict(state)]
-    directions = []
-    for op in ops:
-        if op[0] == "i":
-            _, cell, dim, bnd = op
-            if cell in state:
-                raise InvalidOp("cell %r inserted twice" % (cell,))
-            for facet in bnd:
-                if facet not in state or state[facet][0] != dim - 1:
-                    raise MissingFacet("facet %r for %r" % (facet, cell))
-            state[cell] = (dim, dict(bnd))
-            directions.append("fwd")
-        elif op[0] == "r":
-            _, cell = op
-            if cell not in state:
-                raise UnknownCell(repr(cell))
-            for other, (_, bnd) in state.items():
-                if cell in bnd:
-                    raise NotMaximal("%r is a facet of %r" % (cell, other))
-            del state[cell]
-            directions.append("bwd")
-        else:
-            raise InvalidOp("unknown op %r" % (op,))
-        if len(state) > MAX_CELLS:
-            raise TooLarge("state exceeds %d cells" % MAX_CELLS)
-        states.append(dict(state))
-    return states, directions
-
-
-def _module_over_states(states, directions, dim, p):
-    snaps = [_SnapshotHomology(s, dim, p) for s in states]
-    maps = []
-    for i, direction in enumerate(directions):
-        if direction == "fwd":
-            maps.append(("fwd", _induced_map(snaps[i], snaps[i + 1])))
-        else:
-            maps.append(("bwd", _induced_map(snaps[i + 1], snaps[i])))
-    return ExplicitModule([s.dim for s in snaps], maps, p)
-
-
-def homology_module(ops, dim, p=2):
-    """Homology-in-``dim`` zigzag module of an atomic stream, one arrow per op."""
-    states, directions = _replay(ops)
-    return _module_over_states(states, directions, dim, p)
-
-
-def block_module(blocks, dim, p=2):
-    """Module over block-boundary snapshots, one arrow per block.
+def _replay(blocks):
+    """Arrow kinds and block-boundary states of a block stream.
 
     Each block is a list of atomic ops of a single kind ("i" or "r"); an
-    empty block is an identity arrow.
+    empty block is an identity arrow.  States are plain
+    ``{cell: (dim, boundary)}`` dicts: the empty one, then one after each
+    block.
     """
-    ops = []
-    marks = [0]
+    state = {}
+    states = [{}]
     kinds = []
     for block in blocks:
         used = {op[0] for op in block}
         if len(used) > 1:
             raise InvalidOp("mixed insert/remove block")
         kinds.append("fwd" if used != {"r"} else "bwd")
-        ops.extend(block)
-        marks.append(len(ops))
-    states, _ = _replay(ops)
-    return _module_over_states([states[m] for m in marks], kinds, dim, p)
+        for op in block:
+            if op[0] == "i":
+                _, cell, dim, bnd = op
+                if cell in state:
+                    raise InvalidOp("cell %r inserted twice" % (cell,))
+                for facet in bnd:
+                    if facet not in state or state[facet][0] != dim - 1:
+                        raise MissingFacet("facet %r for %r" % (facet, cell))
+                state[cell] = (dim, dict(bnd))
+            elif op[0] == "r":
+                _, cell = op
+                if cell not in state:
+                    raise UnknownCell(repr(cell))
+                for other, (_, bnd) in state.items():
+                    if cell in bnd:
+                        raise NotMaximal("%r is a facet of %r" % (cell, other))
+                del state[cell]
+            else:
+                raise InvalidOp("unknown op %r" % (op,))
+            if len(state) > MAX_CELLS:
+                raise TooLarge("state exceeds %d cells" % MAX_CELLS)
+        states.append(dict(state))
+    return kinds, states
+
+
+def _module_over_states(kinds, states, dim, p):
+    snaps = [_SnapshotHomology(s, dim, p) for s in states]
+    maps = []
+    for i, kind in enumerate(kinds):
+        if kind == "fwd":
+            maps.append(("fwd", _induced_map(snaps[i], snaps[i + 1])))
+        else:
+            maps.append(("bwd", _induced_map(snaps[i + 1], snaps[i])))
+    return ExplicitModule([s.dim for s in snaps], maps, p)
+
+
+def block_module(blocks, dim, p=2):
+    """Homology-in-``dim`` module over block-boundary snapshots, one arrow
+    per block."""
+    return _module_over_states(*_replay(blocks), dim, p)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +260,13 @@ def block_diagram(blocks, p=2):
     Interval endpoints are block indices: a class alive in the snapshots after
     blocks b..d is reported as [b, d].  The stream must end empty.
     """
-    top = -1
-    for block in blocks:
-        for op in block:
-            if op[0] == "i":
-                top = max(top, op[2])
+    kinds, states = _replay(blocks)
+    if states[-1]:
+        raise InvalidOp("stream must start and end at the empty complex")
+    top = max((d for s in states for d, _ in s.values()), default=-1)
     out = []
     for dim in range(top + 1):
-        mod = block_module(blocks, dim, p)
-        if mod.spaces[0] != 0 or mod.spaces[-1] != 0:
-            raise InvalidOp("stream must start and end at the empty complex")
+        mod = _module_over_states(kinds, states, dim, p)
         for b, d in decompose_module(mod):
             out.append((dim, b - 1, d - 1))
     return sorted(out)

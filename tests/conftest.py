@@ -1,9 +1,10 @@
-"""Shared helpers: random streams for differential testing, and a matching
-acyclicity check."""
+"""Shared helpers: small complexes, random streams for differential
+testing, and a matching acyclicity check."""
 
 import random
 import re
 
+from zzmorse.cells import Complex, simplex_facets
 from zzmorse.errors import UnknownCell
 from zzmorse.generators import (_random_cycle, blocks_to_stream,
                                 random_block_stream)
@@ -35,10 +36,46 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                                     " (%s)" % note if note else ""))
 
 
+def build_simplicial(simplices, p=2):
+    """Complex of a face-closed list of sorted vertex tuples.
+
+    The tuple -> CellId map is left on the result as ``simplex_ids``.
+    """
+    cx = Complex(p)
+    ids = {}
+    for s in sorted(set(map(tuple, simplices)), key=lambda s: (len(s), s)):
+        ids[s] = cx.insert_cell(len(s) - 1, {ids[f]: sign for f, sign
+                                             in simplex_facets(s).items()})
+    cx.simplex_ids = ids
+    return cx
+
+
+def full_triangle(p=2):
+    """The filled triangle on vertices 1, 2, 3."""
+    return build_simplicial([(1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
+                             (1, 2, 3)], p)
+
+
+def check_mirrors(cx):
+    """Assert that the facet and cofacet maps of cx mirror each other."""
+    down = {(c, f, k) for c, bd in cx.facets.items() for f, k in bd.items()}
+    up = {(c, f, k) for f, cb in cx.cofacets.items() for c, k in cb.items()}
+    assert down == up
+
+
+def stream_to_ops(blocks):
+    """BlockOp stream -> oracle-style op blocks."""
+    out = []
+    for b in blocks:
+        if b.direction == "F":
+            out.append([("i", c.cell, c.dim, c.boundary) for c in b.cells])
+        else:
+            out.append([("r", c) for c in b.cells])
+    return out
+
+
 def random_complex(rng, p=2, n=10, max_dim=3):
     """A random small complex grown by inserting random cycles as boundaries."""
-    from zzmorse.cells import Complex
-
     cx = Complex(p=p, validate=True)
     for _ in range(n):
         dim = rng.randint(0, max_dim)

@@ -12,7 +12,8 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from conftest import ACCEPTANCE, cell_records, make_rng, random_complex
+from conftest import (ACCEPTANCE, cell_records, make_rng, random_complex,
+                      stream_to_ops)
 from test_morse import brute_boundary
 from test_stream import update_formula
 from zzmorse.cli import emit_image, emit_stream, format_diagram, main
@@ -30,16 +31,6 @@ from zzmorse.morse import Matching, coreduce
 from zzmorse.oracle import block_diagram
 from zzmorse.stream import MorseState, RemoveCritical, Split, apply_atomic
 from zzmorse.validate import check_betti, check_invariants
-
-
-def stream_to_ops(blocks):
-    out = []
-    for b in blocks:
-        if b.direction == "F":
-            out.append([("i", c.cell, c.dim, c.boundary) for c in b.cells])
-        else:
-            out.append([("r", c) for c in b.cells])
-    return out
 
 
 def random_streams():

@@ -1,25 +1,34 @@
-"""Complex construction, incidence algebra, and the builder sign rules."""
+"""Complex construction, incidence algebra, and the cell sign rules."""
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import build_simplicial, check_mirrors, full_triangle
 from zzmorse.cells import (
     Complex,
-    build_cubical,
-    build_simplicial,
+    apply_boundary,
     chain_addmul,
+    cube_dim,
+    cube_facets,
     field_inv,
-    full_triangle,
+    iter_cubes,
+    simplex_facets,
 )
 from zzmorse.errors import (
     BrokenBoundary,
-    EmptyDims,
-    MissingFace,
     MissingFacet,
     NotMaximal,
     UnknownCell,
     ZeroInverse,
 )
+
+
+def dd_is_zero(cx):
+    """True iff the boundary of every cell's boundary vanishes."""
+    return not any(apply_boundary(bd, cx.facets.__getitem__, cx.p)
+                   for bd in cx.facets.values())
 
 
 def test_field_inv_small_values():
@@ -64,8 +73,8 @@ def test_insert_vertex_and_edge():
     assert cx.facets[e13] == {v1: 1, v3: 1}
     assert cx.cofacets[v1] == {e13: 1}
     assert cx.facets[v1] == {}
-    cx.check_mirrors()
-    cx.check_dd_zero()
+    check_mirrors(cx)
+    assert dd_is_zero(cx)
 
 
 def test_insert_missing_facet():
@@ -114,7 +123,7 @@ def test_remove_cell_rules():
     cx.remove_cell(e13)  # now maximal
     with pytest.raises(UnknownCell):
         cx.remove_cell(t)
-    cx.check_mirrors()
+    check_mirrors(cx)
 
 
 def test_remove_from_empty():
@@ -143,39 +152,31 @@ def test_build_simplicial_full_triangle_dd_zero():
     for p in (2, 3, 5):
         cx = full_triangle(p)
         assert len(cx) == 7
-        cx.check_dd_zero()
-        cx.check_mirrors()
+        assert dd_is_zero(cx)
+        check_mirrors(cx)
 
 
-def test_build_simplicial_missing_face():
-    with pytest.raises(MissingFace):
-        build_simplicial([(1, 2)])
+@pytest.mark.parametrize("p", [2, 5])
+def test_simplex_facets_dd_zero(p):
+    for k in range(1, 5):
+        for simplex in combinations(range(5), k):
+            assert not apply_boundary(simplex_facets(simplex), simplex_facets, p)
 
 
-def test_build_cubical_counts():
-    cx = build_cubical((2, 1, 1))
-    assert sorted(cx.dims.values()) == [0, 0, 1]
-    cx = build_cubical((2, 2, 1))
-    dims = sorted(cx.dims.values())
+def test_cube_dim_counts():
+    assert sorted(map(cube_dim, iter_cubes((2, 1, 1)))) == [0, 0, 1]
+    dims = sorted(map(cube_dim, iter_cubes((2, 2, 1))))
     assert dims.count(0) == 4 and dims.count(1) == 4 and dims.count(2) == 1
-    cx.check_dd_zero()
-    assert len(build_cubical((1, 1, 1))) == 1
+    assert iter_cubes((1, 1, 1)) == [(0, 0, 0)]
 
 
-def test_build_cubical_dd_zero_3d():
+def test_cube_facets_dd_zero():
     for p in (2, 5):
-        cx = build_cubical((2, 2, 2), p=p)
-        assert len(cx) == 27
-        cx.check_dd_zero()
-        cx.check_mirrors()
-
-
-def test_build_cubical_empty_dims():
-    with pytest.raises(EmptyDims):
-        build_cubical((0, 1, 1))
+        for dims in ((2, 2, 2), (3, 2, 1), (2, 3, 2)):
+            for cube in iter_cubes(dims):
+                assert not apply_boundary(cube_facets(cube), cube_facets, p)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 def test_cubical_cell_count(nx, ny, nz):
-    cx = build_cubical((nx, ny, nz))
-    assert len(cx) == (2 * nx - 1) * (2 * ny - 1) * (2 * nz - 1)
+    assert len(iter_cubes((nx, ny, nz))) == (2 * nx - 1) * (2 * ny - 1) * (2 * nz - 1)

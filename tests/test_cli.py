@@ -211,6 +211,20 @@ def test_levelset_noise_is_seeded(tmp_path):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("noise, seed, message", [
+    ("0.1", "-1", "seed must be an integer in [0, inf)"),
+    ("-0.5", "0", "--noise must be a finite real number above 0"),
+    ("nan", "0", "--noise must be a finite real number above 0"),
+    ("inf", "0", "--noise must be a finite real number above 0")])
+def test_levelset_noise_parameters_are_checked(tmp_path, noise, seed, message):
+    img = tmp_path / "img.txt"
+    img.write_text("dims 3 2 1\n0 1 0 0.5 0.2 0.8\n")
+    result = CliRunner().invoke(main, ["levelset", str(img), "--epsilon", "0.5",
+                                       "--noise", noise, "--seed", seed])
+    assert result.exit_code == 2
+    assert "error: " + message in result.output
+
+
 def test_levelset_explicit_levels(tmp_path):
     path = tmp_path / "img.txt"
     path.write_text(emit_image(fourier_image((4, 3, 2), seed=5, terms=3)))
@@ -249,6 +263,14 @@ def test_oracle_check_reports_pass_counts():
                                   "--field-char", "5"])
     assert result.exit_code == 0
     assert "passed 5/5" in result.output
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_oracle_check_needs_at_least_one_run(runs):
+    result = CliRunner().invoke(main, ["oracle-check", "--runs", runs])
+    assert result.exit_code == 2
+    assert "error: --runs must be an integer in [1, inf)" in result.output
+    assert "passed" not in result.output
 
 
 def test_module_entry_point(tmp_path):

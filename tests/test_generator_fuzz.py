@@ -15,8 +15,7 @@ from zzmorse.errors import ZigzagError
 from zzmorse.generators import (ScalarImage, as_point_cloud, blocks_to_stream,
                                 circle_points, even_levels, fourier_image,
                                 furthest_point_ordering, levelset_stream,
-                                oscillating_rips_stream, random_block_stream,
-                                rips_complex)
+                                oscillating_rips_stream, random_block_stream)
 from zzmorse.kernel import run_stream
 
 fuzz = settings(max_examples=100, deadline=None, derandomize=True,
@@ -98,15 +97,6 @@ def test_circle_points(args):
 def test_point_clouds_and_orderings(args):
     call(as_point_cloud, args["points"])
     call(furthest_point_ordering, **args)
-
-
-@fuzz
-@given(args=arguments(
-    bad={"points": BAD_POINTS}, points=POINTS, rho=st.floats(0, 3),
-    max_dim=DIM, subset=st.one_of(st.none(), st.lists(st.integers(0, 4))),
-    p=st.sampled_from([2, 3, 5])))
-def test_rips_complex(args):
-    call(rips_complex, **args)
 
 
 @fuzz

@@ -5,27 +5,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import make_rng, stream_to_ops
 from zzmorse.errors import (BadParameters, CountMismatch, EmptyCloud,
                             EmptyDims, NonMonotoneLevels, RaggedRow)
 from zzmorse.generators import (ScalarImage, as_point_cloud, blocks_to_stream,
                                 circle_points, even_levels, fourier_image,
                                 furthest_point_ordering, levelset_stream,
-                                oscillating_rips_stream, random_block_stream,
-                                rips_complex)
+                                oscillating_rips_stream, random_block_stream)
 from zzmorse.kernel import run_stream
 from zzmorse.oracle import block_diagram
-
-
-def stream_to_ops(blocks):
-    """BlockOp stream -> oracle-style op blocks."""
-    out = []
-    for b in blocks:
-        if b.direction == "F":
-            out.append([("i", c.cell, c.dim, c.boundary) for c in b.cells])
-        else:
-            out.append([("r", c) for c in b.cells])
-    return out
 
 
 # -- furthest-point ordering ---------------------------------------------------------
@@ -70,28 +58,31 @@ def test_oversized_point_dimension_is_rejected():
         as_point_cloud(np.zeros((3, 17)))
 
 
-# -- Rips complexes -------------------------------------------------------------------
+# -- Rips thresholds ------------------------------------------------------------------
+
+def forward_cells(blocks):
+    return [c.cell for b in blocks if b.direction == "F" for c in b.cells]
+
 
 def test_distant_points_stay_disconnected():
-    cx = rips_complex([[0.0], [1.0]], rho=0.5)
-    assert len(cx) == 2
+    blocks, _ = oscillating_rips_stream([[0.0], [1.0]], 0.5, 0.5)
+    assert forward_cells(blocks) == [(0,), (1,)]
 
 
 def test_threshold_is_inclusive():
-    cx = rips_complex([[0.0], [1.0]], rho=1.0)
-    assert len(cx) == 3
-    assert (0, 1) in cx.simplex_ids
+    # the edge is exactly as long as the scale nu * eps[0] = mu * eps[0] = 1
+    blocks, scales = oscillating_rips_stream([[0.0], [1.0]], 1, 1)
+    assert scales[1:3] == [1.0, 1.0]
+    assert forward_cells(blocks) == [(0,), (1,), (0, 1)]
+    assert blocks[2].cells == []
 
 
 def test_three_close_points_make_a_filled_triangle():
     pts = [[0.0], [0.4], [0.9]]
-    assert len(rips_complex(pts, rho=1.0, max_dim=2)) == 7
-    assert len(rips_complex(pts, rho=1.0, max_dim=1)) == 6
-
-
-def test_subset_restricts_the_vertices():
-    cx = rips_complex([[0.0], [5.0], [0.1]], rho=1.0, subset=[0, 2])
-    assert set(cx.simplex_ids) == {(0,), (2,), (0, 2)}
+    for max_dim, cells in ((2, 7), (1, 6)):
+        blocks, _ = oscillating_rips_stream(pts, 10, 10, max_dim)
+        assert len(blocks[-1].cells) == cells
+        assert ((0, 1, 2) in blocks[-1].cells) == (max_dim == 2)
 
 
 # -- oscillating Rips zigzag ----------------------------------------------------------
@@ -356,8 +347,6 @@ def test_max_dim_must_be_a_non_negative_integer(max_dim):
     with pytest.raises(BadParameters, match="max_dim"):
         oscillating_rips_stream(pts, 4.0, 6.0, max_dim=max_dim)
     with pytest.raises(BadParameters, match="max_dim"):
-        rips_complex(pts, 0.5, max_dim=max_dim)
-    with pytest.raises(BadParameters, match="max_dim"):
         random_block_stream(1, max_dim=max_dim)
 
 
@@ -389,8 +378,12 @@ def test_random_stream_parameters_are_checked(kwargs, name):
 
 @pytest.mark.parametrize("rho", [np.nan, np.inf, "0.5", None])
 def test_rips_radius_must_be_a_finite_real(rho):
-    with pytest.raises(BadParameters, match="rho"):
-        rips_complex(circle_points(6, seed=2), rho)
+    # the stream's radii are mu and nu times the insertion radii
+    pts = circle_points(6, seed=2)
+    with pytest.raises(BadParameters, match="mu"):
+        oscillating_rips_stream(pts, rho, 6.0)
+    with pytest.raises(BadParameters, match="nu"):
+        oscillating_rips_stream(pts, 4.0, rho)
 
 
 @pytest.mark.parametrize("mu, nu", [("4", 6.0), (4.0, "6"), (4.0, np.inf)])
@@ -448,14 +441,3 @@ def test_image_dims_and_values_are_checked():
         ScalarImage(3, [1, 2, 3])
     with pytest.raises(BadParameters, match="values must be real"):
         ScalarImage((1, 1, 1), "a")
-
-
-@pytest.mark.parametrize("subset", ["ab", [5], [-1], [0.5], 1])
-def test_rips_subset_must_index_points(subset):
-    with pytest.raises(BadParameters, match="subset"):
-        rips_complex([[0.0], [1.0]], 1.0, subset=subset)
-
-
-def test_rips_subset_accepts_numpy_indices():
-    cx = rips_complex([[0.0], [1.0], [5.0]], 1.0, subset=np.array([1, 0]))
-    assert sorted(cx.simplex_ids) == [(0,), (0, 1), (1,)]

@@ -7,8 +7,9 @@ traversal-based implementation.
 
 import pytest
 
-from conftest import cell_records, is_acyclic_matching, make_rng, random_complex
-from zzmorse.cells import Complex, build_simplicial, field_inv, full_triangle
+from conftest import (build_simplicial, cell_records, full_triangle,
+                      is_acyclic_matching, make_rng, random_complex)
+from zzmorse.cells import Complex, field_inv
 from zzmorse.errors import CyclicMatching, NotCritical, UnknownCell
 from zzmorse.morse import Matching, coreduce, morse_boundary, morse_coboundary
 from zzmorse.oracle import betti_numbers

@@ -12,7 +12,6 @@ from zzmorse.oracle import (
     block_diagram,
     block_module,
     decompose_module,
-    homology_module,
     rank_mod,
 )
 
@@ -84,10 +83,10 @@ def test_zero_space_splits():
     assert decompose_module(m) == [(1, 1), (3, 3)]
 
 
-# -- homology modules -------------------------------------------------------
+# -- block modules ----------------------------------------------------------
 
 def test_vertex_in_and_out():
-    m = homology_module([("i", "v", 0, {}), ("r", "v")], dim=0)
+    m = block_module([[("i", "v", 0, {})], [("r", "v")]], dim=0)
     assert m.spaces == [0, 1, 0]
     assert m.maps[0][0] == "fwd" and m.maps[0][1].shape == (1, 0)
     assert m.maps[1][0] == "bwd" and m.maps[1][1].shape == (1, 0)
@@ -146,7 +145,7 @@ def test_nonempty_end_rejected():
 def test_too_large():
     ops = [("i", k, 0, {}) for k in range(201)]
     with pytest.raises(TooLarge):
-        homology_module(ops, dim=0)
+        block_module([ops], dim=0)
 
 
 # -- betti helper -----------------------------------------------------------

@@ -4,10 +4,10 @@ import copy
 
 import pytest
 
-from conftest import (cell_records, grow_records, is_acyclic_matching, make_rng,
+from conftest import (build_simplicial, cell_records, full_triangle,
+                      grow_records, is_acyclic_matching, make_rng,
                       random_complex)
-from zzmorse.cells import (Complex, build_simplicial, chain_addmul, field_inv,
-                           full_triangle, simplex_facets)
+from zzmorse.cells import Complex, chain_addmul, field_inv, simplex_facets
 from zzmorse.errors import InvalidOp, NotRemovable
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce, morse_boundary
@@ -251,10 +251,10 @@ def test_remove_unpaired_circle_fixture():
     assert update.tau_cofacets == {e13: 1, e23: 1}
     assert update.sigma_boundary[v3] == cx.facets[e23][v3] == 1
     assert m.critical == {v1, e13, v3, e23}
-    assert e23 in cx  # a split leaves the complex as it is
+    assert e23 in cx.dims  # a split leaves the complex as it is
     assert apply_atomic(state, RemoveCritical(e23)) == RemoveCritical(e23)
     assert m.critical == {v1, e13, v3}
-    assert e23 not in cx
+    assert e23 not in cx.dims
     # the surviving critical edge now closes up on v1 + v3
     assert morse_boundary(cx, m, e13) == {v1: 1, v3: 1}
 
@@ -278,7 +278,7 @@ def test_remove_pair_order_enforced():
     m.add_pair(ids[(2,)], ids[(1, 2)])
     state = MorseState(cx, m)
     apply_atomic(state, RemovePair(ids[(2,)], ids[(1, 2)]))
-    assert len(cx) == 1 and ids[(1,)] in cx
+    assert len(cx) == 1 and ids[(1,)] in cx.dims
 
 
 def test_remove_pair_error_leaves_state_unchanged():
