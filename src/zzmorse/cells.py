@@ -13,7 +13,7 @@ from .errors import (
     BrokenBoundary,
     InvalidOp,
     MissingFacet,
-    NotMaximal,
+    NotRemovable,
     UnknownCell,
     ZeroInverse,
 )
@@ -105,16 +105,18 @@ def check_boundary(cell, dim, boundary, facet_lookup, p):
     return bd
 
 
+def check_cycle(cell, bd, facets, p):
+    """Raise BrokenBoundary unless ``bd``, the boundary of ``cell``, is a cycle;
+    ``facets(f)`` gives a facet's chain.  O(deg^2) per cell."""
+    if apply_boundary(bd, facets, p):
+        raise BrokenBoundary("boundary of cell %r is not a cycle" % (cell,))
+
+
 class Complex:
-    """Mutable cell complex with field incidence coefficients.
+    """Mutable cell complex with field incidence coefficients."""
 
-    ``validate=True`` additionally checks d(d(cell)) = 0 on every insertion;
-    that costs O(deg^2) per cell and is off by default.
-    """
-
-    def __init__(self, p=2, validate=False):
+    def __init__(self, p=2):
         self.p = check_prime(p)
-        self.validate = validate
         self.dims = {}          # CellId -> dimension
         self.facets = {}        # CellId -> {facet CellId: coeff}
         self.cofacets = {}      # CellId -> {cofacet CellId: coeff}
@@ -132,11 +134,12 @@ class Complex:
         return cid
 
     def insert_cell(self, dim, boundary):
-        """Check a record as ``run_stream`` does, insert it, return its id."""
+        """Check a record and its dd = 0 as the door does; insert it, return its id."""
         cell, dims = self._next_id, self.dims
         dim = check_dim(cell, dim)
         bd = check_boundary(cell, dim, boundary,
                             lambda f: (f, dims[f]) if f in dims else None, self.p)
+        check_cycle(cell, bd, self.facets.__getitem__, self.p)
         self.attach(self.fresh_id(), dim, bd)
         return cell
 
@@ -144,15 +147,11 @@ class Complex:
         """Write a record checked at the door under an id from ``fresh_id``.
 
         Checks only what the door cannot: every facet is already in the
-        complex (``MissingFacet``), and in validate mode dd = 0.
+        complex (``MissingFacet``).
         """
         if not bd.keys() <= self.dims.keys():
             raise MissingFacet("facet %r of cell %r is not in the complex"
                                % (next(iter(bd.keys() - self.dims.keys())), cell))
-        if self.validate:
-            dd = apply_boundary(bd, self.facets.__getitem__, self.p)
-            if dd:
-                raise BrokenBoundary("boundary of the boundary is nonzero: %r" % dd)
         self.dims[cell] = dim
         self.facets[cell] = bd
         self.cofacets[cell] = {}
@@ -162,11 +161,11 @@ class Complex:
             self.cofacets[facet][cell] = coeff
 
     def remove_cell(self, cell):
-        """Remove a maximal cell."""
+        """Remove a maximal cell; the complex is unchanged if it raises."""
         if cell not in self.dims:
             raise UnknownCell(repr(cell))
         if self.cofacets[cell]:
-            raise NotMaximal("cell %r still has cofacets" % (cell,))
+            raise NotRemovable("cell %r still has cofacets" % (cell,))
         for facet in self.facets[cell]:
             del self.cofacets[facet][cell]
         del self.dims[cell]
@@ -174,10 +173,6 @@ class Complex:
         del self.cofacets[cell]
         del self.seq[cell]
 
-    def is_maximal(self, cell):
-        if cell not in self.dims:
-            raise UnknownCell(repr(cell))
-        return not self.cofacets[cell]
 
 
 def simplex_facets(simplex):

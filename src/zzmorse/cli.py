@@ -291,9 +291,8 @@ def oracle_check(seed, runs, p, validate):
         _integer("--runs", runs, 1)
         failures = 0
         for s in range(seed, seed + runs):
-            ops = random_block_stream(s, p=p)
-            blocks = blocks_to_stream(ops)
-            want = block_diagram(ops, p)
+            blocks = blocks_to_stream(random_block_stream(s, p=p))
+            want = block_diagram(blocks, p)
             reduced = [tuple(i) for i in run_stream(
                 blocks, p=p, morse=True, validate=validate)[0]]
             plain = [tuple(i) for i in run_stream(

@@ -25,11 +25,7 @@ class MissingFacet(ZigzagError):
 
 
 class BrokenBoundary(ZigzagError):
-    """The provided boundary chain is not a cycle (d(d(cell)) != 0)."""
-
-
-class NotMaximal(ZigzagError):
-    """Removal requested for a cell that still has cofacets."""
+    """A cell's boundary chain is not a cycle (d(d(cell)) != 0)."""
 
 
 class UnknownCell(ZigzagError):
@@ -51,7 +47,7 @@ class CyclicMatching(ZigzagError):
 
 
 class NotRemovable(ZigzagError):
-    """Backward block whose complement is not a subcomplex."""
+    """A removal would leave a cofacet of a removed cell behind."""
 
 
 class InvalidOp(ZigzagError):
@@ -65,10 +61,6 @@ class InvalidOp(ZigzagError):
 
 
 # --- zigzag kernel ---
-
-class InconsistentBoundary(ZigzagError):
-    """A boundary chain references rows unknown to the homology matrix."""
-
 
 class KernelError(ZigzagError):
     """The column kernel found one of its own invariants broken."""

@@ -342,7 +342,8 @@ def _maximal_cells(state):
 
 
 def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
-    """Random valid zigzag stream as blocks of oracle-style atomic ops.
+    """Random valid zigzag stream as blocks of ``("i", cell, dim, boundary)``
+    or ``("r", cell)`` ops, for ``blocks_to_stream``.
 
     ``rng`` is a random.Random instance or an integer seed.  Consecutive
     ops of one kind are grouped into blocks of random length; the stream
@@ -398,7 +399,7 @@ def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
 
 
 def blocks_to_stream(blocks):
-    """Oracle-style op blocks -> the BlockOp stream the engine consumes."""
+    """Op blocks -> the BlockOp stream that ``run_stream`` and the oracle read."""
     out = []
     for block in blocks:
         if block[0][0] == "i":

@@ -6,11 +6,11 @@ traffic to the column kernel in ``matrix``.  The output is the interval
 decomposition in block indices plus operation/size metrics.
 """
 
-from collections import namedtuple
+from collections import ChainMap, namedtuple
 
-from .cells import Complex, check_boundary, check_dim
-from .errors import (BrokenInvariant, InconsistentBoundary, InvalidOp,
-                     KernelError, NotRemovable, UnknownCell)
+from .cells import Complex, check_boundary, check_cycle, check_dim
+from .errors import (BrokenBoundary, BrokenInvariant, InvalidOp, KernelError,
+                     NotRemovable, UnknownCell)
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (KernelInsert, KernelUnpair, MorseState, RemoveCritical,
@@ -21,13 +21,13 @@ Interval = namedtuple("Interval", "dim birth death")
 Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
 
 
+# perfbench/tracing.HOOKS rebinds these three wrappers (and coreduce,
+# atomize_*, apply_atomic, and stream.morse_boundary/morse_coboundary), so
+# they stay module globals called by name; tests/test_hooks.py checks it.
 def insert_into_matrix(matrix, update, block):
     """Feed one critical insertion to the column kernel; returns an event."""
-    try:
-        return matrix.forward_insert(update.cell, update.dim, update.boundary,
-                                     block, update.seq)
-    except KernelError as exc:
-        raise InconsistentBoundary(str(exc)) from None
+    return matrix.forward_insert(update.cell, update.dim, update.boundary,
+                                 block, update.seq)
 
 
 def remove_from_matrix(matrix, cell, block):
@@ -42,12 +42,18 @@ def unpair_in_matrix(matrix, update):
                          update.sigma_seq)
 
 
-def _translate_forward(cells, cx, alive):
+def _caller_id(alive, cell):
+    """The external id of a live internal id; a scan, so only for errors."""
+    return next(ext for ext, (c, _) in alive.items() if c == cell)
+
+
+def _translate_forward(cells, cx, alive, validate):
     """Map one insertion block to internal ids; returns insertion records.
 
     ``alive`` maps each live external id to ``(internal id, dim)``.  The
     block's cells join it first, so a facet may also be another cell of the
-    block; then ``check_boundary`` checks each record, as in ``Complex``.
+    block; then each record is checked as in ``Complex``: ``check_boundary``,
+    and ``check_cycle`` if ``validate``.
     """
     # Fresh int ids are not a leftover: keyed by the caller's ids the engine
     # gives byte-identical output, but a probe ran rips-150 about 14% slower,
@@ -67,8 +73,13 @@ def _translate_forward(cells, cx, alive):
             raise InvalidOp("cell id %r is already alive" % (ext,))
         entry = alive[ext] = (cx.fresh_id(), check_dim(ext, dim))
         new.append((ext, boundary, entry))
-    return {cell: (dim, check_boundary(ext, dim, boundary, alive.get, cx.p))
-            for ext, boundary, (cell, dim) in new}
+    records = {cell: (dim, check_boundary(ext, dim, boundary, alive.get, cx.p))
+               for ext, boundary, (cell, dim) in new}
+    if validate:
+        chains = ChainMap({c: bd for c, (_, bd) in records.items()}, cx.facets)
+        for ext, _, (cell, _) in new:
+            check_cycle(ext, records[cell][1], chains.__getitem__, cx.p)
+    return records
 
 
 def _translate_backward(cells, cx, alive):
@@ -88,9 +99,8 @@ def _translate_backward(cells, cx, alive):
     for ext in cells:
         for cof in cx.cofacets[alive.pop(ext)[0]]:
             if cof not in out:
-                name = next(e for e, (c, _) in alive.items() if c == cof)
                 raise NotRemovable("cell %r has a cofacet %r outside the block"
-                                   % (ext, name))
+                                   % (ext, _caller_id(alive, cof)))
     return out
 
 
@@ -102,9 +112,10 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     ForwardCell, or ``("B", [cell, ...])``; any other shape raises
     ``InvalidOp``.  A removal block must take every cofacet of its cells
     with it (``NotRemovable``).  The stream must start and end at the empty
-    complex.  Every boundary must be a cycle (its own boundary zero): with
-    ``morse=True`` and ``validate=False`` this is not checked, and a
-    boundary that breaks it may give a diagram instead of an error.
+    complex.  Every boundary must be a cycle (its own boundary zero), else
+    ``BrokenBoundary`` names the cell: with ``validate=True`` before its
+    block runs, with ``morse=False`` when the kernel meets it, and never
+    otherwise; such a stream may then give a diagram.
     Intervals are (dim, birth, death) with inclusive block indices counted
     from 1: the class is alive in the complexes seen after those blocks.
     The kernel is told each op's block index and orders births itself;
@@ -112,15 +123,17 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     ``p`` must be prime (``BadParameters`` otherwise).
     ``morse=False`` skips the matching step and runs every cell through the
     kernel.  ``observer(state, matrix, op)`` is called after every atomic
-    operation.
+    operation; a non-callable observer raises ``InvalidOp``.
 
-    ``validate=True`` turns on consistency checks (``BrokenInvariant``,
-    or ``BrokenBoundary`` for a non-cycle boundary), including an unreduced
-    shadow kernel whose cycle counts are compared with the reduced matrix
-    after every atomic operation (skipped when ``morse=False``, where the
-    two would coincide by construction).
+    ``validate=True`` also turns on consistency checks (``BrokenInvariant``):
+    a recheck of every memoized flow, and an unreduced shadow kernel whose
+    cycle counts are compared with the reduced matrix after every atomic
+    operation (skipped when ``morse=False``, where the two would coincide by
+    construction).
     """
-    state = MorseState(Complex(p=p, validate=validate), Matching())
+    if observer is not None and not callable(observer):
+        raise InvalidOp("observer %r is not callable" % (observer,))
+    state = MorseState(Complex(p), Matching(), validate)
     cx = state.complex
     matrix = HomologyMatrix(cx.p)
     shadow = ShadowMatrix(cx.p) if validate and morse else None
@@ -144,7 +157,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
         raw_ops += len(cells)  # N: one raw op per cell in or out
 
         if direction == "F":
-            records = _translate_forward(cells, cx, alive)
+            records = _translate_forward(cells, cx, alive, validate)
             if morse:
                 matching = coreduce(records)
             else:
@@ -163,7 +176,11 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
             kind = type(update)
             event = None
             if kind is KernelInsert:
-                event = insert_into_matrix(matrix, update, block_index)
+                try:
+                    event = insert_into_matrix(matrix, update, block_index)
+                except KernelError:
+                    raise BrokenBoundary("boundary of cell %r is not a cycle"
+                                         % (_caller_id(alive, update.cell),)) from None
             elif kind is RemoveCritical:
                 event = remove_from_matrix(matrix, update.cell, block_index)
             elif kind is KernelUnpair:

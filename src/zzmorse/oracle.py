@@ -6,20 +6,14 @@ spaces and inclusion-induced maps by dense mod-p linear algebra, and
 decomposes the resulting module into intervals.  It deliberately shares no
 code with the Morse engine or the streaming kernel beyond field arithmetic.
 
-A stream is a list of blocks, each a list of plain tuples:
-``("i", cell, dim, {facet: coeff})`` inserts a cell, ``("r", cell)`` removes
-one.  Cell names may be any hashable.
+A stream is what ``run_stream`` reads: blocks ``("F", [(cell, dim,
+{facet: coeff}), ...])`` that insert cells and ``("B", [cell, ...])`` that
+remove them, as BlockOps or plain tuples.  Cell names may be any hashable.
 """
 
 import numpy as np
 
-from .errors import (
-    InvalidOp,
-    MissingFacet,
-    NotMaximal,
-    TooLarge,
-    UnknownCell,
-)
+from .errors import InvalidOp, MissingFacet, NotRemovable, TooLarge, UnknownCell
 from .linalg import boundary_matrix, nullspace, rank_mod, rref, solve_in_span
 
 MAX_CELLS = 200
@@ -111,40 +105,38 @@ class ExplicitModule:
 def _replay(blocks):
     """Arrow kinds and block-boundary states of a block stream.
 
-    Each block is a list of atomic ops of a single kind ("i" or "r"); an
-    empty block is an identity arrow.  States are plain
-    ``{cell: (dim, boundary)}`` dicts: the empty one, then one after each
-    block.
+    A block inserts or removes its cells as a set, so a facet may come
+    later in its block than its cofacet; an empty block is an identity
+    arrow.  States are plain ``{cell: (dim, boundary)}`` dicts: the empty
+    one, then one after each block.
     """
     state = {}
     states = [{}]
     kinds = []
-    for block in blocks:
-        used = {op[0] for op in block}
-        if len(used) > 1:
-            raise InvalidOp("mixed insert/remove block")
-        kinds.append("fwd" if used != {"r"} else "bwd")
-        for op in block:
-            if op[0] == "i":
-                _, cell, dim, bnd = op
+    for direction, cells in blocks:
+        cells = list(cells)
+        if direction == "F":
+            for cell, dim, bnd in cells:
                 if cell in state:
                     raise InvalidOp("cell %r inserted twice" % (cell,))
+                state[cell] = (dim, dict(bnd))
+            for cell, dim, bnd in cells:
                 for facet in bnd:
                     if facet not in state or state[facet][0] != dim - 1:
                         raise MissingFacet("facet %r for %r" % (facet, cell))
-                state[cell] = (dim, dict(bnd))
-            elif op[0] == "r":
-                _, cell = op
-                if cell not in state:
-                    raise UnknownCell(repr(cell))
-                for other, (_, bnd) in state.items():
-                    if cell in bnd:
-                        raise NotMaximal("%r is a facet of %r" % (cell, other))
-                del state[cell]
-            else:
-                raise InvalidOp("unknown op %r" % (op,))
             if len(state) > MAX_CELLS:
                 raise TooLarge("state exceeds %d cells" % MAX_CELLS)
+        elif direction == "B":
+            for cell in cells:
+                if state.pop(cell, None) is None:
+                    raise UnknownCell(repr(cell))
+            for other, (_, bnd) in state.items():
+                stuck = bnd.keys() & cells
+                if stuck:
+                    raise NotRemovable("%r is a facet of %r" % (stuck.pop(), other))
+        else:
+            raise InvalidOp("unknown block direction %r" % (direction,))
+        kinds.append("fwd" if direction == "F" else "bwd")
         states.append(dict(state))
     return kinds, states
 

@@ -63,20 +63,9 @@ def check_mirrors(cx):
     assert down == up
 
 
-def stream_to_ops(blocks):
-    """BlockOp stream -> oracle-style op blocks."""
-    out = []
-    for b in blocks:
-        if b.direction == "F":
-            out.append([("i", c.cell, c.dim, c.boundary) for c in b.cells])
-        else:
-            out.append([("r", c) for c in b.cells])
-    return out
-
-
 def random_complex(rng, p=2, n=10, max_dim=3):
     """A random small complex grown by inserting random cycles as boundaries."""
-    cx = Complex(p=p, validate=True)
+    cx = Complex(p=p)
     for _ in range(n):
         dim = rng.randint(0, max_dim)
         state = {c: (cx.dims[c], cx.facets[c]) for c in cx.dims}

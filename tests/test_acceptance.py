@@ -12,8 +12,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from conftest import (ACCEPTANCE, cell_records, make_rng, random_complex,
-                      stream_to_ops)
+from conftest import ACCEPTANCE, cell_records, make_rng, random_complex
 from test_morse import brute_boundary
 from test_stream import update_formula
 from zzmorse.cli import emit_image, emit_stream, format_diagram, main
@@ -71,7 +70,7 @@ def test_criterion_1_oracle_equivalence():
     for p, blocks in random_streams():
         reduced, _ = run_stream(blocks, p=p)
         plain, _ = run_stream(blocks, p=p, morse=False)
-        decomposed = block_diagram(stream_to_ops(blocks), p=p)
+        decomposed = block_diagram(blocks, p=p)
         assert sorted(reduced) == sorted(plain) == sorted(decomposed)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -117,7 +116,7 @@ def test_criterion_3_boundary_update_formula(p):
         rng = make_rng(40_000 + 1000 * p + attempts)
         cx = random_complex(rng, p=p, n=rng.randint(8, 20))
         m = coreduce(cell_records(cx))
-        pairs = [(t, s) for t, s in m.pair_up.items() if cx.is_maximal(s)]
+        pairs = [(t, s) for t, s in m.pair_up.items() if not cx.cofacets[s]]
         if not pairs:
             continue
         tau, sigma = pairs[rng.randrange(len(pairs))]

@@ -257,6 +257,16 @@ def test_composite_field_char_is_rejected(tmp_path):
     assert "not prime" in result.output
 
 
+@pytest.mark.parametrize("flag", ["--validate", "--no-morse"])
+def test_a_non_cycle_boundary_is_named_in_the_files_ids(tmp_path, flag):
+    # cell 4 is a 2-cell whose boundary is the edge 3 alone
+    path = tmp_path / "run.stream"
+    path.write_text("F 1 0 0 2 0 0 3 1 2 1 1 2 1\nF 4 2 1 3 1\nB 4 3 1 2\n")
+    result = CliRunner().invoke(main, ["stream", str(path), flag])
+    assert result.exit_code == 2
+    assert result.output == "error: boundary of cell 4 is not a cycle\n"
+
+
 def test_oracle_check_reports_pass_counts():
     runner = CliRunner()
     result = runner.invoke(main, ["oracle-check", "--seed", "11", "--runs", "5",

@@ -3,8 +3,10 @@
 A malformed block must raise one named ``ZigzagError`` whether or not the
 engine Morse-reduces the complex; a well-formed stream must give the same
 diagram either way.  ``Complex.insert_cell`` makes the same record check,
-so it refuses a malformed record with the same error.  A stream file is
-either refused by ``parse_stream`` or gives blocks that reach that door.
+so it refuses a malformed record with the same error.  A boundary that is
+not a cycle raises ``BrokenBoundary`` in validate mode and without Morse.
+A stream file is either refused by ``parse_stream`` or gives blocks that
+reach that door.
 """
 
 from collections.abc import Mapping
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 from conftest import blocks_to_stream, random_block_ops
 from zzmorse.cells import Complex
 from zzmorse.cli import emit_stream, parse_stream
-from zzmorse.errors import (BadParameters, BadStreamLine, InvalidOp,
-                            MissingFacet, NotRemovable, UnknownCell,
+from zzmorse.errors import (BadParameters, BadStreamLine, BrokenBoundary,
+                            InvalidOp, MissingFacet, NotRemovable, UnknownCell,
                             ZigzagError)
 from zzmorse.kernel import run_stream
 from zzmorse.stream import BlockOp, ForwardCell
@@ -71,10 +73,10 @@ class PairList(Mapping):
         return len(self.pairs)
 
 
-def outcome(blocks, p, morse):
+def outcome(blocks, p, morse, validate=False):
     """The diagram, or the type of the ZigzagError the run raised."""
     try:
-        return run_stream(blocks, p=p, morse=morse)[0]
+        return run_stream(blocks, p=p, morse=morse, validate=validate)[0]
     except ZigzagError as exc:
         return type(exc)
 
@@ -225,6 +227,8 @@ def test_door_errors_name_the_defect(morse):
         run_stream(5, morse=morse)
     with pytest.raises(InvalidOp, match="stream None is not iterable"):
         run_stream(None, morse=morse)
+    with pytest.raises(InvalidOp, match="observer 5 is not callable"):
+        run_stream([None], morse=morse, observer=5)  # before the first block
     with pytest.raises(BadParameters):
         run(ForwardCell(1, 0, {}), p=5.0)
     plain = [("F", [ForwardCell(1, 0, {})]), ("B", [1])]
@@ -256,7 +260,8 @@ def test_removal_errors_name_the_callers_ids(morse):
     assert run(["ab"], ["a", "b"])[0] == [(0, 1, 2), (0, 2, 2)]
 
 
-# one malformed record on top of the vertices 0 and 1 -> the error for it
+# one malformed record on top of the vertices 0, 1 and the edge 2 -> the
+# error for it
 RECORD_DEFECTS = {
     "float coefficient": ((1, {0: 1.5, 1: 1}), InvalidOp),
     "string coefficient": ((1, {0: "1", 1: 1}), InvalidOp),
@@ -268,6 +273,7 @@ RECORD_DEFECTS = {
     "missing facet": ((1, {0: 1, 7: 1}), MissingFacet),
     "missing facet with coefficient 0": ((1, {0: 1, 7: 3}), MissingFacet),
     "wrong-dimension facet": ((2, {0: 1, 1: 1}), MissingFacet),
+    "boundary not a cycle": ((2, {2: 1}), BrokenBoundary),
 }
 
 
@@ -275,18 +281,47 @@ RECORD_DEFECTS = {
 def test_complex_and_run_stream_refuse_a_record_alike(defect):
     (dim, boundary), expected = RECORD_DEFECTS[defect]
     cx = Complex(p=3)
-    assert [cx.insert_cell(0, {}), cx.insert_cell(0, {})] == [0, 1]
+    assert [cx.insert_cell(0, {}), cx.insert_cell(0, {}),
+            cx.insert_cell(1, {0: 1, 1: 2})] == [0, 1, 2]
     raised = []
     try:
         cx.insert_cell(dim, boundary)
     except ZigzagError as exc:
         raised.append(type(exc))
-    assert len(cx) == 2 and cx.insert_cell(0, {}) == 2  # nothing was written
-    vertices = BlockOp("F", [ForwardCell(0, 0, {}), ForwardCell(1, 0, {})])
-    for morse in (True, False):
-        bad = BlockOp("F", [ForwardCell(2, dim, boundary)])
-        raised.append(outcome([vertices, bad], 3, morse))
-    assert raised == [expected] * 3
+    assert len(cx) == 3 and cx.insert_cell(0, {}) == 3  # nothing was written
+    base = BlockOp("F", [ForwardCell(0, 0, {}), ForwardCell(1, 0, {}),
+                         ForwardCell(2, 1, {0: 1, 1: 2})])
+    bad = BlockOp("F", [ForwardCell(3, dim, boundary)])
+    # the cycle precondition goes unchecked with Morse on and validate off
+    runs = [(True, True), (False, True), (False, False)]
+    if expected is not BrokenBoundary:
+        runs.append((True, False))
+    for morse, validate in runs:
+        raised.append(outcome([base, bad], 3, morse, validate))
+    assert raised == [expected] * (1 + len(runs))
+
+
+# a 2-cell on a single edge, and a 2-cell on the path a-b-c
+NON_CYCLES = {
+    "single edge": [("ab", 1, {"a": 1, "b": 1}), ("t", 2, {"ab": 1})],
+    "path a-b-c": [("ab", 1, {"a": 1, "b": 1}), ("bc", 1, {"b": 1, "c": 1}),
+                   ("t", 2, {"ab": 1, "bc": 1})],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NON_CYCLES))
+@pytest.mark.parametrize("morse", [True, False])
+def test_a_non_cycle_is_refused_in_the_callers_id(shape, morse):
+    vertices = [(v, 0, {}) for v in "abc"]
+    stream = [("F", vertices + NON_CYCLES[shape])]
+    ops = []
+    with pytest.raises(BrokenBoundary, match="cell 't' is not a cycle"):
+        run_stream(stream, morse=morse, validate=True,
+                   observer=lambda state, matrix, op: ops.append(op))
+    assert ops == []  # refused before any op of the block ran
+    if not morse:
+        with pytest.raises(BrokenBoundary, match="cell 't' is not a cycle"):
+            run_stream(stream, morse=False)
 
 
 # -- stream files ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import make_rng, stream_to_ops
+from conftest import make_rng
 from zzmorse.errors import (BadParameters, CountMismatch, EmptyCloud,
                             EmptyDims, NonMonotoneLevels, RaggedRow)
 from zzmorse.generators import (ScalarImage, as_point_cloud, blocks_to_stream,
@@ -168,13 +168,13 @@ def test_oscillating_streams_match_the_oracle(seed):
     blocks, _ = oscillating_rips_stream(pts, 1.0, 1.3)
     for morse in (True, False):
         intervals, _ = run_stream(blocks, p=2, morse=morse, validate=True)
-        assert [tuple(i) for i in intervals] == block_diagram(stream_to_ops(blocks), 2)
+        assert [tuple(i) for i in intervals] == block_diagram(blocks, 2)
 
 
 def test_eight_circle_points_match_the_oracle():
     blocks, _ = oscillating_rips_stream(circle_points(8, 1, jitter=0.0), 2, 3)
     intervals, _ = run_stream(blocks, validate=True)
-    assert [tuple(i) for i in intervals] == block_diagram(stream_to_ops(blocks), 2)
+    assert [tuple(i) for i in intervals] == block_diagram(blocks, 2)
     dim0 = [i for i in intervals if i.dim == 0]
     assert dim0 == [(0, 1, len(blocks) - 1)]
 
@@ -246,7 +246,7 @@ def test_levelset_streams_match_the_oracle(seed):
     blocks, _ = levelset_stream(img, even_levels(img, 0.35))
     for morse in (True, False):
         intervals, _ = run_stream(blocks, p=2, morse=morse, validate=True)
-        assert [tuple(i) for i in intervals] == block_diagram(stream_to_ops(blocks), 2)
+        assert [tuple(i) for i in intervals] == block_diagram(blocks, 2)
 
 
 def test_even_levels_cover_the_range():

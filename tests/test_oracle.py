@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_block_ops
-from zzmorse.errors import InvalidOp, TooLarge
+from conftest import blocks_to_stream, make_rng, random_block_ops
+from zzmorse.errors import InvalidOp, MissingFacet, NotRemovable, TooLarge
 from zzmorse.linalg import rref
 from zzmorse.oracle import (
     ExplicitModule,
@@ -14,16 +14,19 @@ from zzmorse.oracle import (
     decompose_module,
     rank_mod,
 )
+from zzmorse.stream import BlockOp, ForwardCell
 
+# forward records, in the stream format that run_stream reads
 CIRCLE = [
-    ("i", "v1", 0, {}),
-    ("i", "v2", 0, {}),
-    ("i", "v3", 0, {}),
-    ("i", "e12", 1, {"v1": 1, "v2": 1}),
-    ("i", "e23", 1, {"v2": 1, "v3": 1}),
-    ("i", "e13", 1, {"v1": 1, "v3": 1}),
+    ("v1", 0, {}),
+    ("v2", 0, {}),
+    ("v3", 0, {}),
+    ("e12", 1, {"v1": 1, "v2": 1}),
+    ("e23", 1, {"v2": 1, "v3": 1}),
+    ("e13", 1, {"v1": 1, "v3": 1}),
 ]
-FILL = [("i", "t", 2, {"e12": 1, "e23": 1, "e13": 1})]
+FILL = [("t", 2, {"e12": 1, "e23": 1, "e13": 1})]
+CIRCLE_OUT = ("B", ["e12", "e23", "e13", "v1", "v2", "v3"])
 
 
 def mat(rows):
@@ -86,7 +89,7 @@ def test_zero_space_splits():
 # -- block modules ----------------------------------------------------------
 
 def test_vertex_in_and_out():
-    m = block_module([[("i", "v", 0, {})], [("r", "v")]], dim=0)
+    m = block_module([("F", [("v", 0, {})]), ("B", ["v"])], dim=0)
     assert m.spaces == [0, 1, 0]
     assert m.maps[0][0] == "fwd" and m.maps[0][1].shape == (1, 0)
     assert m.maps[1][0] == "bwd" and m.maps[1][1].shape == (1, 0)
@@ -94,7 +97,7 @@ def test_vertex_in_and_out():
 
 
 def test_circle_identity_arrow():
-    m = block_module([CIRCLE, []], dim=1)
+    m = block_module([("F", CIRCLE), ("F", [])], dim=1)
     assert m.spaces == [0, 1, 1]
     direction, f = m.maps[1]
     assert direction == "fwd"
@@ -102,57 +105,71 @@ def test_circle_identity_arrow():
 
 
 def test_fill_then_unfill():
-    m = block_module([CIRCLE + FILL, [("r", "t")]], dim=1)
+    m = block_module([("F", CIRCLE + FILL), ("B", ["t"])], dim=1)
     assert m.spaces == [0, 0, 1]
     direction, f = m.maps[1]
     assert direction == "bwd" and f.shape == (0, 1)
 
 
 def test_circle_h1_lifecycle():
-    blocks = [CIRCLE, FILL, [("r", "t")], [("r", c) for c in
-                                           ("e12", "e23", "e13", "v1", "v2", "v3")]]
+    blocks = [("F", CIRCLE), ("F", FILL), ("B", ["t"]), CIRCLE_OUT]
     m = block_module(blocks, dim=1)
     assert m.spaces == [0, 1, 0, 1, 0]
     assert decompose_module(m) == [(2, 2), (4, 4)]
 
 
 def test_block_diagram_circle_in_out():
-    assert block_diagram([CIRCLE, [("r", c) for c in
-                                   ("e12", "e23", "e13", "v1", "v2", "v3")]]) == [
+    assert block_diagram([("F", CIRCLE), CIRCLE_OUT]) == [
         (0, 1, 1),
         (1, 1, 1),
     ]
 
 
 def test_block_diagram_vertex():
-    assert block_diagram([[("i", "v", 0, {})], [("r", "v")]]) == [(0, 1, 1)]
+    assert block_diagram([("F", [("v", 0, {})]), ("B", ["v"])]) == [(0, 1, 1)]
 
 
 def test_block_diagram_intra_block_class_dropped():
     # second component is born and merged away inside block 1
     blocks = [
-        [("i", 0, 0, {}), ("i", 1, 0, {}), ("i", 2, 1, {0: 1, 1: 1})],
-        [("r", 2), ("r", 0), ("r", 1)],
+        BlockOp("F", [ForwardCell(0, 0, {}), ForwardCell(1, 0, {}),
+                      ForwardCell(2, 1, {0: 1, 1: 1})]),
+        BlockOp("B", [2, 0, 1]),
     ]
     assert block_diagram(blocks) == [(0, 1, 1)]
 
 
+def test_blocks_are_sets():
+    # a block may list a facet after its cofacet, as run_stream allows
+    blocks = [("F", [("e", 1, {"a": 1, "b": 1}), ("a", 0, {}), ("b", 0, {})]),
+              ("B", ["a", "b", "e"])]
+    assert block_diagram(blocks) == [(0, 1, 1)]
+
+
+def test_replay_names_the_broken_precondition():
+    with pytest.raises(MissingFacet):
+        block_diagram([("F", [("e", 1, {"a": 1})])])
+    with pytest.raises(NotRemovable, match="'a' is a facet of 'e'"):
+        block_diagram([("F", [("a", 0, {}), ("e", 1, {"a": 1})]), ("B", ["a"])])
+    with pytest.raises(InvalidOp, match="unknown block direction"):
+        block_diagram([("i", [("a", 0, {})])])
+
+
 def test_nonempty_end_rejected():
     with pytest.raises(InvalidOp):
-        block_diagram([[("i", "v", 0, {})]])
+        block_diagram([("F", [("v", 0, {})])])
 
 
 def test_too_large():
-    ops = [("i", k, 0, {}) for k in range(201)]
     with pytest.raises(TooLarge):
-        block_module([ops], dim=0)
+        block_module([("F", [(k, 0, {}) for k in range(201)])], dim=0)
 
 
 # -- betti helper -----------------------------------------------------------
 
 def test_betti_numbers():
     assert betti_numbers({}) == []
-    state = {c: (d, b) for _, c, d, b in CIRCLE}
+    state = {c: (d, b) for c, d, b in CIRCLE}
     assert betti_numbers(state) == [1, 1]
     state["t"] = (2, {"e12": 1, "e23": 1, "e13": 1})
     assert betti_numbers(state) == [1]
@@ -197,7 +214,7 @@ def _conjugate(mod, rng):
 @pytest.mark.parametrize("p", [2, 5])
 def test_multiplicity_sums_match_space_dims(seed, p):
     rng = make_rng(1000 * p + seed)
-    blocks = random_block_ops(rng, p=p)
+    blocks = blocks_to_stream(random_block_ops(rng, p=p))
     for dim in range(3):
         mod = block_module(blocks, dim, p)
         intervals = decompose_module(mod)
@@ -210,7 +227,7 @@ def test_multiplicity_sums_match_space_dims(seed, p):
 def test_decomposition_basis_invariant(seed):
     rng = make_rng(seed)
     p = rng.choice([2, 5])
-    blocks = random_block_ops(rng, p=p)
+    blocks = blocks_to_stream(random_block_ops(rng, p=p))
     for dim in range(3):
         mod = block_module(blocks, dim, p)
         assert decompose_module(_conjugate(mod, rng)) == decompose_module(mod)

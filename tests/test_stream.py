@@ -218,8 +218,8 @@ def test_atomize_backward_never_splits_inner_pairs():
 # -- applying atomic ops ---------------------------------------------------------
 
 def test_apply_forward_block_from_empty():
-    cx = Complex(p=2, validate=True)
-    state = MorseState(cx, Matching())
+    cx = Complex(p=2)
+    state = MorseState(cx, Matching(), validate=True)
     records = {}
     for cell, (dim, bnd) in sorted(TRIANGLE_RECORDS.items()):
         assert cx.fresh_id() == cell
@@ -262,10 +262,12 @@ def test_remove_unpaired_circle_fixture():
 def test_apply_errors():
     cx, m, ids = triangle_state()
     state = MorseState(cx, m)
-    with pytest.raises(InvalidOp):
+    before = copy.deepcopy((cx.facets, cx.cofacets, m.critical, m.pair_up))
+    with pytest.raises(NotRemovable):
         apply_atomic(state, RemoveCritical(ids[(1,)]))  # critical but not maximal
+    assert (cx.facets, cx.cofacets, m.critical, m.pair_up) == before
     with pytest.raises(InvalidOp):
-        apply_atomic(state, RemovePair(ids[(2,)], ids[(2, 3)]))  # king not maximal
+        apply_atomic(state, RemovePair(ids[(2,)], ids[(2, 3)]))  # not a pair
     with pytest.raises(InvalidOp):
         apply_atomic(state, Split(ids[(2,)], ids[(1, 2, 3)]))  # wrong tau
 
@@ -320,7 +322,7 @@ def test_boundary_update_identity(seed, p):
     cx = random_complex(rng, p=p, n=rng.randint(10, 40))
     m = coreduce(cell_records(cx))
     pairs = [(tau, sigma) for tau, sigma in m.pair_up.items()
-             if cx.is_maximal(sigma)]
+             if not cx.cofacets[sigma]]
     if not pairs:
         return
     tau, sigma = pairs[rng.randrange(len(pairs))]
@@ -370,8 +372,8 @@ def test_block_round_trip(seed):
 def test_betti_preserved_after_every_atomic_op(seed):
     rng = make_rng(30_000 + seed)
     p = rng.choice([2, 5])
-    cx = Complex(p=p, validate=True)
-    state = MorseState(cx, Matching())
+    cx = Complex(p=p)
+    state = MorseState(cx, Matching(), validate=True)
 
     def check():
         full = {c: (cx.dims[c], cx.facets[c]) for c in cx.dims}
