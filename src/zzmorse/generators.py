@@ -8,11 +8,11 @@ parallel list of scale annotations, one per block.  A seeded random-stream
 generator for differential testing against the oracle lives here too.
 """
 
+import heapq
 import math
 import numbers
 import operator
 import random
-from itertools import combinations
 
 import numpy as np
 
@@ -97,34 +97,6 @@ def furthest_point_ordering(points, start=0):
 
 # -- oscillating Rips zigzag --------------------------------------------------------
 
-def _cliques(d2, count, thr2, max_verts):
-    """Simplices on points 0..count-1 of squared diameter <= thr2 -> diam2."""
-    adj = {v: set() for v in range(count)}
-    for a, b in combinations(range(count), 2):
-        if d2[a, b] <= thr2:
-            adj[a].add(b)
-            adj[b].add(a)
-    out = {}
-
-    def grow(simplex, diam2, cand):
-        for idx, w in enumerate(cand):
-            nd = diam2
-            for u in simplex:
-                duw = d2[u, w]
-                if duw > nd:
-                    nd = duw
-            s = simplex + (w,)
-            out[s] = nd
-            if len(s) < max_verts:
-                grow(s, nd, [u for u in cand[idx + 1:] if u in adj[w]])
-
-    for v in range(count):
-        out[(v,)] = 0.0
-        if max_verts > 1:
-            grow((v,), 0.0, sorted(u for u in adj[v] if u > v))
-    return out
-
-
 def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     """Blocks growing the Rips scale at each new point, then shrinking it.
 
@@ -133,6 +105,11 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     min(mu*eps[i], nu*eps[i+1]) so the next growth is an inclusion; a
     final backward block tears everything down.  Returns (blocks, scales)
     with one scale annotation per block.
+
+    A simplex that enters more than once is emitted as the same
+    ``ForwardCell`` object each time, facet dict included; two calls share
+    no records.  Records are read-only: the engine and the oracle never
+    modify them.
     """
     mu, nu = _real("mu", mu), _real("nu", nu)
     if not 0 < mu <= nu:
@@ -141,26 +118,75 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     pts = as_point_cloud(points)
     order, eps = furthest_point_ordering(pts, start)
     d2 = _pairwise_sq(pts[np.array(order)])
+    rows = d2.tolist()  # Python floats: the same values d2 compares with
     n = len(order)
+    max_verts = max_dim + 1
     blocks = []
     scales = []
-    live = {}  # simplex (position tuple) -> squared diameter
+    records = {}  # simplex (position tuple) -> its ForwardCell
+    # The live complex is always the flag complex of its 1-skeleton, so the
+    # cliques a forward block adds are exactly those holding a new vertex or
+    # an admitted edge.  Vertices never leave before the final block.
+    adj = []  # live 1-skeleton: position -> set of live neighbours
+    linked = np.zeros((n, n), dtype=bool)
+    heap = []  # (-squared diameter, simplex) for every live simplex
+
+    def grow(simplex, diam2, cand, new):
+        # cliques simplex + S for S a nonempty clique within cand
+        for idx, w in enumerate(cand):
+            nd = diam2
+            for u in simplex:
+                duw = rows[u][w]
+                if duw > nd:
+                    nd = duw
+            s = simplex + (w,)
+            new[tuple(sorted(s))] = nd
+            if len(s) < max_verts:
+                grow(s, nd, [u for u in cand[idx + 1:] if u in adj[w]], new)
 
     def forward_to(count, scale):
-        target = _cliques(d2, count, scale * scale, max_dim + 1)
-        new = sorted((s for s in target if s not in live),
-                     key=lambda s: (len(s), s))
-        cells = [ForwardCell(s, len(s) - 1, simplex_facets(s)) for s in new]
-        live.update((s, target[s]) for s in new)
+        thr2 = scale * scale
+        new = {}  # simplex -> squared diameter
+        for v in range(len(adj), count):
+            adj.append(set())
+            new[(v,)] = 0.0
+        if max_verts > 1:
+            admitted = np.triu((d2[:count, :count] <= thr2)
+                               & ~linked[:count, :count], 1)
+            # Each new clique is counted once, from its highest-ranked
+            # admitted edge: edges join the graph in index order, and each
+            # one's cliques are found among the common neighbours it has
+            # when it joins.
+            for a, b in np.argwhere(admitted).tolist():
+                linked[a, b] = linked[b, a] = True
+                adj[a].add(b)
+                adj[b].add(a)
+                new[(a, b)] = rows[a][b]
+                if max_verts > 2:
+                    grow((a, b), rows[a][b], sorted(adj[a] & adj[b]), new)
+        cells = []
+        for s in sorted(new, key=lambda s: (len(s), s)):
+            rec = records.get(s)
+            if rec is None:
+                rec = records[s] = ForwardCell(s, len(s) - 1,
+                                               simplex_facets(s))
+            cells.append(rec)
+            heapq.heappush(heap, (-new[s], s))
         blocks.append(BlockOp("F", cells))
         scales.append(scale)
 
     def backward_to(scale):
         thr2 = scale * scale
-        gone = sorted((s for s, diam2 in live.items() if diam2 > thr2),
-                      key=lambda s: (-len(s), s))
-        for s in gone:
-            del live[s]
+        gone = []
+        while heap and -heap[0][0] > thr2:
+            s = heapq.heappop(heap)[1]
+            gone.append(s)
+            if len(s) == 2:
+                a, b = s
+                linked[a, b] = linked[b, a] = False
+                adj[a].discard(b)
+                adj[b].discard(a)
+        gone.sort(key=lambda s: (-len(s), s))
         blocks.append(BlockOp("B", gone))
         scales.append(scale)
 
@@ -171,9 +197,9 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
             backward_to(min(mu * eps[i], nu * eps[i + 1]))
         else:
             backward_to(mu * eps[i])
-    blocks.append(BlockOp("B", sorted(live, key=lambda s: (-len(s), s))))
+    blocks.append(BlockOp("B", sorted((s for _, s in heap),
+                                      key=lambda s: (-len(s), s))))
     scales.append(0.0)
-    live.clear()
     return blocks, scales
 
 

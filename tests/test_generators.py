@@ -1,5 +1,8 @@
 """Stream generators: orderings, Rips/levelset zigzags, synthetic images."""
 
+import copy
+import hashlib
+import json
 from itertools import combinations
 
 import numpy as np
@@ -60,8 +63,12 @@ def test_oversized_point_dimension_is_rejected():
 
 # -- Rips thresholds ------------------------------------------------------------------
 
+def forward_records(blocks):
+    return [c for b in blocks if b.direction == "F" for c in b.cells]
+
+
 def forward_cells(blocks):
-    return [c.cell for b in blocks if b.direction == "F" for c in b.cells]
+    return [c.cell for c in forward_records(blocks)]
 
 
 def test_distant_points_stay_disconnected():
@@ -120,7 +127,13 @@ def test_scale_factor_order_is_enforced():
 
 
 def replay_against_diameters(pts, mu, nu, max_dim=2):
-    """Check every block's cells against independently computed diameters."""
+    """Check every block's cells against independently computed diameters.
+
+    A forward block over the first k points must hold exactly the
+    simplices of the flag complex at its scale that are not live, sorted
+    by (dim, vertices); a backward block exactly the live simplices above
+    its scale (all of them in the last block), sorted by (-dim, vertices).
+    """
     blocks, scales = oscillating_rips_stream(pts, mu, nu, max_dim)
     order, _ = furthest_point_ordering(pts)
     q = as_point_cloud(pts)[np.array(order)]
@@ -130,19 +143,29 @@ def replay_against_diameters(pts, mu, nu, max_dim=2):
         return max((d2[a, b] for a, b in combinations(s, 2)), default=0.0)
 
     live = set()
-    for k, (block, scale) in enumerate(zip(blocks, scales)):
+    k = 0
+    for i, (block, scale) in enumerate(zip(blocks, scales)):
         thr2 = scale * scale
         if block.direction == "F":
-            for c in block.cells:
-                assert diam2(c.cell) <= thr2
-            live.update(c.cell for c in block.cells)
+            k += 1
+            new = [c.cell for c in block.cells]
+            assert new == sorted(new, key=lambda s: (len(s), s))
+            assert all(c.dim == len(c.cell) - 1 for c in block.cells)
+            assert not live.intersection(new)
+            flag = {s for m in range(1, max_dim + 2)
+                    for s in combinations(range(k), m) if diam2(s) <= thr2}
+            assert set(new) == flag - live
+            live.update(new)
         else:
+            assert block.cells == sorted(block.cells,
+                                         key=lambda s: (-len(s), s))
             gone = set(block.cells)
-            if k < len(blocks) - 1:
+            if i < len(blocks) - 1:
                 assert gone == {s for s in live if diam2(s) > thr2}
             else:
                 assert gone == live
             live -= gone
+    assert k == len(order)
     assert not live
     return blocks, scales
 
@@ -159,6 +182,72 @@ def test_equal_factors_remove_the_band_between_scales():
     pts = rng.uniform(size=(7, 2))
     blocks, scales = replay_against_diameters(pts, 1.5, 1.5)
     assert [b.direction for b in blocks[:5]] == ["F", "F", "B", "F", "B"]
+
+
+@pytest.mark.parametrize("pts, mu, nu, max_dim", [
+    (np.random.default_rng(11).uniform(size=(12, 2)), 1.0, 1.4, 2),
+    (np.random.default_rng(12).uniform(size=(12, 3)), 1.2, 1.8, 3),
+    (circle_points(8, 1, jitter=0.0), 2, 3, 3),
+    ([[x, y] for x in range(4) for y in range(3)], 1.0, 1.5, 3),
+    ([[0.0], [0.0], [0.0]], 1, 2, 2),
+], ids=["random-12", "random-12-dim3", "circle-ties", "lattice-ties",
+        "coincident"])
+def test_forward_blocks_are_the_new_flag_simplices(pts, mu, nu, max_dim):
+    replay_against_diameters(pts, mu, nu, max_dim)
+
+
+def stream_digest(blocks, scales):
+    """sha256 of a stream: cells, dims, facet dicts in order, scales."""
+    def record(c):
+        return [list(c.cell), c.dim,
+                [[list(f), k] for f, k in c.boundary.items()]]
+    rows = [[b.direction, [record(c) if b.direction == "F" else list(c)
+                           for c in b.cells]] for b in blocks]
+    return hashlib.sha256(json.dumps([rows, scales]).encode()).hexdigest()
+
+
+# Digests of the streams of the clique-enumerating generator this one
+# replaced; the output must stay byte-identical.
+@pytest.mark.parametrize("pts, mu, nu, max_dim, start, digest", [
+    (circle_points(150, seed=7), 4, 6, 2, 0, "4cadc9e302fc0ec2"),
+    (circle_points(150, seed=7), 4, 6, 2, 7, "7abfe5439df7a4c7"),
+    (circle_points(40, seed=1), 4, 6, 0, 0, "7d334883aaaaa4fb"),
+    (circle_points(40, seed=1), 4, 6, 1, 0, "5b158d7be10ad14c"),
+    (circle_points(40, seed=1), 4, 6, 3, 0, "3162560bf679789f"),
+    (circle_points(8, 1, jitter=0.0), 2, 3, 2, 0, "ad9deae3657a8176"),
+    ([[0.0], [0.0], [0.0]], 1, 2, 2, 0, "7269df3bdc6b5e14"),
+], ids=["150-start0", "150-start7", "40-dim0", "40-dim1", "40-dim3", "ties",
+        "coincident"])
+def test_rips_streams_are_pinned(pts, mu, nu, max_dim, start, digest):
+    blocks, scales = oscillating_rips_stream(pts, mu, nu, max_dim, start)
+    assert stream_digest(blocks, scales)[:16] == digest
+
+
+def test_a_simplex_keeps_one_record_per_call():
+    pts = circle_points(40, seed=1)
+    blocks, _ = oscillating_rips_stream(pts, 4, 6)
+    first = {}
+    reentries = 0
+    for c in forward_records(blocks):
+        reentries += c.cell in first
+        assert first.setdefault(c.cell, c) is c
+    assert reentries > 0
+    again, _ = oscillating_rips_stream(pts, 4, 6)
+    for c in forward_records(again):
+        assert c == first[c.cell]
+        assert c is not first[c.cell]
+        assert c.boundary is not first[c.cell].boundary
+
+
+def test_the_engine_and_the_oracle_leave_records_unchanged():
+    blocks, _ = oscillating_rips_stream(circle_points(8, 1, jitter=0.0), 2, 3)
+    before = copy.deepcopy(blocks)
+    for morse in (True, False):
+        for validate in (True, False):
+            run_stream(blocks, p=2, morse=morse, validate=validate)
+            assert blocks == before
+    block_diagram(blocks, 2)
+    assert blocks == before
 
 
 @pytest.mark.parametrize("seed", range(5))
