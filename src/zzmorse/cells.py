@@ -187,34 +187,14 @@ def simplex_facets(simplex):
             for j in range(len(simplex))}
 
 
-def iter_cubes(dims):
-    """Elementary cubes of the full grid, in (dim, coords) order.
-
-    A cube is a tuple of doubled coordinates: even entry 2k is the vertex
-    coordinate k, odd entry 2k+1 is the unit interval [k, k+1].  The cube's
-    dimension is the number of odd entries.
-    """
-    nx, ny, nz = dims
-    ranges = [range(2 * nx - 1), range(2 * ny - 1), range(2 * nz - 1)]
-    cubes = [
-        (x, y, z)
-        for x in ranges[0]
-        for y in ranges[1]
-        for z in ranges[2]
-    ]
-    cubes.sort(key=lambda c: (sum(v % 2 for v in c), c))
-    return cubes
-
-
-def cube_dim(cube):
-    return sum(v % 2 for v in cube)
-
-
 def cube_facets(cube):
     """Facet chain {facet cube: +-1} with the standard alternating signs.
 
-    The k-th odd (interval) coordinate contributes its upper face with sign
-    (-1)^k and its lower face with the opposite sign.
+    A cube is a tuple of doubled coordinates: even entry 2k is the vertex
+    coordinate k, odd entry 2k+1 is the unit interval [k, k+1], and the
+    cube's dimension is the number of odd entries.  The k-th odd (interval)
+    coordinate contributes its upper face with sign (-1)^k and its lower
+    face with the opposite sign.
     """
     bd = {}
     odd_seen = 0
@@ -226,14 +206,3 @@ def cube_facets(cube):
         bd[cube[:axis] + (v - 1,) + cube[axis + 1:]] = -sign
         odd_seen += 1
     return bd
-
-
-def cube_vertices(cube):
-    """Vertex coordinate tuples (undoubled) spanned by a cube."""
-    spans = []
-    for v in cube:
-        if v % 2 == 0:
-            spans.append((v // 2,))
-        else:
-            spans.append((v // 2, v // 2 + 1))
-    return [(x, y, z) for x in spans[0] for y in spans[1] for z in spans[2]]

@@ -16,8 +16,7 @@ import random
 
 import numpy as np
 
-from .cells import (check_prime, cube_dim, cube_facets, cube_vertices,
-                    iter_cubes, simplex_facets)
+from .cells import check_prime, cube_facets, simplex_facets
 from .errors import (BadParameters, CountMismatch, EmptyCloud, EmptyDims,
                      NonMonotoneLevels, RaggedRow)
 from .linalg import boundary_matrix, nullspace
@@ -264,40 +263,46 @@ def levelset_stream(image, levels):
         raise NonMonotoneLevels("levels must be strictly increasing reals, "
                                 "got %r" % (levels,))
     s = [float(v) for v in s]
-    cubes = iter_cubes(image.dims)
-    lo = {}
-    hi = {}
-    for cube in cubes:
-        vals = [image.values[v] for v in cube_vertices(cube)]
-        lo[cube] = min(vals)
-        hi[cube] = max(vals)
-
-    live = set()
+    # Along each axis, doubled coordinate j spans vertices j // 2 and
+    # (j + 1) // 2 (one vertex at even j, an interval's two ends at odd j),
+    # so after all three axes lo and hi hold each cube's min and max vertex
+    # value over the doubled grid of cube_facets.
+    lo = hi = image.values
+    for axis, n in enumerate(image.dims):
+        j = np.arange(2 * n - 1)
+        lo = np.minimum(lo.take(j // 2, axis), lo.take((j + 1) // 2, axis))
+        hi = np.maximum(hi.take(j // 2, axis), hi.take((j + 1) // 2, axis))
+    # Flat index i is cube coords[i] in C order, so stable sorts by dim and
+    # by -dim give the (dim, cube) and (-dim, cube) orders.
+    coords = np.indices(lo.shape).reshape(3, -1).T
+    lo, hi = lo.ravel(), hi.ravel()
+    dim = (coords % 2).sum(axis=1)
+    up = np.argsort(dim, kind="stable")
+    down = np.argsort(-dim, kind="stable")
+    live = np.zeros(lo.size, dtype=bool)
     blocks = []
     scales = []
 
     def forward_to(a, b, scale):
-        new = [c for c in cubes
-               if c not in live and a <= lo[c] and hi[c] <= b]
-        cells = [ForwardCell(c, cube_dim(c), cube_facets(c)) for c in new]
-        live.update(new)
+        new = (a <= lo) & (hi <= b) & ~live
+        live[new] = True
+        idx = up[new[up]]
+        cells = [ForwardCell(c, d, cube_facets(c)) for c, d in
+                 zip(map(tuple, coords[idx].tolist()), dim[idx].tolist())]
         blocks.append(BlockOp("F", cells))
         scales.append(scale)
 
-    def backward_to(a, b, scale):
-        gone = sorted((c for c in live if not (a <= lo[c] and hi[c] <= b)),
-                      key=lambda c: (-cube_dim(c), c))
-        live.difference_update(gone)
-        blocks.append(BlockOp("B", gone))
+    def backward_to(gone, scale):
+        live[gone] = False
+        idx = down[gone[down]]
+        blocks.append(BlockOp("B", list(map(tuple, coords[idx].tolist()))))
         scales.append(scale)
 
     forward_to(s[0], s[1], s[1])
     for i in range(1, len(s) - 1):
         forward_to(s[i - 1], s[i + 1], s[i + 1])
-        backward_to(s[i], s[i + 1], s[i])
-    blocks.append(BlockOp("B", sorted(live, key=lambda c: (-cube_dim(c), c))))
-    scales.append(s[-1])
-    live.clear()
+        backward_to(live & ~((s[i] <= lo) & (hi <= s[i + 1])), s[i])
+    backward_to(live.copy(), s[-1])
     return blocks, scales
 
 
@@ -305,8 +310,10 @@ MAX_LEVELS = 10 ** 6
 
 
 def even_levels(image, spacing):
-    """Evenly spaced levels covering the image's value range, at most
-    ``MAX_LEVELS`` steps of them (``BadParameters`` otherwise)."""
+    """Evenly spaced, strictly increasing levels from the image's minimum
+    value to at least its maximum.  ``BadParameters`` for more than
+    ``MAX_LEVELS`` steps, or for a spacing too fine to step the values'
+    floats."""
     if not isinstance(image, ScalarImage):
         raise BadParameters("expected a ScalarImage, got %r" % (image,))
     spacing = _real("level spacing", spacing, 0)
@@ -317,7 +324,13 @@ def even_levels(image, spacing):
         raise BadParameters("level spacing %r gives more than %d steps"
                             % (spacing, MAX_LEVELS))
     count = max(1, int(np.ceil(steps)))
-    return [vmin + j * spacing for j in range(count + 1)]
+    levels = [vmin + j * spacing for j in range(count + 1)]
+    while levels[-1] < vmax:  # rounding can leave the top level short
+        levels.append(vmin + len(levels) * spacing)
+    if any(not a < b for a, b in zip(levels, levels[1:])):
+        raise BadParameters("level spacing %r is below the float resolution "
+                            "of the image values" % (spacing,))
+    return levels
 
 
 def fourier_image(dims, seed, terms):

@@ -1,6 +1,6 @@
 """Complex construction, incidence algebra, and the cell sign rules."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +10,8 @@ from zzmorse.cells import (
     Complex,
     apply_boundary,
     chain_addmul,
-    cube_dim,
     cube_facets,
     field_inv,
-    iter_cubes,
     simplex_facets,
 )
 from zzmorse.errors import (
@@ -23,6 +21,7 @@ from zzmorse.errors import (
     UnknownCell,
     ZeroInverse,
 )
+from zzmorse.generators import ScalarImage, levelset_stream
 
 
 def dd_is_zero(cx):
@@ -165,21 +164,23 @@ def test_simplex_facets_dd_zero(p):
             assert not apply_boundary(simplex_facets(simplex), simplex_facets, p)
 
 
-def test_cube_dim_counts():
-    assert sorted(map(cube_dim, iter_cubes((2, 1, 1)))) == [0, 0, 1]
-    dims = sorted(map(cube_dim, iter_cubes((2, 2, 1))))
-    assert dims.count(0) == 4 and dims.count(1) == 4 and dims.count(2) == 1
-    assert iter_cubes((1, 1, 1)) == [(0, 0, 0)]
+def doubled_cubes(dims):
+    """Every cube of an (nx, ny, nz) grid, in doubled coordinates."""
+    return list(product(*(range(2 * n - 1) for n in dims)))
 
 
 def test_cube_facets_dd_zero():
     for p in (2, 5):
         for dims in ((2, 2, 2), (3, 2, 1), (2, 3, 2)):
-            for cube in iter_cubes(dims):
+            for cube in doubled_cubes(dims):
                 assert not apply_boundary(cube_facets(cube), cube_facets, p)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=100, derandomize=True, database=None)
 def test_cubical_cell_count(nx, ny, nz):
-    assert len(iter_cubes((nx, ny, nz))) == (2 * nx - 1) * (2 * ny - 1) * (2 * nz - 1)
+    # a window holding every value emits every cube of the grid once
+    image = ScalarImage((nx, ny, nz), [0.0] * (nx * ny * nz))
+    cubes = [c.cell for c in levelset_stream(image, (0.0, 1.0))[0][0].cells]
+    assert len(cubes) == (2 * nx - 1) * (2 * ny - 1) * (2 * nz - 1)
+    assert sorted(cubes) == doubled_cubes((nx, ny, nz))

@@ -3,12 +3,13 @@
 import copy
 import hashlib
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from conftest import make_rng
+from zzmorse.cells import cube_facets
 from zzmorse.errors import (BadParameters, CountMismatch, EmptyCloud,
                             EmptyDims, NonMonotoneLevels, RaggedRow)
 from zzmorse.generators import (ScalarImage, as_point_cloud, blocks_to_stream,
@@ -223,6 +224,28 @@ def test_rips_streams_are_pinned(pts, mu, nu, max_dim, start, digest):
     assert stream_digest(blocks, scales)[:16] == digest
 
 
+# Digests of the streams of the per-cube levelset generator this one
+# replaced; the output must stay byte-identical.
+@pytest.mark.parametrize("image, levels, digest", [
+    (fourier_image((9, 9, 9), seed=11, terms=3), 0.2, "83305fdc4f3d6bcf"),
+    (fourier_image((9, 9, 9), seed=11, terms=3), 0.35, "83688fc0e9531e3e"),
+    (fourier_image((13, 13, 13), seed=11, terms=3), 0.2, "65e821373b201f71"),
+    (fourier_image((13, 13, 13), seed=11, terms=3), 0.35, "871c3389bcd48b9a"),
+    (ScalarImage((1, 5, 1), [0.3, 1.2, 0.1, 0.9, 0.5]), 0.25,
+     "cf55cbe1a4738c35"),
+    (ScalarImage((4, 3, 2), np.arange(24) * 7 % 5), [0, 1, 2, 3, 4],
+     "80825b6b7b84b5ee"),
+    (fourier_image((5, 4, 3), seed=2, terms=4),
+     [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0], "d8e1c541c7885bfd"),
+], ids=["9-0.2", "9-0.35", "13-0.2", "13-0.35", "1x5x1", "integer-ties",
+        "levels-beyond-values"])
+def test_levelset_streams_are_pinned(image, levels, digest):
+    if not np.iterable(levels):
+        levels = even_levels(image, levels)
+    blocks, scales = levelset_stream(image, levels)
+    assert stream_digest(blocks, scales)[:16] == digest
+
+
 def test_a_simplex_keeps_one_record_per_call():
     pts = circle_points(40, seed=1)
     blocks, _ = oscillating_rips_stream(pts, 4, 6)
@@ -328,6 +351,78 @@ def test_window_membership_needs_every_vertex():
     assert blocks[2].cells == [(1, 0, 0), (0, 0, 0)]
 
 
+def replay_against_windows(image, levels):
+    """Check every block against the per-cube window rule.
+
+    After each block the live cubes are exactly those whose every vertex
+    value lies in the block's window, and none after the last block.  A
+    forward block adds the missing ones, sorted by (dim, cube), as records
+    of Python ints with ``cube_facets`` boundaries; a backward block drops
+    the others, sorted by (-dim, cube).  Each cube enters at most once and
+    every cube that enters leaves exactly once.
+    """
+    blocks, scales = levelset_stream(image, levels)
+    s = [float(v) for v in levels]
+    windows = [(s[0], s[1])]
+    want_scales = [s[1]]
+    for i in range(1, len(s) - 1):
+        windows += [(s[i - 1], s[i + 1]), (s[i], s[i + 1])]
+        want_scales += [s[i + 1], s[i]]
+    windows.append(None)
+    want_scales.append(s[-1])
+    assert scales == want_scales
+    assert len(blocks) == len(windows)
+
+    def dim(cube):
+        return sum(v % 2 for v in cube)
+
+    lo, hi = {}, {}
+    for cube in product(*(range(2 * n - 1) for n in image.dims)):
+        vals = [image.values[v] for v in
+                product(*({v // 2, (v + 1) // 2} for v in cube))]
+        lo[cube], hi[cube] = min(vals), max(vals)
+    live, entered, left = set(), set(), []
+    for block, window in zip(blocks, windows):
+        want = set() if window is None else {
+            c for c in lo if window[0] <= lo[c] and hi[c] <= window[1]}
+        if block.direction == "F":
+            cells = [r.cell for r in block.cells]
+            assert live <= want
+            assert cells == sorted(want - live, key=lambda c: (dim(c), c))
+            for r in block.cells:
+                assert all(type(v) is int for v in r.cell)
+                assert type(r.dim) is int and r.dim == dim(r.cell)
+                assert r.boundary == cube_facets(r.cell)
+            assert entered.isdisjoint(cells)
+            entered.update(cells)
+            live.update(cells)
+        else:
+            assert want <= live
+            assert block.cells == sorted(live - want,
+                                         key=lambda c: (-dim(c), c))
+            left += block.cells
+            live -= set(block.cells)
+    assert not live
+    assert sorted(left) == sorted(entered)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_levelset_blocks_follow_the_window_rule(seed):
+    rng = np.random.default_rng(400 + seed)
+    dims = tuple(int(n) for n in rng.integers(1, 6, 3))
+    size = dims[0] * dims[1] * dims[2]
+    if seed % 3 == 0:
+        img = ScalarImage(dims, rng.uniform(-1.0, 1.0, size))
+        levels = even_levels(img, float(rng.uniform(0.1, 0.6)))
+    else:
+        # integer values tie with integer levels, some beyond the range
+        img = ScalarImage(dims, rng.integers(0, 4, size))
+        count = int(rng.integers(2, 7))
+        levels = sorted(int(v) for v in
+                        rng.choice(np.arange(-2, 6), count, replace=False))
+    replay_against_windows(img, levels)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_levelset_streams_match_the_oracle(seed):
     rng = np.random.default_rng(300 + seed)
@@ -346,6 +441,17 @@ def test_even_levels_cover_the_range():
     assert even_levels(ScalarImage((1, 1, 1), [2.0]), 0.5) == [2.0, 2.5]
     with pytest.raises(BadParameters):
         even_levels(img, 0.0)
+    # 149 rounded steps of 0.1 land one ulp below the maximum, which then
+    # never enters a window
+    img = ScalarImage((2, 1, 1), [2.118883313569249, 17.01888331356925])
+    levels = even_levels(img, 0.1)
+    assert levels[-1] >= 17.01888331356925
+    assert all(b > a for a, b in zip(levels, levels[1:]))
+    intervals, _ = run_stream(levelset_stream(img, levels)[0])
+    assert len(intervals) == 2
+    # a step below the values' float resolution repeats levels
+    with pytest.raises(BadParameters, match="spacing"):
+        even_levels(ScalarImage((2, 1, 1), [1e16, 1e16 + 4]), 0.5)
 
 
 def test_image_shape_is_checked():
