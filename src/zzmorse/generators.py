@@ -117,7 +117,6 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     pts = as_point_cloud(points)
     order, eps = furthest_point_ordering(pts, start)
     d2 = _pairwise_sq(pts[np.array(order)])
-    rows = d2.tolist()  # Python floats: the same values d2 compares with
     n = len(order)
     max_verts = max_dim + 1
     blocks = []
@@ -126,8 +125,13 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     # The live complex is always the flag complex of its 1-skeleton, so the
     # cliques a forward block adds are exactly those holding a new vertex or
     # an admitted edge.  Vertices never leave before the final block.
-    adj = []  # live 1-skeleton: position -> set of live neighbours
-    linked = np.zeros((n, n), dtype=bool)
+    # After a backward block to scale s the live edges among old vertices
+    # are exactly those with d2 <= s*s: every earlier forward block admitted
+    # all edges up to its own scale, which is >= s as mu <= nu and the radii
+    # do not increase.  So a forward block admits an old-old edge iff
+    # floor2 < d2 <= thr2, and an edge at a new vertex iff d2 <= thr2.
+    adj = []  # live 1-skeleton: position -> {live neighbour: squared length}
+    floor2 = -1.0  # squared scale of the last backward block
     heap = []  # (-squared diameter, simplex) for every live simplex
 
     def grow(simplex, diam2, cand, new):
@@ -135,7 +139,7 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
         for idx, w in enumerate(cand):
             nd = diam2
             for u in simplex:
-                duw = rows[u][w]
+                duw = adj[u][w]
                 if duw > nd:
                     nd = duw
             s = simplex + (w,)
@@ -146,23 +150,25 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
     def forward_to(count, scale):
         thr2 = scale * scale
         new = {}  # simplex -> squared diameter
-        for v in range(len(adj), count):
-            adj.append(set())
+        old = len(adj)
+        for v in range(old, count):
+            adj.append({})
             new[(v,)] = 0.0
         if max_verts > 1:
-            admitted = np.triu((d2[:count, :count] <= thr2)
-                               & ~linked[:count, :count], 1)
+            block = d2[:count, :count]
+            admitted = block <= thr2
+            admitted[:old, :old] &= block[:old, :old] > floor2
             # Each new clique is counted once, from its highest-ranked
             # admitted edge: edges join the graph in index order, and each
             # one's cliques are found among the common neighbours it has
             # when it joins.
-            for a, b in np.argwhere(admitted).tolist():
-                linked[a, b] = linked[b, a] = True
-                adj[a].add(b)
-                adj[b].add(a)
-                new[(a, b)] = rows[a][b]
+            edges = np.argwhere(np.triu(admitted, 1))
+            for (a, b), ab in zip(edges.tolist(),
+                                  block[edges[:, 0], edges[:, 1]].tolist()):
+                adj[a][b] = adj[b][a] = ab
+                new[(a, b)] = ab
                 if max_verts > 2:
-                    grow((a, b), rows[a][b], sorted(adj[a] & adj[b]), new)
+                    grow((a, b), ab, sorted(adj[a].keys() & adj[b]), new)
         cells = []
         for s in sorted(new, key=lambda s: (len(s), s)):
             rec = records.get(s)
@@ -175,16 +181,15 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
         scales.append(scale)
 
     def backward_to(scale):
-        thr2 = scale * scale
+        nonlocal floor2
+        floor2 = thr2 = scale * scale
         gone = []
         while heap and -heap[0][0] > thr2:
             s = heapq.heappop(heap)[1]
             gone.append(s)
             if len(s) == 2:
                 a, b = s
-                linked[a, b] = linked[b, a] = False
-                adj[a].discard(b)
-                adj[b].discard(a)
+                del adj[a][b], adj[b][a]
         gone.sort(key=lambda s: (-len(s), s))
         blocks.append(BlockOp("B", gone))
         scales.append(scale)

@@ -15,7 +15,7 @@ from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (KernelInsert, KernelUnpair, MorseState, RemoveCritical,
                      apply_atomic, atomize_backward, atomize_forward)
-from .validate import ShadowMatrix
+from .validate import ShadowComplex
 
 Interval = namedtuple("Interval", "dim birth death")
 Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
@@ -133,10 +133,11 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     """
     if observer is not None and not callable(observer):
         raise InvalidOp("observer %r is not callable" % (observer,))
-    state = MorseState(Complex(p), Matching(), validate)
+    shadowed = validate and morse
+    state = MorseState(ShadowComplex(p) if shadowed else Complex(p), Matching(),
+                       validate)
     cx = state.complex
     matrix = HomologyMatrix(cx.p)
-    shadow = ShadowMatrix(cx.p) if validate and morse else None
     alive = {}  # external id -> (internal id, dimension)
     intervals = []
     raw_ops = max_cells = max_critical = 0
@@ -187,9 +188,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 unpair_in_matrix(matrix, update)
             if event is not None and event[1] < block_index:
                 intervals.append(Interval(event[0], event[1], block_index - 1))
-            if shadow is not None:
-                shadow.mirror(state, op)
-                shadow.compare(matrix)
+            if shadowed:
+                cx.compare(matrix)
             if observer is not None:
                 observer(state, matrix, op)
 

@@ -8,7 +8,8 @@ code with the Morse engine or the streaming kernel beyond field arithmetic.
 
 A stream is what ``run_stream`` reads: blocks ``("F", [(cell, dim,
 {facet: coeff}), ...])`` that insert cells and ``("B", [cell, ...])`` that
-remove them, as BlockOps or plain tuples.  Cell names may be any hashable.
+remove them, as BlockOps or plain tuples.  Cell names may be any hashables,
+of mixed types too: bases follow each snapshot's insertion order, unsorted.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ def betti_numbers(state, p=2):
     if not state:
         return []
     top = max(d for d, _ in state.values())
-    layers = [sorted(c for c, (d, _) in state.items() if d == q)
+    layers = [[c for c, (d, _) in state.items() if d == q]
               for q in range(top + 2)]
     ranks = [0]
     for q in range(1, top + 2):
@@ -44,10 +45,10 @@ class _SnapshotHomology:
 
     def __init__(self, state, q, p):
         self.p = p
-        self.cells = sorted(c for c, (d, _) in state.items() if d == q)
+        self.cells = [c for c, (d, _) in state.items() if d == q]
         self.index = {c: i for i, c in enumerate(self.cells)}
-        below = sorted(c for c, (d, _) in state.items() if d == q - 1)
-        above = sorted(c for c, (d, _) in state.items() if d == q + 1)
+        below = [c for c, (d, _) in state.items() if d == q - 1]
+        above = [c for c, (d, _) in state.items() if d == q + 1]
         bd_q = boundary_matrix(state, below, self.cells)
         bd_up = boundary_matrix(state, self.cells, above)
         cycles = nullspace(bd_q, p)

@@ -4,17 +4,16 @@ Two independent cross-checks live here.  ``check_matrix`` audits the
 structural conditions the column kernel promises to maintain: triangular
 leading terms, cycle columns with vanishing boundary, boundary columns that
 are exactly the boundaries of their partners, and a consistent pairing.
-``ShadowMatrix`` is an unreduced twin kernel fed every raw cell, so its
-per-dimension cycle counts are the Betti numbers of the full complex and can
-be compared with the Morse-reduced matrix after each atomic operation.
+``ShadowComplex`` feeds every raw cell it writes to an unreduced twin kernel,
+whose per-dimension cycle counts, the Betti numbers of the full complex, are
+compared with the Morse-reduced matrix's after each atomic operation.
 """
 
-from .cells import apply_boundary
+from .cells import Complex, apply_boundary
 from .errors import BrokenInvariant, KernelError
 from .matrix import HomologyMatrix
 from .morse import morse_boundary
 from .oracle import betti_numbers
-from .stream import InsertCritical, InsertPair, RemoveCritical, RemovePair, Split
 
 
 # -- structural audit of the homology matrix ---------------------------------------
@@ -115,43 +114,33 @@ def check_betti(state, matrix, op=None):
 
 # -- unreduced shadow kernel ---------------------------------------------------------
 
-class ShadowMatrix(HomologyMatrix):
-    """Twin kernel that skips Morse reduction: one row per raw cell.
+class ShadowComplex(Complex):
+    """A complex whose ``attach`` and ``remove_cell`` replay the cell in
+    ``shadow``, an unreduced ``HomologyMatrix`` with one row per raw cell.
 
-    ``mirror`` replays an atomic operation with the raw cells involved;
-    ``compare`` then asserts its per-dimension cycle counts match the
-    reduced matrix's.  Every op is given block 0, since only counts are read.
+    ``compare`` asserts that its cycle counts match the reduced matrix's.
+    Every op is given block 0, since only counts are read.
     """
 
-    def _insert(self, cx, cell):
+    def __init__(self, p=2):
+        super().__init__(p)
+        self.shadow = HomologyMatrix(self.p)
+
+    def attach(self, cell, dim, bd):
+        super().attach(cell, dim, bd)
         try:
-            self.forward_insert(cell, cx.dims[cell], dict(cx.facets[cell]), 0,
-                                cx.seq[cell])
+            self.shadow.forward_insert(cell, dim, dict(bd), 0, self.seq[cell])
         except KernelError as exc:
             raise BrokenInvariant("shadow insert of %r: %s" % (cell, exc)) from None
 
-    def _remove(self, cell):
+    def remove_cell(self, cell):
+        super().remove_cell(cell)
         try:
-            self.backward_remove(cell, 0)
+            self.shadow.backward_remove(cell, 0)
         except KernelError as exc:
             raise BrokenInvariant("shadow removal of %r: %s" % (cell, exc)) from None
 
-    def mirror(self, state, op):
-        cx = state.complex
-        if isinstance(op, InsertCritical):
-            self._insert(cx, op.cell)
-        elif isinstance(op, InsertPair):
-            self._insert(cx, op.tau)
-            self._insert(cx, op.sigma)
-        elif isinstance(op, RemoveCritical):
-            self._remove(op.cell)
-        elif isinstance(op, RemovePair):
-            self._remove(op.sigma)
-            self._remove(op.tau)
-        elif not isinstance(op, Split):  # a split leaves the raw complex as is
-            raise BrokenInvariant("shadow cannot mirror %r" % (op,))
-
     def compare(self, reduced):
-        if self.f_counts != reduced.f_counts:
+        if self.shadow.f_counts != reduced.f_counts:
             raise BrokenInvariant("cycle counts diverge: full %r, reduced %r"
-                                  % (self.f_counts, reduced.f_counts))
+                                  % (self.shadow.f_counts, reduced.f_counts))

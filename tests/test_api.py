@@ -1,5 +1,6 @@
 """The public surface of the package."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +27,13 @@ def test_import_loads_neither_click_nor_the_cli():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+def test_validate_does_not_know_the_op_vocabulary():
+    # an import check cannot show this: importing zzmorse.validate runs
+    # zzmorse/__init__.py, which loads the kernel and, through it, stream
+    path = Path(__file__).resolve().parents[1] / "src" / "zzmorse" / "validate.py"
+    tree = ast.parse(path.read_text())
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert "stream" not in modules

@@ -217,6 +217,13 @@ def test_door_errors_name_the_defect(morse):
                    morse=morse)
     with pytest.raises(InvalidOp, match="dimension '1'"):
         run(ForwardCell(1, "1", {}))
+    with pytest.raises(InvalidOp, match="cell id 'a' is already alive"):
+        run_stream([BlockOp("F", [ForwardCell("a", 0, {})]),
+                    BlockOp("F", [ForwardCell("a", 0, {})])], morse=morse)
+    with pytest.raises(InvalidOp, match="cell id 'a' is already alive"):
+        run(ForwardCell("a", 0, {}), ForwardCell("a", 0, {}))
+    with pytest.raises(InvalidOp, match="unknown block direction 'X'"):
+        run_stream([BlockOp("X", [])], morse=morse)
     with pytest.raises(InvalidOp, match="block 1 is not"):
         run_stream([None], morse=morse)
     with pytest.raises(InvalidOp, match="block 1 is not"):

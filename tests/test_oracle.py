@@ -5,6 +5,7 @@ import pytest
 
 from conftest import blocks_to_stream, make_rng, random_block_ops
 from zzmorse.errors import InvalidOp, MissingFacet, NotRemovable, TooLarge
+from zzmorse.kernel import run_stream
 from zzmorse.linalg import rref
 from zzmorse.oracle import (
     ExplicitModule,
@@ -153,6 +154,17 @@ def test_replay_names_the_broken_precondition():
         block_diagram([("F", [("a", 0, {}), ("e", 1, {"a": 1})]), ("B", ["a"])])
     with pytest.raises(InvalidOp, match="unknown block direction"):
         block_diagram([("i", [("a", 0, {})])])
+
+
+@pytest.mark.parametrize("morse", [True, False])
+def test_ids_of_mixed_types_give_the_engines_diagram(morse):
+    blocks = [("F", [(1, 0, {}), ("a", 0, {}), ((2, 3), 1, {1: 1, "a": 1}),
+                     (2.5, 0, {})]),
+              ("B", [(2, 3)]),
+              ("B", [1, "a", 2.5])]
+    diagram = [(0, 1, 2), (0, 1, 2), (0, 2, 2)]
+    assert block_diagram(blocks) == diagram
+    assert run_stream(blocks, morse=morse)[0] == diagram
 
 
 def test_nonempty_end_rejected():

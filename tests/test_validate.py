@@ -6,7 +6,7 @@ from conftest import blocks_to_stream, make_rng, random_block_ops
 from zzmorse.errors import BrokenInvariant
 from zzmorse.kernel import run_stream
 from zzmorse.matrix import Column, HomologyMatrix
-from zzmorse.validate import (ShadowMatrix, apply_boundary, check_betti,
+from zzmorse.validate import (ShadowComplex, apply_boundary, check_betti,
                               check_invariants, check_matrix)
 
 
@@ -96,26 +96,34 @@ def test_rejects_a_non_cycle_relabelled_as_cycle():
 # -- the shadow kernel notices divergence -------------------------------------------
 
 def test_shadow_counts_match_and_then_diverge():
-    p = 2
-    shadow = ShadowMatrix(p)
-    live = HomologyMatrix(p)
+    cx = ShadowComplex(2)
+    live = HomologyMatrix(2)
+    cx.attach(cx.fresh_id(), 0, {})
+    live.forward_insert(0, 0, {}, 1, 0)
+    cx.compare(live)
 
-    class FakeComplex:
-        dims = {"a": 0, "b": 0}
-        facets = {"a": {}, "b": {}}
-        seq = {"a": 0, "b": 1}
+    cx.attach(cx.fresh_id(), 0, {})
+    with pytest.raises(BrokenInvariant, match="cycle counts diverge"):
+        cx.compare(live)
 
-    from zzmorse.stream import InsertCritical, MorseState
 
-    state = MorseState.__new__(MorseState)
-    state.complex = FakeComplex()
-    shadow.mirror(state, InsertCritical("a", 0, {}))
-    live.forward_insert("a", 0, {}, 1, 0)
-    shadow.compare(live)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shadow_holds_every_live_cell_after_every_op(p):
+    def lockstep(state, matrix, op):
+        assert set(state.complex.shadow.rowseq) == set(state.complex.dims)
 
-    shadow.mirror(state, InsertCritical("b", 0, {}))
-    with pytest.raises(BrokenInvariant):
-        shadow.compare(live)
+    for seed in range(70):
+        blocks = blocks_to_stream(random_block_ops(make_rng(480_000 + seed), p=p))
+        run_stream(blocks, p=p, validate=True, observer=lockstep)
+
+
+def test_run_stream_compares_the_shadow_after_every_op():
+    def cook(state, matrix, op):
+        matrix.f_counts[7] = 1
+
+    blocks = [("F", [("v", 0, {})]), ("B", ["v"])]
+    with pytest.raises(BrokenInvariant, match="cycle counts diverge"):
+        run_stream(blocks, validate=True, observer=cook)
 
 
 @pytest.mark.parametrize("morse", [True, False])
