@@ -170,7 +170,8 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
                 if max_verts > 2:
                     grow((a, b), ab, sorted(adj[a].keys() & adj[b]), new)
         cells = []
-        for s in sorted(new, key=lambda s: (len(s), s)):
+        # stable sorts by s, then len: (len(s), s) order without a key per tuple
+        for s in sorted(sorted(new), key=len):
             rec = records.get(s)
             if rec is None:
                 rec = records[s] = ForwardCell(s, len(s) - 1,
@@ -190,8 +191,8 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
             if len(s) == 2:
                 a, b = s
                 del adj[a][b], adj[b][a]
-        gone.sort(key=lambda s: (-len(s), s))
-        blocks.append(BlockOp("B", gone))
+        gone.sort()
+        blocks.append(BlockOp("B", sorted(gone, key=len, reverse=True)))
         scales.append(scale)
 
     forward_to(1, mu * eps[0] if eps else 0.0)
@@ -201,8 +202,8 @@ def oscillating_rips_stream(points, mu, nu, max_dim=2, start=0):
             backward_to(min(mu * eps[i], nu * eps[i + 1]))
         else:
             backward_to(mu * eps[i])
-    blocks.append(BlockOp("B", sorted((s for _, s in heap),
-                                      key=lambda s: (-len(s), s))))
+    blocks.append(BlockOp("B", sorted(sorted(s for _, s in heap), key=len,
+                                      reverse=True)))
     scales.append(0.0)
     return blocks, scales
 

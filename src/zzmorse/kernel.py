@@ -26,8 +26,7 @@ Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
 # they stay module globals called by name; tests/test_hooks.py checks it.
 def insert_into_matrix(matrix, update, block):
     """Feed one critical insertion to the column kernel; returns an event."""
-    return matrix.forward_insert(update.cell, update.dim, update.boundary,
-                                 block, update.seq)
+    return matrix.forward_insert(update.cell, update.boundary, block)
 
 
 def remove_from_matrix(matrix, cell, block):
@@ -38,8 +37,7 @@ def remove_from_matrix(matrix, cell, block):
 def unpair_in_matrix(matrix, update):
     """Feed a pair split to the column kernel."""
     matrix.unpair_update(update.tau, update.sigma, update.sigma_boundary,
-                         update.tau_cofacets, update.tau_dim, update.tau_seq,
-                         update.sigma_seq)
+                         update.tau_cofacets)
 
 
 def _caller_id(alive, cell):
@@ -137,7 +135,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     state = MorseState(ShadowComplex(p) if shadowed else Complex(p), Matching(),
                        validate)
     cx = state.complex
-    matrix = HomologyMatrix(cx.p)
+    matrix = HomologyMatrix(cx.p, cx.seq, cx.dims)
     alive = {}  # external id -> (internal id, dimension)
     intervals = []
     raw_ops = max_cells = max_critical = 0

@@ -1,13 +1,13 @@
 """Column algebra for streaming zigzag persistence.
 
 The matrix maintains one column per live critical cell, keyed by the column's
-leading cell, with rows ordered by the cells' insertion sequence numbers in
-the complex.  An insertion adds the newest row, at the top.  A removal first
-runs a cascade of column operations that clears its row from every other
-column, which is the zigzag algorithm's move of that row to the top of the
-order, and then deletes the row in place.  An unpair puts the split pair
-back at its own sequence numbers, which are consecutive, so no live row
-sits between them.
+leading cell, with rows ordered by the cells' insertion sequence numbers,
+read from the complex's own ``seq`` (and dimensions from its ``dims``).  An
+insertion adds the newest row, at the top.  A removal first runs a cascade
+of column operations that clears its row from every other column, which is
+the zigzag algorithm's move of that row to the top of the order, and then
+deletes the row in place.  An unpair puts the split pair back at its own
+sequence numbers, which are consecutive, so no live row sits between them.
 
 Columns carry one of three labels.  F columns are cycles and own a birth;
 G columns are boundaries; each H column has ``boundary(H) = G`` for its
@@ -43,14 +43,15 @@ class Column:
 
 
 class HomologyMatrix:
-    def __init__(self, p):
+    def __init__(self, p, seq, dims):
         self.p = p
+        self.seq = seq    # the complex's cell -> insertion sequence number
+        self.dims = dims  # the complex's cell -> dimension
         self.cols = {}    # slot cell -> Column whose chain leads at that cell
-        self.rowseq = {}  # cell -> complex insertion sequence number
-        self.rowdim = {}  # cell -> dimension
-        self.occ = {}     # cell -> set of slots whose chain contains it
+        self.rowdim = {}  # row cell -> dimension
+        self.occ = {}     # row cell -> set of slots whose chain contains it
         self.f_counts = {}  # dimension -> number of F columns
-        self.last_seq = None  # largest seq forward_insert has been given
+        self.last_seq = None  # largest seq forward_insert has read
         self.row_ops = 0  # rows added or removed so far: the clock of births
 
     # -- bookkeeping ---------------------------------------------------------
@@ -103,31 +104,30 @@ class HomologyMatrix:
             chain_addmul(out, self.cols[slot].chain, a, self.p)
         return out
 
-    def _new_row(self, cell, dim, seq):
-        self.rowseq[cell] = seq
-        self.rowdim[cell] = dim
-        self.occ[cell] = set()
+    def _seq_of(self, cell):
+        if cell not in self.seq or cell not in self.dims:
+            raise KernelError("cell %r is not in the complex" % (cell,))
+        return self.seq[cell]
 
-    def _drop_row(self, cell):
-        del self.rowseq[cell]
-        del self.rowdim[cell]
-        del self.occ[cell]
+    def _new_row(self, cell):
+        self.rowdim[cell] = self.dims[cell]
+        self.occ[cell] = set()
 
     # -- reduction -----------------------------------------------------------
 
     def _reduce(self, boundary):
         """Express a chain as a combination of columns; returns {slot: coeff}."""
         p = self.p
-        rowseq = self.rowseq
+        seq, occ = self.seq, self.occ
         work = {}
         heap = []
         for cell, coeff in boundary.items():
             coeff %= p
             if coeff:
-                if cell not in rowseq:
+                if cell not in occ:
                     raise KernelError("boundary cell %r has no row" % (cell,))
                 work[cell] = coeff
-                heapq.heappush(heap, (-rowseq[cell], cell))
+                heapq.heappush(heap, (-seq[cell], cell))
         used = {}
         while heap:
             _, lead = heapq.heappop(heap)
@@ -141,7 +141,7 @@ class HomologyMatrix:
                 v = (work.get(cell, 0) - a * c) % p
                 if v:
                     if cell not in work:
-                        heapq.heappush(heap, (-rowseq[cell], cell))
+                        heapq.heappush(heap, (-seq[cell], cell))
                     work[cell] = v
                 else:
                     work.pop(cell, None)
@@ -151,18 +151,19 @@ class HomologyMatrix:
 
     # -- the three kernel operations ------------------------------------------
 
-    def forward_insert(self, cell, dim, boundary, block, seq):
+    def forward_insert(self, cell, boundary, block):
         """Add a critical cell in block ``block``; ticks ``row_ops`` by 1.
 
         Returns (dim, birth block) of the class it kills, or None when it
-        creates a class, born ``(+row_ops, block)``.  ``seq`` is the cell's
-        insertion sequence number and must exceed every earlier one.
+        creates a class, born ``(+row_ops, block)``.  The cell's sequence
+        number in the complex must exceed every earlier insertion's.
         """
-        if cell in self.rowseq:
+        if cell in self.occ:
             raise KernelError("cell %r already has a row" % (cell,))
-        if self.last_seq is not None and seq <= self.last_seq:
+        cell_seq = self._seq_of(cell)
+        if self.last_seq is not None and cell_seq <= self.last_seq:
             raise KernelError("seq %r of %r is not above the last insertion's"
-                              % (seq, cell))
+                              % (cell_seq, cell))
         used = self._reduce(boundary)
         gs = {}
         fs = {}
@@ -176,15 +177,15 @@ class HomologyMatrix:
                 raise KernelError("boundary is not a cycle in the reduced complex")
 
         self.row_ops += 1
-        self.last_seq = seq
-        self._new_row(cell, dim, seq)
+        self.last_seq = cell_seq
+        self._new_row(cell)
         chain = self._combination({self.cols[g].partner: -a
                                    for g, a in gs.items()})
         chain[cell] = 1
 
         if not fs:
             self._set_column(cell, Column(chain, "F", birth=(self.row_ops, block)))
-            self._count(dim, 1)
+            self._count(self.rowdim[cell], 1)
             return None
 
         # The class with the largest birth dies.  The surviving classes keep
@@ -192,8 +193,8 @@ class HomologyMatrix:
         # so that each survivor's representative entangles exactly the
         # earlier-born classes; re-echeloning against the new boundary
         # column settles which row each survivor occupies.
-        rowseq = self.rowseq
-        lead = max(fs, key=rowseq.get)
+        seq = self.seq
+        lead = max(fs, key=seq.get)
         order = sorted(fs, key=lambda f: self.cols[f].birth)
         event = (self.rowdim[lead], self.cols[order[-1]].birth[1])
         g_chain = self._combination(fs)
@@ -205,7 +206,7 @@ class HomologyMatrix:
             chain_addmul(prefix, self.cols[f].chain, fs[f], p)
             part = dict(prefix)
             while True:
-                top = max(part, key=rowseq.get)
+                top = max(part, key=seq.get)
                 if top == lead:
                     against = g_chain
                 elif top in placed:
@@ -228,13 +229,13 @@ class HomologyMatrix:
         Returns (dim, birth block) of the class it kills, or None when it
         reopens one, born ``(-row_ops, block)``.
         """
-        if cell not in self.rowseq:
+        if cell not in self.occ:
             raise KernelError("cell %r has no row" % (cell,))
         self.row_ops += 1
         p = self.p
-        rowseq = self.rowseq
+        seq = self.seq
         blockers = sorted((b for b in self.occ[cell] if b != cell),
-                          key=rowseq.get)
+                          key=seq.get)
         for beta in blockers:
             alpha_col = self.cols[cell]
             beta_col = self.cols[beta]
@@ -268,7 +269,7 @@ class HomologyMatrix:
             else:
                 g_a = alpha_col.partner
                 g_b = beta_col.partner
-                if rowseq[g_a] < rowseq[g_b]:
+                if seq[g_a] < seq[g_b]:
                     lam = -x * field_inv(y, p)
                     self._addmul(beta, alpha_col.chain, lam)
                     self._addmul(g_b, self.cols[g_a].chain, lam)
@@ -288,7 +289,7 @@ class HomologyMatrix:
             raise KernelError("cell %r still occurs in other columns" % (cell,))
 
         col = self.cols[cell]
-        dim = self.rowdim[cell]
+        dim = self.rowdim[cell]  # not dims: the complex dropped cell first
         event = None
         if col.label == "F":
             event = (dim, col.birth[1])
@@ -302,45 +303,44 @@ class HomologyMatrix:
         else:
             raise KernelError("a boundary column leads at a maximal cell")
         self._occ_drop(cell, col.chain)
-        del self.cols[cell]
-        self._drop_row(cell)
+        del self.cols[cell], self.rowdim[cell], self.occ[cell]
         return event
 
-    def unpair_update(self, tau, sigma, sigma_boundary, tau_cofacets,
-                      tau_dim, tau_seq, sigma_seq):
+    def unpair_update(self, tau, sigma, sigma_boundary, tau_cofacets):
         """Splice the freshly unpaired cells tau, sigma into the matrix.
 
         ``sigma_boundary`` is sigma's reduced boundary after unpairing, its
         tau coefficient the pair's incidence (``ZeroInverse`` before any
         write if that is 0); ``tau_cofacets`` is the reduced coboundary of
         tau.  Existing cycle and pairing columns are corrected so all
-        invariants survive.  The two new rows tick ``row_ops`` by 2 and take
-        the pair's consecutive insertion sequence numbers (``tau_seq``,
-        ``sigma_seq``).  Returns the number of corrected columns.
+        invariants survive.  The two new rows tick ``row_ops`` by 2; the
+        pair's sequence numbers in the complex must be consecutive.  Returns
+        the number of corrected columns.
         """
+        tau_seq, sigma_seq = self._seq_of(tau), self._seq_of(sigma)
         if sigma_seq != tau_seq + 1:
             raise KernelError("pair (%r, %r) was not inserted consecutively"
                               % (tau, sigma))
-        if tau in self.rowseq or sigma in self.rowseq:
+        if tau in self.occ or sigma in self.occ:
             raise KernelError("pair (%r, %r) already has a row" % (tau, sigma))
         p = self.p
         below = [c for c in sigma_boundary if c != tau]
         above = [c for c in tau_cofacets if c != sigma]
         for c in below + above:
-            if c not in self.rowseq:
+            if c not in self.occ:
                 raise KernelError("chain cell %r has no row" % (c,))
         for c in below:
-            if self.rowseq[c] >= tau_seq:
+            if self.seq[c] >= tau_seq:
                 raise KernelError("boundary cell %r sits above the spliced "
                                   "pair" % (c,))
         for c in above:
-            if self.rowseq[c] <= sigma_seq:
+            if self.seq[c] <= sigma_seq:
                 raise KernelError("cofacet %r sits below the spliced pair"
                                   % (c,))
         scale = -field_inv(sigma_boundary.get(tau, 0), p) % p
         self.row_ops += 2
-        self._new_row(tau, tau_dim, tau_seq)
-        self._new_row(sigma, tau_dim + 1, sigma_seq)
+        self._new_row(tau)
+        self._new_row(sigma)
 
         touched = 0
         seen = set()

@@ -70,10 +70,11 @@ def coreduce(records):
     The result's ``pair_up`` lists the pairs in the order they formed;
     ``stream.atomize_forward`` relies on that order.
     """
-    inner_cofacets = {}
+    inner_cofacets = {}  # only ``retire`` reads it, and only for records
     for cell, (_, bnd) in records.items():
         for facet in bnd:
-            inner_cofacets.setdefault(facet, []).append(cell)
+            if facet in records:
+                inner_cofacets.setdefault(facet, []).append(cell)
 
     avail = set(records)
     count = {cell: sum(1 for f in bnd if f in avail)

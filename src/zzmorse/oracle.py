@@ -24,22 +24,6 @@ MAX_CELLS = 200
 # snapshot homology
 # ---------------------------------------------------------------------------
 
-def betti_numbers(state, p=2):
-    """Betti numbers of a snapshot, indexed by dimension (trailing zeros cut)."""
-    if not state:
-        return []
-    top = max(d for d, _ in state.values())
-    layers = [[c for c, (d, _) in state.items() if d == q]
-              for q in range(top + 2)]
-    ranks = [0]
-    for q in range(1, top + 2):
-        ranks.append(rank_mod(boundary_matrix(state, layers[q - 1], layers[q]), p))
-    betti = [len(layers[q]) - ranks[q] - ranks[q + 1] for q in range(top + 1)]
-    while betti and betti[-1] == 0:
-        betti.pop()
-    return betti
-
-
 class _SnapshotHomology:
     """Cycle and boundary bases of one snapshot in one dimension."""
 

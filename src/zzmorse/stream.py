@@ -31,11 +31,9 @@ RemoveCritical = namedtuple("RemoveCritical", "cell")
 RemovePair = namedtuple("RemovePair", "tau sigma")
 Split = namedtuple("Split", "tau sigma")
 
-KernelInsert = namedtuple("KernelInsert", "cell dim boundary seq")
-KernelUnpair = namedtuple(
-    "KernelUnpair",
-    "tau sigma tau_dim sigma_boundary tau_cofacets tau_seq sigma_seq",
-)
+KernelInsert = namedtuple("KernelInsert", "cell boundary")
+KernelUnpair = namedtuple("KernelUnpair",
+                          "tau sigma sigma_boundary tau_cofacets")
 
 
 class MorseState:
@@ -143,8 +141,7 @@ def apply_atomic(state, op):
     if isinstance(op, InsertCritical):
         cx.attach(op.cell, op.dim, op.boundary)
         m.add_critical(op.cell)
-        return KernelInsert(op.cell, op.dim, _reduced_boundary(state, op.cell),
-                            cx.seq[op.cell])
+        return KernelInsert(op.cell, _reduced_boundary(state, op.cell))
 
     if isinstance(op, InsertPair):
         if op.tau not in op.sigma_boundary:
@@ -187,8 +184,7 @@ def apply_atomic(state, op):
         sigma_boundary = _reduced_boundary(state, op.sigma)
         if sigma_boundary.get(op.tau) != incidence:
             raise InvalidOp("reduced boundary lost the pair incidence")
-        return KernelUnpair(op.tau, op.sigma, cx.dims[op.tau], sigma_boundary,
-                            morse_coboundary(cx, m, op.tau), cx.seq[op.tau],
-                            cx.seq[op.sigma])
+        return KernelUnpair(op.tau, op.sigma, sigma_boundary,
+                            morse_coboundary(cx, m, op.tau))
 
     raise InvalidOp("unknown atomic op %r" % (op,))

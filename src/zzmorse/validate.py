@@ -11,9 +11,9 @@ compared with the Morse-reduced matrix's after each atomic operation.
 
 from .cells import Complex, apply_boundary
 from .errors import BrokenInvariant, KernelError
+from .linalg import betti_numbers
 from .matrix import HomologyMatrix
 from .morse import morse_boundary
-from .oracle import betti_numbers
 
 
 # -- structural audit of the homology matrix ---------------------------------------
@@ -23,19 +23,22 @@ def check_matrix(matrix, boundary_fn):
 
     ``boundary_fn`` maps a row cell to its boundary chain in the complex the
     matrix is tracking (for the engine, the Morse boundary of a critical
-    cell).  Checks row order, triangularity, the cycle/boundary conditions,
-    the pairing, and the occurrence-index and cycle-count bookkeeping.
+    cell).  Checks that every row is a cell of the complex, row order,
+    triangularity, the cycle/boundary conditions, the pairing, and the
+    occurrence-index and cycle-count bookkeeping.
     """
     p = matrix.p
-    rowseq = matrix.rowseq
-    if set(matrix.cols) != set(rowseq):
+    rows, seq = matrix.occ, matrix.seq
+    if set(matrix.cols) != set(rows):
         raise BrokenInvariant("columns and rows list different cells")
-
-    for cell in rowseq:
+    for cell in rows:
+        if cell not in seq:
+            raise BrokenInvariant("row %r is not in the complex" % (cell,))
+    for cell in rows:
         for facet in boundary_fn(cell):
-            if facet not in rowseq:
+            if facet not in rows:
                 raise BrokenInvariant("boundary of %r leaves the rows" % (cell,))
-            if rowseq[facet] >= rowseq[cell]:
+            if seq[facet] >= seq[cell]:
                 raise BrokenInvariant(
                     "row order is not a filtration: %r above %r" % (facet, cell))
 
@@ -45,7 +48,7 @@ def check_matrix(matrix, boundary_fn):
             raise BrokenInvariant("empty column at %r" % (slot,))
         dim = matrix.rowdim[slot]
         for cell, coeff in col.chain.items():
-            if cell not in rowseq:
+            if cell not in rows:
                 raise BrokenInvariant("column %r touches a dead row" % (slot,))
             if matrix.rowdim[cell] != dim:
                 raise BrokenInvariant("column %r mixes dimensions" % (slot,))
@@ -53,7 +56,7 @@ def check_matrix(matrix, boundary_fn):
                 raise BrokenInvariant("stored zero coefficient in %r" % (slot,))
             if slot not in matrix.occ[cell]:
                 raise BrokenInvariant("occurrence index misses %r" % (slot,))
-        if max(col.chain, key=rowseq.get) != slot:
+        if max(col.chain, key=seq.get) != slot:
             raise BrokenInvariant("column at %r does not lead there" % (slot,))
 
         bd = apply_boundary(col.chain, boundary_fn, p)
@@ -124,12 +127,12 @@ class ShadowComplex(Complex):
 
     def __init__(self, p=2):
         super().__init__(p)
-        self.shadow = HomologyMatrix(self.p)
+        self.shadow = HomologyMatrix(self.p, self.seq, self.dims)
 
     def attach(self, cell, dim, bd):
         super().attach(cell, dim, bd)
         try:
-            self.shadow.forward_insert(cell, dim, dict(bd), 0, self.seq[cell])
+            self.shadow.forward_insert(cell, dict(bd), 0)
         except KernelError as exc:
             raise BrokenInvariant("shadow insert of %r: %s" % (cell, exc)) from None
 

@@ -22,8 +22,8 @@ def test_import_loads_neither_click_nor_the_cli():
     # a subprocess does not see pytest's pythonpath setting, hence PYTHONPATH
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    probe = ("import sys, zzmorse; "
-             "print(sorted({'click', 'zzmorse.cli'} & set(sys.modules)))")
+    probe = ("import sys, zzmorse; print(sorted("
+             "{'click', 'zzmorse.cli', 'zzmorse.oracle'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")

@@ -70,6 +70,9 @@ def test_image_count_mismatch(tmp_path):
     path.write_text("dims 2 2 1\n0 0 0\n")
     with pytest.raises(CountMismatch):
         parse_image(path)
+    path.write_text("dims 2 1 1\n0 x\n")
+    with pytest.raises(CountMismatch, match="line 2 is not decimal numbers"):
+        parse_image(path)
 
 
 def test_image_bad_header(tmp_path):

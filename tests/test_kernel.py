@@ -157,31 +157,49 @@ def test_backward_cells_may_be_an_iterator():
 
 
 # -- kernel column algebra (white box) ----------------------------------------
+# The matrix reads row order and dimension from its complex's ``seq`` and
+# ``dims``; these tests own those two dicts and write them as a complex would.
+
+
+def enter(m, cell, dim, seq):
+    """Put a cell into the complex mappings the matrix reads."""
+    m.seq[cell], m.dims[cell] = seq, dim
+
+
+def insert(m, cell, dim, bd, block, seq):
+    enter(m, cell, dim, seq)
+    return m.forward_insert(cell, bd, block)
+
+
+def remove(m, cell, block):
+    """The complex drops a cell before the kernel removes its row."""
+    del m.seq[cell], m.dims[cell]
+    return m.backward_remove(cell, block)
 
 
 def circle_no_morse_matrix():
     """Circle built cell by cell through the kernel, every cell critical."""
-    m = HomologyMatrix(2)
+    m = HomologyMatrix(2, {}, {})
     for seq, (cell, dim, bd) in enumerate([
             ("v1", 0, {}), ("v2", 0, {}), ("v3", 0, {}),
             ("e12", 1, {"v1": 1, "v2": 1}), ("e23", 1, {"v2": 1, "v3": 1})]):
-        m.forward_insert(cell, dim, bd, 1, seq)
+        insert(m, cell, dim, bd, 1, seq)
     return m
 
 
 def test_insert_closing_edge_births_a_cycle():
     m = circle_no_morse_matrix()
-    event = m.forward_insert("e13", 1, {"v1": 1, "v3": 1}, 2, 5)
+    event = insert(m, "e13", 1, {"v1": 1, "v3": 1}, 2, 5)
     assert event is None
     assert m.cols["e13"].label == "F"
     assert m.cols["e13"].birth == (6, 2)
     assert m.f_counts == {0: 1, 1: 1}
 
-    event = m.forward_insert("t123", 2, {"e12": 1, "e23": 1, "e13": 1}, 3, 6)
+    event = insert(m, "t123", 2, {"e12": 1, "e23": 1, "e13": 1}, 3, 6)
     assert event == (1, 2)
     assert m.f_counts == {0: 1}
 
-    event = m.backward_remove("t123", 4)
+    event = remove(m, "t123", 4)
     assert event is None
     assert m.f_counts == {0: 1, 1: 1}
     assert m.row_ops == 8
@@ -190,11 +208,13 @@ def test_insert_closing_edge_births_a_cycle():
 def test_unpair_inserts_the_pair_and_corrects_cycles():
     # Circle with pairs (v2,e12),(v3,e23); rows v1, e13; then the pair
     # (v3,e23) is unpaired: the e13 cycle column must pick up an e23 term.
-    m = HomologyMatrix(2)
-    m.forward_insert("v1", 0, {}, 1, 0)
-    m.forward_insert("e13", 1, {}, 1, 5)
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "v1", 0, {}, 1, 0)
+    insert(m, "e13", 1, {}, 1, 5)
+    enter(m, "v3", 0, 3)
+    enter(m, "e23", 1, 4)
     touched = m.unpair_update("v3", "e23", {"v1": 1, "v3": 1},
-                              {"e13": 1, "e23": 1}, 0, 3, 4)
+                              {"e13": 1, "e23": 1})
     assert touched == 1
     assert m.row_ops == 4  # a split gives the matrix two new rows
     assert m.cols["e13"].chain == {"e13": 1, "e23": 1}
@@ -205,71 +225,109 @@ def test_unpair_inserts_the_pair_and_corrects_cycles():
     assert m.cols["e23"].chain == {"e23": 1}
     assert m.cols["e23"].label == "H"
     assert m.cols["e23"].partner == "v3"
-    order = sorted(m.rowseq, key=m.rowseq.get)
+    order = sorted(m.occ, key=m.seq.get)
     assert order == ["v1", "v3", "e23", "e13"]
 
-    event = m.backward_remove("e23", 2)
+    event = remove(m, "e23", 2)
     assert event == (1, 1)
-    assert sorted(m.rowseq, key=m.rowseq.get) == ["v1", "v3", "e13"]
+    assert sorted(m.occ, key=m.seq.get) == ["v1", "v3", "e13"]
     assert m.cols["e13"].label == "H"
     assert m.cols["e13"].partner == "v3"
     assert m.cols["v3"].label == "G"
 
 
 def test_insert_rejects_a_seq_not_above_every_earlier_one():
-    m = HomologyMatrix(2)
-    m.forward_insert("a", 0, {}, 1, 3)
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "a", 0, {}, 1, 3)
     with pytest.raises(KernelError):
-        m.forward_insert("b", 0, {}, 1, 3)
-    m.backward_remove("a", 2)
+        insert(m, "b", 0, {}, 1, 3)
+    remove(m, "a", 2)
     with pytest.raises(KernelError):
-        m.forward_insert("b", 0, {}, 3, 2)
-    assert len(m) == 0 and not m.rowseq
+        insert(m, "b", 0, {}, 3, 2)
+    assert len(m) == 0 and not m.occ
     assert m.row_ops == 2  # a refused insertion does not tick the clock
-    m.forward_insert("b", 0, {}, 3, 4)
-    assert m.rowseq == {"b": 4}
+    insert(m, "b", 0, {}, 3, 4)
+    assert set(m.occ) == {"b"} and m.seq == {"b": 4}
 
 
 def test_unpair_rejects_a_pair_not_inserted_consecutively():
-    m = HomologyMatrix(2)
-    m.forward_insert("v1", 0, {}, 1, 0)
-    m.forward_insert("e13", 1, {}, 1, 5)
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "v1", 0, {}, 1, 0)
+    insert(m, "e13", 1, {}, 1, 5)
+    enter(m, "v3", 0, 2)
+    enter(m, "e23", 1, 4)
     with pytest.raises(KernelError):
         m.unpair_update("v3", "e23", {"v1": 1, "v3": 1},
-                        {"e13": 1, "e23": 1}, 0, 2, 4)
+                        {"e13": 1, "e23": 1})
+    enter(m, "e23", 1, 1)
     with pytest.raises(KernelError):
-        m.unpair_update("v1", "e23", {"v1": 1}, {"e13": 1, "e23": 1},
-                        0, 0, 1)
-    assert set(m.rowseq) == {"v1", "e13"}
+        m.unpair_update("v1", "e23", {"v1": 1}, {"e13": 1, "e23": 1})
+    assert set(m.occ) == {"v1", "e13"}
     assert m.row_ops == 2
 
 
 @pytest.mark.parametrize("incidence", [0, 2])
 def test_unpair_with_zero_incidence_leaves_the_matrix_unchanged(incidence):
-    m = HomologyMatrix(2)
-    m.forward_insert("v1", 0, {}, 1, 0)
-    m.forward_insert("e13", 1, {}, 1, 5)
-    rows = dict(m.rowseq)
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "v1", 0, {}, 1, 0)
+    insert(m, "e13", 1, {}, 1, 5)
+    enter(m, "v3", 0, 3)
+    enter(m, "e23", 1, 4)
+    rows = dict(m.rowdim)
     chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
     with pytest.raises(ZeroInverse):
         m.unpair_update("v3", "e23", {"v1": 1, "v3": incidence},
-                        {"e13": 1, "e23": 1}, 0, 3, 4)
-    assert m.rowseq == rows and set(m.occ) == set(rows)
+                        {"e13": 1, "e23": 1})
+    assert m.rowdim == rows and set(m.occ) == set(rows)
     assert {slot: col.chain for slot, col in m.cols.items()} == chains
     assert m.row_ops == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: m.forward_insert("v1", {}, 2), "cell 'v1' already has a row"),
+    (lambda m: m.forward_insert("ghost", {}, 2),
+     "cell 'ghost' is not in the complex"),
+    (lambda m: m.forward_insert("x", {"v3": 1}, 2),
+     "boundary cell 'v3' has no row"),
+    (lambda m: m.unpair_update("ghost", "e23", {"ghost": 1}, {}),
+     "cell 'ghost' is not in the complex"),
+    (lambda m: m.unpair_update("v3", "ghost", {"v3": 1}, {}),
+     "cell 'ghost' is not in the complex"),
+    (lambda m: m.unpair_update("v3", "e23", {"v3": 1, "x": 1}, {}),
+     "chain cell 'x' has no row"),
+    (lambda m: m.unpair_update("v3", "e23", {"v3": 1, "v6": 1}, {}),
+     "boundary cell 'v6' sits above the spliced pair"),
+    (lambda m: m.unpair_update("v3", "e23", {"v3": 1}, {"v1": 1}),
+     "cofacet 'v1' sits below the spliced pair"),
+])
+def test_kernel_refusals_name_the_cell(call, message):
+    # rows v1, e13, v6; the complex also holds v3, e23 and x, without rows
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "v1", 0, {}, 1, 0)
+    insert(m, "e13", 1, {}, 1, 5)
+    insert(m, "v6", 0, {}, 1, 6)
+    enter(m, "v3", 0, 3)
+    enter(m, "e23", 1, 4)
+    enter(m, "x", 1, 7)
+    chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
+    with pytest.raises(KernelError, match=message):
+        call(m)
+    assert set(m.occ) == set(m.rowdim) == {"v1", "e13", "v6"}
+    assert {slot: col.chain for slot, col in m.cols.items()} == chains
+    assert m.row_ops == 3
 
 
 def test_removal_pairs_the_birth_order_minimum():
     # Forward class (born in block 1) and backward class (born in block 4)
     # both meet the removed vertex; the backward one must die and the
     # survivor keep its forward birth with the blocker's decoupled chain.
-    m = HomologyMatrix(2)
-    m.forward_insert("a", 0, {}, 1, 0)
-    m.forward_insert("b", 0, {}, 2, 1)
-    m.forward_insert("ab", 1, {"a": 1, "b": 1}, 3, 2)  # kills b's class
-    m.backward_remove("ab", 4)      # reopens a class born (-4, 4)
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "a", 0, {}, 1, 0)
+    insert(m, "b", 0, {}, 2, 1)
+    insert(m, "ab", 1, {"a": 1, "b": 1}, 3, 2)  # kills b's class
+    remove(m, "ab", 4)      # reopens a class born (-4, 4)
     assert m.cols["a"].birth == (1, 1) and m.cols["b"].birth == (-4, 4)
-    event = m.backward_remove("a", 5)
+    event = remove(m, "a", 5)
     assert event == (0, 4)
     assert m.cols["b"].birth == (1, 1)
     assert m.cols["b"].chain == {"b": 1}
@@ -278,16 +336,18 @@ def test_removal_pairs_the_birth_order_minimum():
 def test_errors_surface_through_the_wrappers():
     # The wrappers add no checks of their own: the kernel refuses an unknown
     # row and a zero pair incidence before it writes anything.
-    m = HomologyMatrix(2)
-    m.forward_insert("v", 0, {}, 1, 0)
-    rows = dict(m.rowseq)
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "v", 0, {}, 1, 0)
+    enter(m, "t", 0, 1)
+    enter(m, "s", 1, 2)
+    rows = dict(m.rowdim)
     chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
     with pytest.raises(KernelError, match="'ghost' has no row"):
         remove_from_matrix(m, "ghost", 2)
-    update = KernelUnpair("t", "s", 0, {"t": 2}, {}, 1, 2)
+    update = KernelUnpair("t", "s", {"t": 2}, {})
     with pytest.raises(ZeroInverse):
         unpair_in_matrix(m, update)
-    assert m.rowseq == rows and set(m.occ) == set(rows)
+    assert m.rowdim == rows and set(m.occ) == set(rows)
     assert {slot: col.chain for slot, col in m.cols.items()} == chains
     assert m.row_ops == 1
 

@@ -12,7 +12,7 @@ from conftest import (build_simplicial, cell_records, full_triangle,
 from zzmorse.cells import Complex, field_inv
 from zzmorse.errors import CyclicMatching, NotCritical, UnknownCell
 from zzmorse.morse import Matching, coreduce, morse_boundary, morse_coboundary
-from zzmorse.oracle import betti_numbers
+from zzmorse.linalg import betti_numbers
 
 
 def circle(p=2):

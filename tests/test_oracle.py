@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import blocks_to_stream, make_rng, random_block_ops
-from zzmorse.errors import InvalidOp, MissingFacet, NotRemovable, TooLarge
+from zzmorse.errors import (InvalidOp, MissingFacet, NotRemovable, TooLarge,
+                            UnknownCell)
 from zzmorse.kernel import run_stream
-from zzmorse.linalg import rref
+from zzmorse.linalg import betti_numbers, rref
 from zzmorse.oracle import (
     ExplicitModule,
-    betti_numbers,
     block_diagram,
     block_module,
     decompose_module,
@@ -154,6 +154,10 @@ def test_replay_names_the_broken_precondition():
         block_diagram([("F", [("a", 0, {}), ("e", 1, {"a": 1})]), ("B", ["a"])])
     with pytest.raises(InvalidOp, match="unknown block direction"):
         block_diagram([("i", [("a", 0, {})])])
+    with pytest.raises(InvalidOp, match="cell 'a' inserted twice"):
+        block_diagram([("F", [("a", 0, {})]), ("F", [("a", 0, {})])])
+    with pytest.raises(UnknownCell, match="'b'"):
+        block_diagram([("F", [("a", 0, {})]), ("B", ["b"])])
 
 
 @pytest.mark.parametrize("morse", [True, False])

@@ -11,7 +11,7 @@ from zzmorse.cells import Complex, chain_addmul, field_inv, simplex_facets
 from zzmorse.errors import InvalidOp, NotRemovable
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce, morse_boundary
-from zzmorse.oracle import betti_numbers
+from zzmorse.linalg import betti_numbers
 from zzmorse.stream import (
     InsertCritical,
     InsertPair,
@@ -270,6 +270,26 @@ def test_apply_errors():
         apply_atomic(state, RemovePair(ids[(2,)], ids[(2, 3)]))  # not a pair
     with pytest.raises(InvalidOp):
         apply_atomic(state, Split(ids[(2,)], ids[(1, 2, 3)]))  # wrong tau
+    with pytest.raises(InvalidOp, match="do not form a pair"):
+        apply_atomic(state, InsertPair(100, 101, 0, {}, 1, {ids[(1,)]: 1}))
+    with pytest.raises(InvalidOp, match="is not critical"):
+        apply_atomic(state, RemoveCritical(ids[(2,)]))
+    with pytest.raises(InvalidOp, match="is not maximal"):
+        apply_atomic(state, Split(ids[(2,)], ids[(1, 2)]))
+    with pytest.raises(InvalidOp, match="unknown atomic op 'bogus'"):
+        apply_atomic(state, "bogus")
+    assert (cx.facets, cx.cofacets, m.critical, m.pair_up) == before
+
+    # a hand-made pair of a vertex and an edge it does not bound
+    cx = build_simplicial([(1,), (2,), (3,), (1, 2)])
+    ids = cx.simplex_ids
+    m = Matching()
+    m.add_critical(ids[(1,)])
+    m.add_critical(ids[(2,)])
+    m.add_pair(ids[(3,)], ids[(1, 2)])
+    with pytest.raises(InvalidOp, match="has zero incidence"):
+        apply_atomic(MorseState(cx, m), Split(ids[(3,)], ids[(1, 2)]))
+    assert m.pair_up == {ids[(3,)]: ids[(1, 2)]}
 
 
 def test_remove_pair_order_enforced():

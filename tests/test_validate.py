@@ -12,11 +12,11 @@ from zzmorse.validate import (ShadowComplex, apply_boundary, check_betti,
 
 def tiny_matrix(p=2):
     """Two vertices joined by an edge: one F, one G, one H column."""
-    m = HomologyMatrix(p)
     bd = {"a": {}, "b": {}, "ab": {"a": 1, "b": p - 1}}
     dims = {"a": 0, "b": 0, "ab": 1}
-    for n, cell in enumerate(("a", "b", "ab")):
-        m.forward_insert(cell, dims[cell], dict(bd[cell]), 1, n)
+    m = HomologyMatrix(p, {"a": 0, "b": 1, "ab": 2}, dims)
+    for cell in ("a", "b", "ab"):
+        m.forward_insert(cell, dict(bd[cell]), 1)
     return m, (lambda cell: bd[cell])
 
 
@@ -45,10 +45,10 @@ def test_random_streams_pass_every_audit(seed, morse):
 
 # -- and rejects corrupted ones -----------------------------------------------------
 
-def corrupt(mutate):
+def corrupt(mutate, match=None):
     m, boundary = tiny_matrix()
     mutate(m)
-    with pytest.raises(BrokenInvariant):
+    with pytest.raises(BrokenInvariant, match=match):
         check_matrix(m, boundary)
 
 
@@ -58,8 +58,25 @@ def test_rejects_a_stored_zero_coefficient():
 
 def test_rejects_a_column_leading_off_its_slot():
     def swap(m):
-        m.rowseq["a"], m.rowseq["ab"] = m.rowseq["ab"], m.rowseq["a"]
+        m.seq["a"], m.seq["ab"] = m.seq["ab"], m.seq["a"]
     corrupt(swap)
+
+
+def test_rejects_rows_that_disagree_with_the_columns_or_the_complex():
+    corrupt(lambda m: m.occ.update(z=set()),
+            "columns and rows list different cells")
+    corrupt(lambda m: m.seq.pop("b"), "row 'b' is not in the complex")
+
+    def drop_row(m):
+        del m.cols["a"], m.occ["a"], m.rowdim["a"]
+    corrupt(drop_row, "boundary of 'ab' leaves the rows")
+
+
+def test_rejects_a_column_off_the_rows_or_across_dimensions():
+    corrupt(lambda m: m.cols["a"].chain.update(ghost=1),
+            "column 'a' touches a dead row")
+    corrupt(lambda m: m.cols["ab"].chain.update(a=1),
+            "column 'ab' mixes dimensions")
 
 
 def test_rejects_a_cycle_column_without_a_birth():
@@ -97,9 +114,9 @@ def test_rejects_a_non_cycle_relabelled_as_cycle():
 
 def test_shadow_counts_match_and_then_diverge():
     cx = ShadowComplex(2)
-    live = HomologyMatrix(2)
+    live = HomologyMatrix(2, {0: 0}, {0: 0})
     cx.attach(cx.fresh_id(), 0, {})
-    live.forward_insert(0, 0, {}, 1, 0)
+    live.forward_insert(0, {}, 1)
     cx.compare(live)
 
     cx.attach(cx.fresh_id(), 0, {})
@@ -110,7 +127,7 @@ def test_shadow_counts_match_and_then_diverge():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_shadow_holds_every_live_cell_after_every_op(p):
     def lockstep(state, matrix, op):
-        assert set(state.complex.shadow.rowseq) == set(state.complex.dims)
+        assert set(state.complex.shadow.occ) == set(state.complex.dims)
 
     for seed in range(70):
         blocks = blocks_to_stream(random_block_ops(make_rng(480_000 + seed), p=p))
