@@ -13,8 +13,9 @@ from .errors import (BrokenBoundary, BrokenInvariant, InvalidOp, KernelError,
                      NotRemovable, UnknownCell)
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
-from .stream import (KernelInsert, KernelUnpair, MorseState, RemoveCritical,
-                     apply_atomic, atomize_backward, atomize_forward)
+from .stream import (InsertCritical, InsertPair, MorseState, RemoveCritical,
+                     RemovePair, Split, apply_atomic, atomize_backward,
+                     atomize_forward, reduced_boundary)
 from .validate import ShadowComplex
 
 Interval = namedtuple("Interval", "dim birth death")
@@ -23,10 +24,12 @@ Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
 
 # perfbench/tracing.HOOKS rebinds these three wrappers (and coreduce,
 # atomize_*, apply_atomic, and stream.morse_boundary/morse_coboundary), so
-# they stay module globals called by name; tests/test_hooks.py checks it.
-def insert_into_matrix(matrix, update, block):
+# they stay module globals called by name: run_stream's op loop calls one
+# wrapper per critical insertion, critical removal and split, and
+# apply_atomic per split; tests/test_hooks.py checks it.
+def insert_into_matrix(matrix, cell, boundary, block):
     """Feed one critical insertion to the column kernel; returns an event."""
-    return matrix.forward_insert(update.cell, update.boundary, block)
+    return matrix.forward_insert(cell, boundary, block)
 
 
 def remove_from_matrix(matrix, cell, block):
@@ -123,6 +126,13 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     kernel.  ``observer(state, matrix, op)`` is called after every atomic
     operation; a non-callable observer raises ``InvalidOp``.
 
+    Each block becomes atomic ops (``stream.atomize_forward`` after
+    ``coreduce``, or ``stream.atomize_backward``); a one-cell insertion block
+    is one ``InsertCritical``, with no matching step, since its facets lie
+    outside it.  One loop applies every op to the complex, the matching and
+    the flow memo, and feeds critical insertions, critical removals and pair
+    splits (through ``stream.apply_atomic``) to the column kernel.
+
     ``validate=True`` also turns on consistency checks (``BrokenInvariant``):
     a recheck of every memoized flow, and an unreduced shadow kernel whose
     cycle counts are compared with the reduced matrix after every atomic
@@ -135,6 +145,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     state = MorseState(ShadowComplex(p) if shadowed else Complex(p), Matching(),
                        validate)
     cx = state.complex
+    m = state.matching
+    critical = m.critical
+    memo = state.flow_memo
     matrix = HomologyMatrix(cx.p, cx.seq, cx.dims)
     alive = {}  # external id -> (internal id, dimension)
     intervals = []
@@ -157,33 +170,72 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
 
         if direction == "F":
             records = _translate_forward(cells, cx, alive, validate)
-            if morse:
-                matching = coreduce(records)
+            if len(records) < 2:
+                # a lone cell's facets lie outside its block: it is critical
+                ops = [InsertCritical(cell, dim, bd)
+                       for cell, (dim, bd) in records.items()]
             else:
-                matching = Matching()
-                for cell in records:
-                    matching.add_critical(cell)
-            ops = atomize_forward(records, matching)
+                if morse:
+                    matching = coreduce(records)
+                else:
+                    matching = Matching()
+                    for cell in records:
+                        matching.add_critical(cell)
+                ops = atomize_forward(records, matching)
         elif direction == "B":
             ops = atomize_backward(_translate_backward(cells, cx, alive),
                                    state)
         else:
             raise InvalidOp("unknown block direction %r" % (direction,))
 
+        # Each op's effect is written here once (a split's in apply_atomic),
+        # and each refusal of an op comes before its first write.
         for op in ops:
-            update = apply_atomic(state, op)
-            kind = type(update)
+            kind = type(op)
             event = None
-            if kind is KernelInsert:
+            if kind is InsertCritical:
+                cell = op.cell
+                cx.attach(cell, op.dim, op.boundary)
+                critical.add(cell)
+                boundary = reduced_boundary(state, cell)
                 try:
-                    event = insert_into_matrix(matrix, update, block_index)
+                    event = insert_into_matrix(matrix, cell, boundary,
+                                               block_index)
                 except KernelError:
                     raise BrokenBoundary("boundary of cell %r is not a cycle"
-                                         % (_caller_id(alive, update.cell),)) from None
+                                         % (_caller_id(alive, cell),)) from None
+            elif kind is InsertPair:
+                tau, sigma = op.tau, op.sigma
+                if tau not in op.sigma_boundary:
+                    raise InvalidOp("cells %r, %r do not form a pair"
+                                    % (tau, sigma))
+                cx.attach(tau, op.tau_dim, op.tau_boundary)
+                cx.attach(sigma, op.sigma_dim, op.sigma_boundary)
+                m.add_pair(tau, sigma)
             elif kind is RemoveCritical:
-                event = remove_from_matrix(matrix, update.cell, block_index)
-            elif kind is KernelUnpair:
-                unpair_in_matrix(matrix, update)
+                cell = op.cell
+                if cell not in critical:
+                    raise InvalidOp("cell %r is not critical" % (cell,))
+                cx.remove_cell(cell)
+                critical.discard(cell)
+                memo.pop(cell, None)
+                event = remove_from_matrix(matrix, cell, block_index)
+            elif kind is RemovePair:
+                tau, sigma = op
+                if m.pair_up.get(tau) != sigma:
+                    raise InvalidOp("cells %r, %r are not paired" % (tau, sigma))
+                if cx.cofacets[tau].keys() - {sigma}:
+                    raise InvalidOp("queue cell %r not maximal after its king"
+                                    % (tau,))
+                cx.remove_cell(sigma)
+                cx.remove_cell(tau)
+                m.drop_pair(tau)
+                memo.pop(tau, None)
+                memo.pop(sigma, None)
+            elif kind is Split:
+                unpair_in_matrix(matrix, apply_atomic(state, op))
+            else:
+                raise InvalidOp("unknown atomic op %r" % (op,))
             if event is not None and event[1] < block_index:
                 intervals.append(Interval(event[0], event[1], block_index - 1))
             if shadowed:
@@ -191,10 +243,10 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
             if observer is not None:
                 observer(state, matrix, op)
 
-        if validate and len(matrix) != len(state.matching.critical):
+        if validate and len(matrix) != len(critical):
             raise BrokenInvariant("matrix rows diverge from the critical cells")
         max_cells = max(max_cells, len(cx))
-        max_critical = max(max_critical, len(state.matching.critical))
+        max_critical = max(max_critical, len(critical))
 
     if len(cx):
         raise InvalidOp("stream must end at the empty complex")

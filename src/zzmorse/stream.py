@@ -11,6 +11,11 @@ removal, and a pair split.  Paired cells come and go silently, except when
 a king leaves while its queue cell stays: the pair is first split, which
 makes both cells critical and updates the reduced boundaries, and the king
 then leaves as a critical cell.
+
+``kernel.run_stream`` applies the four insertion and removal ops itself, in
+one loop with one dispatch per op.  ``apply_atomic`` applies the split, the
+one op whose kernel update needs flows; ``reduced_boundary`` gives the flow
+of a critical insertion.
 """
 
 from collections import namedtuple
@@ -18,7 +23,8 @@ from collections import namedtuple
 from .errors import BrokenInvariant, InvalidOp
 # perfbench/tracing.HOOKS rebinds these two names here (and coreduce,
 # atomize_*, apply_atomic and the *_in_matrix wrappers in zzmorse.kernel), so
-# they stay module globals called by name; tests/test_hooks.py checks it.
+# they stay module globals called by name: every flow the engine computes goes
+# through reduced_boundary or apply_atomic below; tests/test_hooks.py checks it.
 from .morse import morse_boundary, morse_coboundary
 
 ForwardCell = namedtuple("ForwardCell", "cell dim boundary")
@@ -31,7 +37,6 @@ RemoveCritical = namedtuple("RemoveCritical", "cell")
 RemovePair = namedtuple("RemovePair", "tau sigma")
 Split = namedtuple("Split", "tau sigma")
 
-KernelInsert = namedtuple("KernelInsert", "cell boundary")
 KernelUnpair = namedtuple("KernelUnpair",
                           "tau sigma sigma_boundary tau_cofacets")
 
@@ -41,8 +46,9 @@ class MorseState:
 
     Nothing is staged here: insertion ops carry their own cell data.
     ``flow_memo`` (cell -> reduced chain, see ``morse._flow``) lives across
-    blocks.  ``apply_atomic`` keeps it valid: insertions leave it alone,
-    removals drop the removed cells' entries, and an unpair clears it.
+    blocks.  The ops keep it valid: insertions leave it alone, removals in
+    ``kernel.run_stream`` drop the removed cells' entries, and a split in
+    ``apply_atomic`` clears it.
     ``validate=True`` rechecks every memoized boundary it reads.
     """
 
@@ -108,10 +114,10 @@ def atomize_backward(sigma_set, state):
 
 
 # ---------------------------------------------------------------------------
-# applying atomic operations
+# kernel updates that need flows
 # ---------------------------------------------------------------------------
 
-def _reduced_boundary(state, cell):
+def reduced_boundary(state, cell):
     """Morse boundary of a critical cell through the state's flow memo.
 
     In validate mode the result is recomputed without the memo and must
@@ -125,66 +131,26 @@ def _reduced_boundary(state, cell):
 
 
 def apply_atomic(state, op):
-    """Mutate the Morse state by one atomic op; return the kernel's view of it.
+    """Split the pair of a ``Split`` op; return the kernel's KernelUnpair.
 
-    Insertions carry cell data checked at the door and go in through
-    ``Complex.attach``.  Removals go first through ``Complex.remove_cell``,
-    so one that leaves a cofacet raises ``NotRemovable`` before anything
-    changes.  The return value is one of the kernel's three ops: a
-    KernelInsert, the RemoveCritical op itself, or a KernelUnpair for a
-    Split, which leaves the complex as it is; pair insertions and removals
-    are invisible to the kernel and return None.
+    The complex stays as it is: both cells turn critical, the flow memo is
+    cleared, and the king's reduced boundary and the queue cell's reduced
+    coboundary go to the kernel.  ``kernel.run_stream`` applies the other
+    four ops itself.
     """
     cx = state.complex
     m = state.matching
-
-    if isinstance(op, InsertCritical):
-        cx.attach(op.cell, op.dim, op.boundary)
-        m.add_critical(op.cell)
-        return KernelInsert(op.cell, _reduced_boundary(state, op.cell))
-
-    if isinstance(op, InsertPair):
-        if op.tau not in op.sigma_boundary:
-            raise InvalidOp("cells %r, %r do not form a pair" % (op.tau, op.sigma))
-        cx.attach(op.tau, op.tau_dim, op.tau_boundary)
-        cx.attach(op.sigma, op.sigma_dim, op.sigma_boundary)
-        m.add_pair(op.tau, op.sigma)
-        return None
-
-    if isinstance(op, RemoveCritical):
-        if op.cell not in m.critical:
-            raise InvalidOp("cell %r is not critical" % (op.cell,))
-        cx.remove_cell(op.cell)
-        m.critical.discard(op.cell)
-        state.flow_memo.pop(op.cell, None)
-        return op
-
-    if isinstance(op, RemovePair):
-        if m.pair_up.get(op.tau) != op.sigma:
-            raise InvalidOp("cells %r, %r are not paired" % (op.tau, op.sigma))
-        if cx.cofacets[op.tau].keys() - {op.sigma}:
-            raise InvalidOp("queue cell %r not maximal after its king" % (op.tau,))
-        cx.remove_cell(op.sigma)
-        cx.remove_cell(op.tau)
-        m.drop_pair(op.tau)
-        state.flow_memo.pop(op.tau, None)
-        state.flow_memo.pop(op.sigma, None)
-        return None
-
-    if isinstance(op, Split):
-        if m.pair_up.get(op.tau) != op.sigma:
-            raise InvalidOp("cells %r, %r are not paired" % (op.tau, op.sigma))
-        if cx.cofacets[op.sigma]:
-            raise InvalidOp("cell %r is not maximal" % (op.sigma,))
-        incidence = cx.facets[op.sigma].get(op.tau, 0)
-        if not incidence:
-            raise InvalidOp("pair (%r, %r) has zero incidence" % (op.tau, op.sigma))
-        m.unpair(op.tau)
-        state.flow_memo.clear()  # the pair's flows, and all through them, change
-        sigma_boundary = _reduced_boundary(state, op.sigma)
-        if sigma_boundary.get(op.tau) != incidence:
-            raise InvalidOp("reduced boundary lost the pair incidence")
-        return KernelUnpair(op.tau, op.sigma, sigma_boundary,
-                            morse_coboundary(cx, m, op.tau))
-
-    raise InvalidOp("unknown atomic op %r" % (op,))
+    if m.pair_up.get(op.tau) != op.sigma:
+        raise InvalidOp("cells %r, %r are not paired" % (op.tau, op.sigma))
+    if cx.cofacets[op.sigma]:
+        raise InvalidOp("cell %r is not maximal" % (op.sigma,))
+    incidence = cx.facets[op.sigma].get(op.tau, 0)
+    if not incidence:
+        raise InvalidOp("pair (%r, %r) has zero incidence" % (op.tau, op.sigma))
+    m.unpair(op.tau)
+    state.flow_memo.clear()  # the pair's flows, and all through them, change
+    sigma_boundary = reduced_boundary(state, op.sigma)
+    if sigma_boundary.get(op.tau) != incidence:
+        raise InvalidOp("reduced boundary lost the pair incidence")
+    return KernelUnpair(op.tau, op.sigma, sigma_boundary,
+                        morse_coboundary(cx, m, op.tau))

@@ -4,10 +4,13 @@ testing, and a matching acyclicity check."""
 import random
 import re
 
+import pytest
+
 from zzmorse.cells import Complex, simplex_facets
 from zzmorse.errors import UnknownCell
 from zzmorse.generators import (_random_cycle, blocks_to_stream,
                                 random_block_stream)
+from zzmorse.kernel import run_stream
 
 random_block_ops = random_block_stream
 
@@ -96,6 +99,38 @@ def cell_records(cx, cells=None):
     if cells is None:
         cells = cx.dims
     return {c: (cx.dims[c], cx.facets[c]) for c in cells}
+
+
+def forward_block(records):
+    """An insertion block of ``{cell: (dim, boundary)}`` records, by id.
+
+    The engine gives a block's cells fresh ids in block order, so records
+    numbered on from the cells already alive keep their ids inside it.
+    """
+    return ("F", [(c, dim, bnd) for c, (dim, bnd) in sorted(records.items())])
+
+
+class _Paused(Exception):
+    """Ends a stream before it returns to the empty complex."""
+
+
+def engine_after(blocks, p=2, validate=False, ops=None):
+    """``[state, matrix]`` of ``run_stream`` after ``blocks``, which need not
+    end at the empty complex; each op it applies is appended to ``ops``."""
+    seen = []
+
+    def observe(state, matrix, op):
+        seen[:] = state, matrix
+        if ops is not None:
+            ops.append(op)
+
+    def stream():
+        yield from blocks
+        raise _Paused
+
+    with pytest.raises(_Paused):
+        run_stream(stream(), p, validate=validate, observer=observe)
+    return seen
 
 
 def make_rng(seed):

@@ -28,7 +28,7 @@ from zzmorse.generators import (
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce
 from zzmorse.oracle import block_diagram
-from zzmorse.stream import MorseState, RemoveCritical, Split, apply_atomic
+from zzmorse.stream import MorseState, Split, apply_atomic
 from zzmorse.validate import check_betti, check_invariants
 
 
@@ -133,7 +133,8 @@ def test_criterion_3_boundary_update_formula(p):
 
         state = MorseState(cx, m)
         update = apply_atomic(state, Split(tau, sigma))
-        apply_atomic(state, RemoveCritical(sigma))
+        cx.remove_cell(sigma)  # then the king leaves as a critical cell
+        m.critical.discard(sigma)
         # the engine's operands agree with the enumeration-derived ones
         assert update.sigma_boundary == sigma_bnd
         assert update.sigma_boundary.get(tau, 0) % p == scale

@@ -1,0 +1,111 @@
+"""The engine's atomic op sequence: pinned by digest, and the layers it uses.
+
+``run_stream`` calls its observer after every atomic op.  Each digest below
+hashes the whole op sequence that the observer sees (each op's type name and
+fields, boundaries in sorted order) together with ``(intervals, Metrics)``,
+for both pipelines and for the validated, shadowed run.  The digests were recorded before op application moved
+into ``run_stream``'s loop, so they show that the engine still applies the
+same ops, in the same order, and that the observer sees every one of them.
+The last test counts the calls into the layers that ``zzmorse.kernel`` looks
+up by name.
+"""
+
+import hashlib
+from collections import Counter
+
+import pytest
+
+from zzmorse import kernel
+
+from zzmorse.generators import (blocks_to_stream, circle_points, even_levels,
+                                fourier_image, levelset_stream,
+                                oscillating_rips_stream, random_block_stream)
+from zzmorse.kernel import run_stream
+from zzmorse.stream import Split
+
+
+def _field(value):
+    return tuple(sorted(value.items())) if isinstance(value, dict) else value
+
+
+def op_digest(streams, p):
+    """sha256 over every op the observer sees and every run's output."""
+    h = hashlib.sha256()
+
+    def observe(state, matrix, op):
+        h.update(repr((type(op).__name__,
+                       tuple(_field(v) for v in op))).encode())
+
+    for blocks in streams:
+        for morse, validate in ((True, False), (False, False), (True, True)):
+            intervals, metrics = run_stream(blocks, p=p, morse=morse,
+                                            validate=validate, observer=observe)
+            h.update(repr((morse, validate, intervals, metrics)).encode())
+    return h.hexdigest()
+
+
+RANDOM = {
+    2: "475fbacbde20fbc2672cb2b39ff0e33404e79bfd615e49a201a4884b7a00cb11",
+    3: "ef37e23a7521a821366a1cfae36df9f676dc9e3b82dad9a1bbdc70ca002ccafd",
+    5: "6cadf7b3623348c316237e6472a7edcda053588450e195396fd6e1c9e6abc6e8",
+}
+
+
+@pytest.mark.parametrize("p", sorted(RANDOM))
+def test_random_streams_op_digest(p):
+    streams = [blocks_to_stream(random_block_stream(seed, p=p))
+               for seed in range(200)]
+    assert op_digest(streams, p) == RANDOM[p]
+
+
+def test_rips_op_digest():
+    blocks, _ = oscillating_rips_stream(circle_points(30, seed=7), 4, 6)
+    assert op_digest([blocks], 2) == \
+        "117f620a75bc3b3f866994ef2187daf49fef189f9fb4e22df2c0e4d41515c37d"
+
+
+def test_levelset_op_digest():
+    image = fourier_image((9, 9, 9), seed=11, terms=3)
+    blocks, _ = levelset_stream(image, even_levels(image, 0.2))
+    assert op_digest([blocks], 2) == \
+        "934d571ec6ffdc9bcbc4b72d2caf4e8600ada4dd49b0057f7ee8b58582098d6b"
+
+
+@pytest.mark.parametrize("morse", [True, False])
+def test_layers_run_per_split_and_per_multi_cell_block(monkeypatch, morse):
+    # apply_atomic runs once per Split; the matcher and atomize_forward run
+    # once per insertion block of two or more cells, never for a lone cell
+    calls = Counter()
+
+    def count(name, min_records):
+        fn = getattr(kernel, name)
+
+        def counted(*args):
+            if min_records:
+                assert len(args[0]) >= min_records
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+
+    count("apply_atomic", 0)
+    count("coreduce", 2)
+    count("atomize_forward", 2)
+    splits = []
+
+    def observe(state, matrix, op):
+        if type(op) is Split:
+            splits.append(op)
+
+    lone = multi = 0
+    for seed in range(100):
+        blocks = blocks_to_stream(random_block_stream(seed, p=5))
+        for direction, cells in blocks:
+            if direction == "F":
+                lone += len(cells) == 1
+                multi += len(cells) >= 2
+        run_stream(blocks, p=5, morse=morse, observer=observe)
+    assert lone and multi and (splits or not morse)
+    assert calls["apply_atomic"] == len(splits)
+    assert calls["atomize_forward"] == multi
+    assert calls["coreduce"] == (multi if morse else 0)

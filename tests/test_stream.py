@@ -4,18 +4,19 @@ import copy
 
 import pytest
 
-from conftest import (build_simplicial, cell_records, full_triangle,
-                      grow_records, is_acyclic_matching, make_rng,
+from conftest import (build_simplicial, cell_records, engine_after,
+                      forward_block, full_triangle, grow_records,
+                      is_acyclic_matching, make_rng, random_block_ops,
                       random_complex)
 from zzmorse.cells import Complex, chain_addmul, field_inv, simplex_facets
-from zzmorse.errors import InvalidOp, NotRemovable
+from zzmorse.errors import InvalidOp, NotRemovable, ZigzagError
+from zzmorse.generators import blocks_to_stream
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce, morse_boundary
 from zzmorse.linalg import betti_numbers
 from zzmorse.stream import (
     InsertCritical,
     InsertPair,
-    KernelInsert,
     KernelUnpair,
     MorseState,
     RemoveCritical,
@@ -123,20 +124,19 @@ def test_atomize_forward_goes_by_level():
 def test_atomize_backward_latest_insertion_first():
     rng = make_rng(6)
     for _ in range(30):
-        cx = Complex(p=2)
-        state = MorseState(cx, Matching())
-        records = grow_records(rng, cx, rng.randint(1, 12))
-        for op in atomize_forward(records, coreduce(records)):
-            apply_atomic(state, op)
+        fwd = forward_block(grow_records(rng, Complex(p=2), rng.randint(1, 12)))
+        state, _ = engine_after([fwd])
+        cx = state.complex
         block = _removable_subset(rng, cx)
         ops = atomize_backward(block, state)
         leaders = [op.cell if isinstance(op, RemoveCritical) else op.sigma
                    for op in ops]
         seqs = [cx.seq[c] for c in leaders]
         assert seqs == sorted(seqs, reverse=True)
-        for op in ops:
-            apply_atomic(state, op)
-        assert not block & set(cx.dims)
+        applied = []
+        state, _ = engine_after([fwd, ("B", sorted(block))], ops=applied)
+        assert applied[len(applied) - len(ops):] == ops
+        assert not block & set(state.complex.dims)
 
 
 def test_atomize_backward_unpaired():
@@ -218,18 +218,17 @@ def test_atomize_backward_never_splits_inner_pairs():
 # -- applying atomic ops ---------------------------------------------------------
 
 def test_apply_forward_block_from_empty():
-    cx = Complex(p=2)
-    state = MorseState(cx, Matching(), validate=True)
-    records = {}
-    for cell, (dim, bnd) in sorted(TRIANGLE_RECORDS.items()):
-        assert cx.fresh_id() == cell
-        records[cell] = (dim, bnd)
-    block = coreduce(records)
-    updates = [apply_atomic(state, op) for op in atomize_forward(records, block)]
+    applied = []
+    state, matrix = engine_after([forward_block(TRIANGLE_RECORDS)],
+                                 validate=True, ops=applied)
+    cx = state.complex
+    assert cell_records(cx) == TRIANGLE_RECORDS
+    block = coreduce(TRIANGLE_RECORDS)
+    assert applied == atomize_forward(TRIANGLE_RECORDS, block)
     assert len(cx) == 7
     assert is_acyclic_matching(cx, state.matching)
-    inserts = [u for u in updates if isinstance(u, KernelInsert)]
-    assert len(inserts) == len(block.critical)
+    inserts = [op for op in applied if isinstance(op, InsertCritical)]
+    assert len(inserts) == len(block.critical) == len(matrix)
     assert betti_numbers({c: (cx.dims[c], cx.facets[c]) for c in cx.dims}) == [1]
 
 
@@ -252,32 +251,83 @@ def test_remove_unpaired_circle_fixture():
     assert update.sigma_boundary[v3] == cx.facets[e23][v3] == 1
     assert m.critical == {v1, e13, v3, e23}
     assert e23 in cx.dims  # a split leaves the complex as it is
-    assert apply_atomic(state, RemoveCritical(e23)) == RemoveCritical(e23)
+    cx.remove_cell(e23)  # then the king leaves as a critical cell
+    m.critical.discard(e23)
     assert m.critical == {v1, e13, v3}
     assert e23 not in cx.dims
     # the surviving critical edge now closes up on v1 + v3
     assert morse_boundary(cx, m, e13) == {v1: 1, v3: 1}
 
 
-def test_apply_errors():
+# Engine ids of ``triangle_blocks()``.  Coreduction makes (1,) critical and
+# pairs (2,)-(1, 2), (3,)-(1, 3) and (2, 3)-(1, 2, 3).
+TRI = full_triangle().simplex_ids
+TRIANGLE_GONE = ("B", sorted(TRI))  # the door lets the whole triangle go
+LOOSE_EDGE = ("F", [("x", 0, {}), ("y", 1, {(1,): 1})])  # engine ids 7, 8
+
+
+def snapshot(state):
+    cx, m = state.complex, state.matching
+    return copy.deepcopy((cx.dims, cx.facets, cx.cofacets, cx.seq,
+                          m.critical, m.pair_up, m.pair_down, state.flow_memo))
+
+
+def run_bad_ops(monkeypatch, atomizer, ops, block, first=()):
+    """Run the triangle and ``first``, then ``block`` with
+    ``zzmorse.kernel.<atomizer>`` emitting ``ops``; return the error and the
+    state before and after."""
+    seen = {}
+
+    def observe(state, matrix, op):
+        seen["state"] = state
+
+    def stream():
+        yield from triangle_blocks() + list(first)
+        seen["before"] = snapshot(seen["state"])
+        monkeypatch.setattr("zzmorse.kernel." + atomizer, lambda *args: ops)
+        yield block
+
+    with pytest.raises(ZigzagError) as info:
+        run_stream(stream(), observer=observe)
+    return info.value, seen["before"], snapshot(seen["state"])
+
+
+# (atomizer, the ops it emits, the block, the refusal)
+BAD_OPS = [
+    # critical but not maximal
+    ("atomize_backward", [RemoveCritical(TRI[(1,)])], TRIANGLE_GONE,
+     NotRemovable, "still has cofacets"),
+    ("atomize_backward", [RemovePair(TRI[(2,)], TRI[(2, 3)])], TRIANGLE_GONE,
+     InvalidOp, "are not paired"),
+    ("atomize_forward", [InsertPair(7, 8, 0, {}, 1, {TRI[(1,)]: 1})],
+     LOOSE_EDGE, InvalidOp, "do not form a pair"),
+    ("atomize_backward", [RemoveCritical(TRI[(2,)])], TRIANGLE_GONE,
+     InvalidOp, "is not critical"),
+    ("atomize_forward", ["bogus"], LOOSE_EDGE,
+     InvalidOp, "unknown atomic op 'bogus'"),
+    ("atomize_backward", ["bogus"], TRIANGLE_GONE,
+     InvalidOp, "unknown atomic op 'bogus'"),
+]
+
+
+def test_apply_errors(monkeypatch):
+    # run_stream applies four of the ops and refuses a bad one before any
+    # write; a broken atomizer is the only way to hand it one
+    for atomizer, ops, block, error, match in BAD_OPS:
+        with monkeypatch.context() as patch:
+            err, before, after = run_bad_ops(patch, atomizer, ops, block)
+        assert type(err) is error
+        assert match in str(err)
+        assert after == before
+
+    # apply_atomic applies the split
     cx, m, ids = triangle_state()
     state = MorseState(cx, m)
     before = copy.deepcopy((cx.facets, cx.cofacets, m.critical, m.pair_up))
-    with pytest.raises(NotRemovable):
-        apply_atomic(state, RemoveCritical(ids[(1,)]))  # critical but not maximal
-    assert (cx.facets, cx.cofacets, m.critical, m.pair_up) == before
-    with pytest.raises(InvalidOp):
-        apply_atomic(state, RemovePair(ids[(2,)], ids[(2, 3)]))  # not a pair
     with pytest.raises(InvalidOp):
         apply_atomic(state, Split(ids[(2,)], ids[(1, 2, 3)]))  # wrong tau
-    with pytest.raises(InvalidOp, match="do not form a pair"):
-        apply_atomic(state, InsertPair(100, 101, 0, {}, 1, {ids[(1,)]: 1}))
-    with pytest.raises(InvalidOp, match="is not critical"):
-        apply_atomic(state, RemoveCritical(ids[(2,)]))
     with pytest.raises(InvalidOp, match="is not maximal"):
         apply_atomic(state, Split(ids[(2,)], ids[(1, 2)]))
-    with pytest.raises(InvalidOp, match="unknown atomic op 'bogus'"):
-        apply_atomic(state, "bogus")
     assert (cx.facets, cx.cofacets, m.critical, m.pair_up) == before
 
     # a hand-made pair of a vertex and an edge it does not bound
@@ -293,38 +343,28 @@ def test_apply_errors():
 
 
 def test_remove_pair_order_enforced():
-    cx = build_simplicial([(1,), (2,), (1, 2)])
-    ids = cx.simplex_ids
-    m = Matching()
-    m.add_critical(ids[(1,)])
-    m.add_pair(ids[(2,)], ids[(1, 2)])
-    state = MorseState(cx, m)
-    apply_atomic(state, RemovePair(ids[(2,)], ids[(1, 2)]))
-    assert len(cx) == 1 and ids[(1,)] in cx.dims
+    applied = []
+    blocks = [("F", [(1, 0, {}), (2, 0, {}), ((1, 2), 1, {1: 1, 2: 1})]),
+              ("B", [2, (1, 2)])]
+    state, _ = engine_after(blocks, ops=applied)
+    assert applied[-1] == RemovePair(1, 2)  # engine ids 0, 1, 2
+    cx = state.complex
+    assert len(cx) == 1 and 0 in cx.dims
 
 
-def test_remove_pair_error_leaves_state_unchanged():
-    # after the triangle leaves, the pair (3,)-(2,3) holds seqs 2 and 5, so
-    # descending seq emits it before (1,3), a cofacet of its queue cell
-    cx, m, ids = triangle_state()
-    state = MorseState(cx, m)
-    for op in atomize_backward({ids[(1, 2, 3)]}, state):
-        apply_atomic(state, op)
-    morse_boundary(cx, m, ids[(1, 3)], memo=state.flow_memo)
-    assert state.flow_memo
-    ops = atomize_backward({ids[(3,)], ids[(2, 3)], ids[(1, 3)]}, state)
-    assert ops == [RemovePair(ids[(3,)], ids[(2, 3)]),
-                   RemoveCritical(ids[(1, 3)])]
-
-    def snapshot():
-        return copy.deepcopy((cx.dims, cx.facets, cx.cofacets, cx.seq,
-                              m.critical, m.pair_up, m.pair_down,
-                              state.flow_memo))
-
-    before = snapshot()
-    with pytest.raises(InvalidOp, match="queue cell"):
-        apply_atomic(state, ops[0])
-    assert snapshot() == before
+def test_remove_pair_error_leaves_state_unchanged(monkeypatch):
+    # The door lets a removal block in only with every cofacet of its cells,
+    # so a RemovePair whose queue cell keeps another cofacet, (2, 3) here,
+    # comes only from a broken atomizer; the engine refuses it before writing.
+    # A critical second edge on (1,) and (2,) puts flows in the memo.
+    err, before, after = run_bad_ops(
+        monkeypatch, "atomize_backward",
+        [RemovePair(TRI[(2,)], TRI[(1, 2)])], ("B", list(TRI) + ["e"]),
+        first=[("F", [("e", 1, {(1,): 1, (2,): 1})])])
+    assert isinstance(err, InvalidOp)
+    assert "queue cell" in str(err)
+    assert before[-1]  # the flow memo holds entries
+    assert after == before
 
 
 # -- the boundary-update identity -------------------------------------------------
@@ -352,7 +392,8 @@ def test_boundary_update_identity(seed, p):
 
     state = MorseState(cx, m)
     update = apply_atomic(state, Split(tau, sigma))
-    apply_atomic(state, RemoveCritical(sigma))
+    cx.remove_cell(sigma)  # then the king leaves as a critical cell
+    m.critical.discard(sigma)
     for nu, old in before.items():
         new = morse_boundary(cx, m, nu)
         if cx.dims[nu] != sdim:
@@ -371,47 +412,39 @@ def test_block_round_trip(seed):
     rng = make_rng(20_000 + seed)
     p = rng.choice([2, 5])
     cx = random_complex(rng, p=p, n=rng.randint(0, 8))
-    base_matching = coreduce(cell_records(cx))
     base_cells = set(cx.dims)
-    state = MorseState(cx, base_matching)
-
     records = grow_records(rng, cx, rng.randint(1, 8))
-    block = coreduce(records)
-    for op in atomize_forward(records, block):
-        apply_atomic(state, op)
-    assert set(cx.dims) == base_cells | set(records)
-    assert is_acyclic_matching(cx, state.matching)
+    blocks = [forward_block(cell_records(cx)), forward_block(records)]
+    applied = []
+    state, _ = engine_after(blocks, p, ops=applied)
+    assert set(state.complex.dims) == base_cells | set(records)
+    assert is_acyclic_matching(state.complex, state.matching)
 
-    for op in atomize_backward(set(records), state):
+    out = []
+    state, _ = engine_after(blocks + [("B", sorted(records))], p, ops=out)
+    for op in out[len(applied):]:
         assert not isinstance(op, Split) or op.tau in base_cells
-        apply_atomic(state, op)
-    assert set(cx.dims) == base_cells
+    assert set(state.complex.dims) == base_cells
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_betti_preserved_after_every_atomic_op(seed):
     rng = make_rng(30_000 + seed)
     p = rng.choice([2, 5])
-    cx = Complex(p=p)
-    state = MorseState(cx, Matching(), validate=True)
+    checked = []
 
-    def check():
+    def check(state, matrix, op):
+        cx = state.complex
         full = {c: (cx.dims[c], cx.facets[c]) for c in cx.dims}
         reduced = {nu: (cx.dims[nu], morse_boundary(cx, state.matching, nu))
                    for nu in state.matching.critical}
         assert betti_numbers(reduced, p) == betti_numbers(full, p)
         assert len(state.matching) == len(cx)
+        checked.append(op)
 
-    for _ in range(4):
-        records = grow_records(rng, cx, rng.randint(1, 6))
-        block = coreduce(records)
-        for op in atomize_forward(records, block):
-            apply_atomic(state, op)
-            check()
-        removable = _removable_subset(rng, cx)
-        for op in atomize_backward(removable, state):
-            apply_atomic(state, op)
-            check()
+    run_stream(blocks_to_stream(random_block_ops(rng, p=p)), p,
+               validate=True, observer=check)
+    assert checked
 
 
 def _removable_subset(rng, cx):
