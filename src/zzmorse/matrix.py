@@ -8,6 +8,9 @@ of column operations that clears its row from every other column, which is
 the zigzag algorithm's move of that row to the top of the order, and then
 deletes the row in place.  An unpair puts the split pair back at its own
 sequence numbers, which are consecutive, so no live row sits between them.
+The common trivial ops cost O(1): a creator with an empty boundary becomes
+its own cycle column with no reduction, and a removal whose row no other
+column holds skips the cascade.
 
 Columns carry one of three labels.  F columns are cycles and own a birth;
 G columns are boundaries; each H column has ``boundary(H) = G`` for its
@@ -164,6 +167,14 @@ class HomologyMatrix:
         if self.last_seq is not None and cell_seq <= self.last_seq:
             raise KernelError("seq %r of %r is not above the last insertion's"
                               % (cell_seq, cell))
+        if not boundary:  # nothing to reduce: a new cycle, its own column
+            self.row_ops += 1
+            self.last_seq = cell_seq
+            dim = self.rowdim[cell] = self.dims[cell]
+            self.occ[cell] = {cell}
+            self.cols[cell] = Column({cell: 1}, "F", birth=(self.row_ops, block))
+            self._count(dim, 1)
+            return None
         used = self._reduce(boundary)
         gs = {}
         fs = {}
@@ -234,8 +245,9 @@ class HomologyMatrix:
         self.row_ops += 1
         p = self.p
         seq = self.seq
-        blockers = sorted((b for b in self.occ[cell] if b != cell),
-                          key=seq.get)
+        rows = self.occ[cell]
+        blockers = (sorted((b for b in rows if b != cell), key=seq.get)
+                    if len(rows) > 1 else ())
         for beta in blockers:
             alpha_col = self.cols[cell]
             beta_col = self.cols[beta]

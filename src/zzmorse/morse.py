@@ -135,6 +135,8 @@ def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
     always a fresh dict.  Raises CyclicMatching if the traversal revisits an
     in-progress cell.
     """
+    if not seeds:  # a vertex has no facets
+        return {}
     if memo is None:
         memo = {}
     expanded = set()

@@ -98,7 +98,10 @@ def _replay(blocks):
     state = {}
     states = [{}]
     kinds = []
-    for direction, cells in blocks:
+    for index, (direction, cells) in enumerate(blocks, 1):
+        if isinstance(cells, (str, bytes, bytearray)):  # not one id each
+            raise InvalidOp("block %d gives its cells as a string %r"
+                            % (index, cells))
         cells = list(cells)
         if direction == "F":
             for cell, dim, bnd in cells:

@@ -23,6 +23,7 @@ from zzmorse.errors import (BadParameters, BadStreamLine, BrokenBoundary,
                             InvalidOp, MissingFacet, NotRemovable, UnknownCell,
                             ZigzagError)
 from zzmorse.kernel import run_stream
+from zzmorse.oracle import block_diagram
 from zzmorse.stream import BlockOp, ForwardCell
 
 # defect -> the error both pipelines must raise for it (None: no defect)
@@ -265,6 +266,47 @@ def test_removal_errors_name_the_callers_ids(morse):
     with pytest.raises(UnknownCell, match="cell id 'ab' is not alive"):
         run(["ab"], ["ab"])
     assert run(["ab"], ["a", "b"])[0] == [(0, 1, 2), (0, 2, 2)]
+
+
+@pytest.mark.parametrize("morse", [True, False])
+def test_one_cell_removal_blocks(morse):
+    edge = ("F", [("a", 0, {}), ("b", 0, {}), ("ab", 1, {"a": 1, "b": 1})])
+    ops = []
+
+    def run(*removals):
+        ops.clear()
+        return run_stream([edge] + [("B", r) for r in removals], morse=morse,
+                          observer=lambda state, matrix, op: ops.append(op))
+
+    with pytest.raises(UnknownCell, match="cell id 'z' is not alive"):
+        run(["z"])
+    with pytest.raises(InvalidOp, match=r"cell id \['ab'\] is not hashable"):
+        run([["ab"]])
+    with pytest.raises(NotRemovable,
+                       match="cell 'b' has a cofacet 'ab' outside the block"):
+        run(["b"])
+    # with Morse, coreduction pairs b with ab: the king ab leaves alone and
+    # its queue cell b stays, so the pair is split first
+    assert run(["ab"], ["b"], ["a"])[0] == [(0, 1, 3), (0, 2, 2)]
+    removal = [type(op).__name__ for op in ops
+               if not type(op).__name__.startswith("Insert")]
+    assert removal == (["Split", "RemoveCritical"] if morse
+                       else ["RemoveCritical"]) + ["RemoveCritical"] * 2
+
+
+@pytest.mark.parametrize("cells", ["ab", b"ab", bytearray(b"ab")])
+@pytest.mark.parametrize("direction", ["F", "B"])
+def test_a_string_of_cells_is_refused(direction, cells):
+    # the live cells 'a', 'b' and 'ab' must not be read as the string's
+    # characters
+    live = ("F", [("a", 0, {}), ("b", 0, {}), ("ab", 0, {})])
+    stream = [live, (direction, cells), ("B", ["a", "b", "ab"])]
+    for morse in (True, False):
+        with pytest.raises(InvalidOp,
+                           match="block 2 gives its cells as a string"):
+            run_stream(stream, morse=morse)
+    with pytest.raises(InvalidOp, match="block 2 gives its cells as a string"):
+        block_diagram(stream)
 
 
 # one malformed record on top of the vertices 0, 1 and the edge 2 -> the

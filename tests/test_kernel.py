@@ -21,6 +21,7 @@ from zzmorse.kernel import (insert_into_matrix, remove_from_matrix, run_stream,
 from zzmorse.matrix import HomologyMatrix
 from zzmorse.oracle import block_diagram
 from zzmorse.stream import BlockOp, ForwardCell, KernelUnpair
+from zzmorse.validate import check_matrix
 
 # -- helpers -----------------------------------------------------------------
 
@@ -331,6 +332,78 @@ def test_removal_pairs_the_birth_order_minimum():
     assert event == (0, 4)
     assert m.cols["b"].birth == (1, 1)
     assert m.cols["b"].chain == {"b": 1}
+
+
+# -- the O(1) paths: an insertion with nothing to reduce, a removal with no
+# blocker ----------------------------------------------------------------------
+
+
+def snapshot(m):
+    """Everything the kernel keeps, with columns as plain tuples."""
+    return ({slot: (dict(col.chain), col.label, col.birth, col.partner)
+             for slot, col in m.cols.items()},
+            dict(m.rowdim), {cell: set(slots) for cell, slots in m.occ.items()},
+            dict(m.f_counts), m.row_ops, m.last_seq)
+
+
+def edge_matrix():
+    """Vertices a, b and the edge ab, which kills a class, in block 1 (p = 5)."""
+    m = HomologyMatrix(5, {}, {})
+    insert(m, "a", 0, {}, 1, 0)
+    insert(m, "b", 0, {}, 1, 1)
+    insert(m, "ab", 1, {"a": 1, "b": 4}, 1, 2)
+    return m
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_empty_boundary_insertion_matches_the_general_path(dim):
+    fast, general = edge_matrix(), edge_matrix()
+    assert insert(fast, "c", dim, {}, 2, 3) is None
+    # a live row with coefficient 0 mod p: _reduce drops it and reduces
+    # nothing, so the general path makes the same new cycle
+    assert insert(general, "c", dim, {"a": 5}, 2, 3) is None
+    assert snapshot(fast) == snapshot(general)
+    assert fast.cols["c"].chain == {"c": 1}
+    assert fast.cols["c"].birth == (4, 2)
+    assert fast.occ["c"] == {"c"} and fast.last_seq == 3
+    assert fast.f_counts == ({0: 2} if dim == 0 else {0: 1, 1: 1})
+
+
+@pytest.mark.parametrize("cell, seq, message", [
+    ("a", None, "cell 'a' already has a row"),
+    ("c", 2, "seq 2 of 'c' is not above the last insertion's"),
+    ("ghost", None, "cell 'ghost' is not in the complex"),
+])
+def test_empty_boundary_refusals_leave_the_matrix_unchanged(cell, seq, message):
+    m = edge_matrix()
+    if seq is not None:
+        enter(m, cell, 0, seq)
+    before = snapshot(m)
+    with pytest.raises(KernelError, match=message):
+        m.forward_insert(cell, {}, 2)
+    assert snapshot(m) == before
+
+
+def test_blocker_free_removal_of_a_cycle_returns_its_event():
+    m = edge_matrix()
+    insert(m, "c", 0, {}, 2, 3)
+    assert m.occ["c"] == {"c"}  # no other column holds the row
+    assert remove(m, "c", 3) == (0, 2)
+    assert "c" not in m.cols and "c" not in m.occ and "c" not in m.rowdim
+    assert m.f_counts == {0: 1} and m.row_ops == 5
+
+
+def test_blocker_free_removal_of_a_chain_column_reopens_its_partner():
+    m = edge_matrix()
+    col = m.cols["ab"]
+    assert col.label == "H" and m.occ["ab"] == {"ab"}
+    partner = col.partner
+    assert remove(m, "ab", 2) is None
+    reopened = m.cols[partner]
+    assert (reopened.label, reopened.birth, reopened.partner) == \
+        ("F", (-4, 2), None)
+    assert m.f_counts == {0: 2} and m.row_ops == 4
+    check_matrix(m, {"a": {}, "b": {}}.__getitem__)
 
 
 def test_errors_surface_through_the_wrappers():
