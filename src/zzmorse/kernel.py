@@ -84,45 +84,25 @@ def _translate_forward(cells, cx, alive, validate):
 
 
 def _translate_backward(cells, cx, alive):
-    """Take a removal block's ids out of ``alive``; return the internal ids,
-    as a set, or a 1-tuple for a one-cell block.  A cofacet left behind
-    raises ``NotRemovable`` in the caller's ids."""
-    if len(cells) == 1:
-        # one lookup and one cofacet test: every cofacet is left behind
-        ext = cells[0]
-        cell = _removed_id(alive, ext)
-        cofacets = cx.cofacets[cell]
-        if cofacets:
-            raise _left_behind(alive, ext, next(iter(cofacets)))
-        del alive[ext]
-        return (cell,)
+    """Take a removal block's ids out of ``alive``; return the internal ids.
+    A cofacet left behind raises ``NotRemovable`` in the caller's ids."""
     out = set()
     for ext in cells:
-        cell = _removed_id(alive, ext)
+        try:
+            cell = alive[ext][0]
+        except KeyError:
+            raise UnknownCell("cell id %r is not alive" % (ext,)) from None
+        except TypeError:
+            raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
         if cell in out:
             raise InvalidOp("cell id %r removed twice in one block" % (ext,))
         out.add(cell)
     for ext in cells:
         for cof in cx.cofacets[alive.pop(ext)[0]]:
             if cof not in out:
-                raise _left_behind(alive, ext, cof)
+                raise NotRemovable("cell %r has a cofacet %r outside the block"
+                                   % (ext, _caller_id(alive, cof)))
     return out
-
-
-def _removed_id(alive, ext):
-    """The internal id of a removal block's external id."""
-    try:
-        return alive[ext][0]
-    except KeyError:
-        raise UnknownCell("cell id %r is not alive" % (ext,)) from None
-    except TypeError:
-        raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
-
-
-def _left_behind(alive, ext, cof):
-    """The error for a removed cell whose cofacet stays."""
-    return NotRemovable("cell %r has a cofacet %r outside the block"
-                        % (ext, _caller_id(alive, cof)))
 
 
 def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
@@ -149,11 +129,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     Each block becomes atomic ops (``stream.atomize_forward`` after
     ``coreduce``, or ``stream.atomize_backward``); a one-cell insertion block
     is one ``InsertCritical``, with no matching step, since its facets lie
-    outside it; a one-cell removal block is checked with one lookup and one
-    cofacet test, and classified without a sort.  One loop applies every op
-    to the complex, the matching and the flow memo, and feeds critical
-    insertions, critical removals and pair splits (through
-    ``stream.apply_atomic``) to the column kernel.
+    outside it.  One loop applies every op to the complex, the matching and
+    the flow memo, and feeds critical insertions, critical removals and pair
+    splits (through ``stream.apply_atomic``) to the column kernel.
 
     ``validate=True`` also turns on consistency checks (``BrokenInvariant``):
     a recheck of every memoized flow, and an unreduced shadow kernel whose

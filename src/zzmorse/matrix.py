@@ -167,15 +167,7 @@ class HomologyMatrix:
         if self.last_seq is not None and cell_seq <= self.last_seq:
             raise KernelError("seq %r of %r is not above the last insertion's"
                               % (cell_seq, cell))
-        if not boundary:  # nothing to reduce: a new cycle, its own column
-            self.row_ops += 1
-            self.last_seq = cell_seq
-            dim = self.rowdim[cell] = self.dims[cell]
-            self.occ[cell] = {cell}
-            self.cols[cell] = Column({cell: 1}, "F", birth=(self.row_ops, block))
-            self._count(dim, 1)
-            return None
-        used = self._reduce(boundary)
+        used = self._reduce(boundary) if boundary else {}
         gs = {}
         fs = {}
         for slot, a in used.items():
@@ -190,9 +182,12 @@ class HomologyMatrix:
         self.row_ops += 1
         self.last_seq = cell_seq
         self._new_row(cell)
-        chain = self._combination({self.cols[g].partner: -a
-                                   for g, a in gs.items()})
-        chain[cell] = 1
+        if gs:
+            chain = self._combination({self.cols[g].partner: -a
+                                       for g, a in gs.items()})
+            chain[cell] = 1
+        else:  # a creator with an empty boundary is its own cycle column
+            chain = {cell: 1}
 
         if not fs:
             self._set_column(cell, Column(chain, "F", birth=(self.row_ops, block)))

@@ -90,20 +90,18 @@ def atomize_forward(records, matching):
 def atomize_backward(sigma_set, state):
     """Order a removal block of live cells into atomic ops, last inserted first.
 
-    ``sigma_set`` (a set, or a 1-tuple, which needs no sort) must hold
-    every cofacet of its cells, as ``kernel._translate_backward`` checks.
-    Facets are inserted before their cofacets, so descending ``cx.seq``
-    removes maximal cells only.  A pair holds consecutive seqs, so a king
-    comes just before its queue cell and gives the op for both: RemovePair,
-    or Split then RemoveCritical of the king if the queue cell stays.  A
-    queue cell never leaves without its king, which is one of its cofacets.
+    ``sigma_set`` must hold every cofacet of its cells, as
+    ``kernel._translate_backward`` checks.  Facets are inserted before
+    their cofacets, so descending ``cx.seq`` removes maximal cells only.  A
+    pair holds consecutive seqs, so a king comes just before its queue cell
+    and gives the op for both: RemovePair, or Split then RemoveCritical of
+    the king if the queue cell stays.  A queue cell never leaves without its
+    king, which is one of its cofacets.
     """
     cx = state.complex
     m = state.matching
     out = []
-    order = (sorted(sigma_set, key=cx.seq.__getitem__, reverse=True)
-             if len(sigma_set) > 1 else sigma_set)
-    for cell in order:
+    for cell in sorted(sigma_set, key=cx.seq.__getitem__, reverse=True):
         if cell in m.pair_down:
             tau = m.pair_down[cell]
             if tau in sigma_set:
