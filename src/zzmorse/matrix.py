@@ -3,14 +3,18 @@
 The matrix maintains one column per live critical cell, keyed by the column's
 leading cell, with rows ordered by the cells' insertion sequence numbers,
 read from the complex's own ``seq`` (and dimensions from its ``dims``).  An
-insertion adds the newest row, at the top.  A removal first runs a cascade
-of column operations that clears its row from every other column, which is
-the zigzag algorithm's move of that row to the top of the order, and then
-deletes the row in place.  An unpair puts the split pair back at its own
-sequence numbers, which are consecutive, so no live row sits between them.
-The common trivial ops cost O(1): a creator with an empty boundary becomes
-its own cycle column with no reduction, and a removal whose row no other
-column holds skips the cascade.
+insertion adds the newest row, at the top.  One that kills turns its
+relation's sum into a boundary column; the cycle that column displaces walks
+down the other cycle slots the relation met, leaving the elder birth at
+each, and dies carrying the youngest.  A removal clears its row from every
+other column before deleting it: of the row's column and each blocker, the
+one the removal would kill first (a cycle before a chain, cycles by birth,
+chains by their G partner's seq) takes the row's slot and is eliminated from
+the other.  An unpair puts the split pair back at its own sequence numbers,
+which are consecutive, so no live row sits between them.  The common trivial
+ops cost O(1): a creator with an empty boundary becomes its own cycle column
+with no reduction, and a removal whose row no other column holds has nothing
+to clear.
 
 Columns carry one of three labels.  F columns are cycles and own a birth;
 G columns are boundaries; each H column has ``boundary(H) = G`` for its
@@ -116,6 +120,11 @@ class HomologyMatrix:
         self.rowdim[cell] = self.dims[cell]
         self.occ[cell] = set()
 
+    def _yield_key(self, col):
+        """Order in which a removal kills columns: cycles before chains,
+        cycles by birth, chains by their G partner's seq (least first)."""
+        return (0, col.birth) if col.label == "F" else (1, self.seq[col.partner])
+
     # -- reduction -----------------------------------------------------------
 
     def _reduce(self, boundary):
@@ -194,40 +203,30 @@ class HomologyMatrix:
             self._count(self.rowdim[cell], 1)
             return None
 
-        # The class with the largest birth dies.  The surviving classes keep
-        # the partial sums of the interacting cycle columns in birth order,
-        # so that each survivor's representative entangles exactly the
-        # earlier-born classes; re-echeloning against the new boundary
-        # column settles which row each survivor occupies.
-        seq = self.seq
+        # The relation's sum becomes the boundary column at its top slot.  The
+        # cycle it displaces walks down the other slots the relation met; at
+        # each it keeps the elder birth there, reduces by that slot's column
+        # and walks on, so it ends at zero carrying the youngest birth.
+        seq, p = self.seq, self.p
         lead = max(fs, key=seq.get)
-        order = sorted(fs, key=lambda f: self.cols[f].birth)
-        event = (self.rowdim[lead], self.cols[order[-1]].birth[1])
+        dim = self.rowdim[lead]
         g_chain = self._combination(fs)
-        p = self.p
-        placed = {}
-        prefix = {}
-        for f in order[:-1]:
-            birth = self.cols[f].birth
-            chain_addmul(prefix, self.cols[f].chain, fs[f], p)
-            part = dict(prefix)
-            while True:
-                top = max(part, key=seq.get)
-                if top == lead:
-                    against = g_chain
-                elif top in placed:
-                    against = placed[top][0]
-                else:
-                    break
-                chain_addmul(part, against,
-                             -part[top] * field_inv(against[top], p), p)
-            placed[top] = (part, birth)
-        for slot, (part, birth) in placed.items():
-            self._set_column(slot, Column(part, "F", birth=birth))
+        walker = self.cols[lead]
         self._set_column(lead, Column(g_chain, "G", partner=cell))
         self._set_column(cell, Column(chain, "H", partner=lead))
-        self._count(self.rowdim[lead], -1)
-        return event
+        self._count(dim, -1)
+        top, against = lead, g_chain
+        while True:
+            chain_addmul(walker.chain, against,
+                         -walker.chain[top] * field_inv(against[top], p), p)
+            if not walker.chain:
+                return (dim, walker.birth[1])
+            top = max(walker.chain, key=seq.get)
+            col = self.cols[top]
+            if walker.birth < col.birth:
+                self._set_column(top, walker)
+                walker, col = col, walker
+            against = col.chain
 
     def backward_remove(self, cell, block):
         """Remove a cell's row in block ``block``; ticks ``row_ops`` by 1.
@@ -237,6 +236,8 @@ class HomologyMatrix:
         """
         if cell not in self.occ:
             raise KernelError("cell %r has no row" % (cell,))
+        if self.cols[cell].label == "G":
+            raise KernelError("a boundary column leads at a maximal cell")
         self.row_ops += 1
         p = self.p
         seq = self.seq
@@ -244,53 +245,23 @@ class HomologyMatrix:
         blockers = (sorted((b for b in rows if b != cell), key=seq.get)
                     if len(rows) > 1 else ())
         for beta in blockers:
-            alpha_col = self.cols[cell]
-            beta_col = self.cols[beta]
-            y = alpha_col.chain[cell]
-            x = beta_col.chain.get(cell, 0)
-            if not x:
+            leave, keep = self.cols[cell], self.cols[beta]
+            if not keep.chain.get(cell, 0):
                 raise KernelError("stale occurrence of %r in %r" % (cell, beta))
-            la, lb = alpha_col.label, beta_col.label
-            if lb == "G":
+            if keep.label == "G":
                 raise KernelError("a boundary column contains a removable cell")
-            if la == "F":
-                if lb == "F" and beta_col.birth < alpha_col.birth:
-                    # The blocker's class dies sooner, so its column rides
-                    # up with the removed cell; the decoupled mix stays at
-                    # the blocker's row carrying the larger birth.
-                    moved = Column(dict(beta_col.chain), "F",
-                                   birth=beta_col.birth)
-                    self._addmul(beta, alpha_col.chain, -x * field_inv(y, p))
-                    beta_col.birth = alpha_col.birth
-                    self._set_column(cell, moved)
-                else:
-                    self._addmul(beta, alpha_col.chain, -x * field_inv(y, p))
-            elif lb == "F":
-                moved = dict(alpha_col.chain)
-                self._set_column(cell, Column(dict(beta_col.chain), "F",
-                                              birth=beta_col.birth))
-                swapped = Column(moved, "H", partner=alpha_col.partner)
-                self._set_column(beta, swapped)
-                self._addmul(beta, self.cols[cell].chain, -y * field_inv(x, p))
-                self.cols[swapped.partner].partner = beta
-            else:
-                g_a = alpha_col.partner
-                g_b = beta_col.partner
-                if seq[g_a] < seq[g_b]:
-                    lam = -x * field_inv(y, p)
-                    self._addmul(beta, alpha_col.chain, lam)
-                    self._addmul(g_b, self.cols[g_a].chain, lam)
-                else:
-                    mu = -y * field_inv(x, p)
-                    moved = dict(alpha_col.chain)
-                    self._set_column(cell, Column(dict(beta_col.chain), "H",
-                                                  partner=g_b))
-                    self.cols[g_b].partner = cell
-                    swapped = Column(moved, "H", partner=g_a)
-                    self._set_column(beta, swapped)
-                    self._addmul(beta, self.cols[cell].chain, mu)
-                    self._addmul(g_a, self.cols[g_b].chain, mu)
-                    self.cols[g_a].partner = beta
+            if self._yield_key(keep) < self._yield_key(leave):
+                # the blocker's class dies first, so it leaves with the row
+                self._set_column(cell, keep)
+                self._set_column(beta, leave)
+                leave, keep = keep, leave
+                for slot, col in ((cell, leave), (beta, keep)):
+                    if col.label == "H":
+                        self.cols[col.partner].partner = slot
+            c = -keep.chain[cell] * field_inv(leave.chain[cell], p)
+            self._addmul(beta, leave.chain, c)
+            if leave.label == "H":  # both are chains: keep boundary(H) = G
+                self._addmul(keep.partner, self.cols[leave.partner].chain, c)
 
         if self.occ[cell] != {cell}:
             raise KernelError("cell %r still occurs in other columns" % (cell,))
@@ -301,14 +272,12 @@ class HomologyMatrix:
         if col.label == "F":
             event = (dim, col.birth[1])
             self._count(dim, -1)
-        elif col.label == "H":
+        else:
             partner = self.cols[col.partner]
             partner.label = "F"
             partner.birth = (-self.row_ops, block)
             partner.partner = None
             self._count(self.rowdim[col.partner], 1)
-        else:
-            raise KernelError("a boundary column leads at a maximal cell")
         self._occ_drop(cell, col.chain)
         del self.cols[cell], self.rowdim[cell], self.occ[cell]
         return event
@@ -350,26 +319,15 @@ class HomologyMatrix:
         self._new_row(sigma)
 
         touched = 0
-        seen = set()
-        for nu, w in tau_cofacets.items():
-            if nu == sigma:
+        for slot in set().union(*(self.occ[c] for c in above)):
+            col = self.cols[slot]
+            if col.label == "G":
                 continue
-            for slot in self.occ[nu]:
-                if slot in seen:
-                    continue
-                seen.add(slot)
-                col = self.cols[slot]
-                if col.label == "G":
-                    continue
-                s = 0
-                for cell, coeff in tau_cofacets.items():
-                    if cell != sigma:
-                        s += coeff * col.chain.get(cell, 0)
-                s %= p
-                if not s:
-                    continue
-                self._addmul(slot, {sigma: 1}, scale * s)
-                touched += 1
+            s = sum(tau_cofacets[c] * col.chain.get(c, 0) for c in above) % p
+            if not s:
+                continue
+            self._addmul(slot, {sigma: 1}, scale * s)
+            touched += 1
 
         g_chain = {c: v % p for c, v in sigma_boundary.items() if v % p}
         self._set_column(tau, Column(g_chain, "G", partner=sigma))

@@ -29,11 +29,22 @@ def test_import_loads_neither_click_nor_the_cli():
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
+def imported_modules(name):
+    """Every module a source file of the package imports, as written there."""
+    path = Path(__file__).resolve().parents[1] / "src" / "zzmorse" / name
+    tree = ast.parse(path.read_text())
+    return ({node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)}
+            | {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names})
+
+
 def test_validate_does_not_know_the_op_vocabulary():
     # an import check cannot show this: importing zzmorse.validate runs
     # zzmorse/__init__.py, which loads the kernel and, through it, stream
-    path = Path(__file__).resolve().parents[1] / "src" / "zzmorse" / "validate.py"
-    tree = ast.parse(path.read_text())
-    modules = {node.module for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom)}
-    assert "stream" not in modules
+    assert "stream" not in imported_modules("validate.py")
+
+
+def test_the_column_kernel_imports_only_cells_and_errors():
+    # the matrix knows nothing of the Morse layer, the op stream or the door
+    assert imported_modules("matrix.py") == {"heapq", "cells", "errors"}

@@ -334,6 +334,21 @@ def test_removal_pairs_the_birth_order_minimum():
     assert m.cols["b"].chain == {"b": 1}
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("a", "a boundary column contains a removable cell"),
+    ("b", "a boundary column leads at a maximal cell"),
+])
+def test_removal_refuses_a_row_a_boundary_column_holds(cell, message):
+    # ab = a + b leaves a G column at b whose chain also holds a
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "a", 0, {}, 1, 0)
+    insert(m, "b", 0, {}, 1, 1)
+    insert(m, "ab", 1, {"a": 1, "b": 1}, 1, 2)
+    assert m.cols["b"].label == "G" and m.occ["a"] == {"a", "b"}
+    with pytest.raises(KernelError, match=message):
+        remove(m, cell, 2)
+
+
 # -- the O(1) paths: an insertion with nothing to reduce, a removal with no
 # blocker ----------------------------------------------------------------------
 
