@@ -178,12 +178,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 ops = [InsertCritical(cell, dim, bd)
                        for cell, (dim, bd) in records.items()]
             else:
-                if morse:
-                    matching = coreduce(records)
-                else:
-                    matching = Matching()
-                    for cell in records:
-                        matching.add_critical(cell)
+                matching = coreduce(records) if morse else Matching()
+                if not morse:  # every cell of the block stays critical
+                    matching.critical.update(records)
                 ops = atomize_forward(records, matching)
         elif direction == "B":
             ops = atomize_backward(_translate_backward(cells, cx, alive),

@@ -61,57 +61,48 @@ class Matching:
 def coreduce(records):
     """Build a matching on the cells of ``records`` by coreduction.
 
-    ``records`` maps each cell to ``(dim, boundary)``.  Repeatedly pairs a
-    cell with its single remaining unmatched facet; when stuck, the lowest
-    (dim, id) unmatched cell becomes critical.  Facets outside ``records``
-    count as already matched, so pairs never leave the records, and an
-    insertion block can be matched before any of it enters the complex.
-
-    The result's ``pair_up`` lists the pairs in the order they formed;
-    ``stream.atomize_forward`` relies on that order.
+    ``records`` maps each cell to ``(dim, boundary)``.  Repeatedly pairs the
+    lowest (dim, id) cell with one unmatched facet to that facet, or else
+    makes the lowest (dim, id) unmatched cell critical.  Facets outside
+    ``records`` count as matched, so pairs never leave the records and a
+    block can be matched before it enters the complex.  ``pair_up`` lists
+    the pairs in the order they formed, as ``stream.atomize_forward`` needs.
     """
-    inner_cofacets = {}  # only ``retire`` reads it, and only for records
-    for cell, (_, bnd) in records.items():
+    free = {}  # unmatched cell -> its number of unmatched facets in records
+    inner_cofacets = {}
+    pairable = []  # heap of (dim, cell) whose count reached 1; may go stale
+    for cell, (dim, bnd) in records.items():
+        n = 0
         for facet in bnd:
             if facet in records:
+                n += 1
                 inner_cofacets.setdefault(facet, []).append(cell)
-
-    avail = set(records)
-    count = {cell: sum(1 for f in bnd if f in avail)
-             for cell, (_, bnd) in records.items()}
-    pairable = [(dim, c) for c, (dim, _) in records.items() if count[c] == 1]
+        free[cell] = n
+        if n == 1:
+            pairable.append((dim, cell))
     heapq.heapify(pairable)
-    # a cell never returns to avail, so one pass over the (dim, id) order,
+    # a cell never returns to free, so one pass over the (dim, id) order,
     # resumed where the last critical was found, reads it like a heap
     fallback = iter(sorted(records, key=lambda c: (records[c][0], c)))
 
     out = Matching()
-
-    def retire(cell):
-        # cell left avail: its cofacets among the records lose one free facet
-        for cof in inner_cofacets.get(cell, ()):
-            if cof in avail:
-                count[cof] -= 1
-                if count[cof] == 1:
-                    heapq.heappush(pairable, (records[cof][0], cof))
-
-    while avail:
-        while pairable:
+    while free:
+        if pairable:
             _, sigma = heapq.heappop(pairable)
-            if sigma not in avail or count[sigma] != 1:
+            if free.get(sigma) != 1:
                 continue
-            tau = next(f for f in records[sigma][1] if f in avail)
-            avail.discard(tau)
-            avail.discard(sigma)
-            out.add_pair(tau, sigma)
-            retire(tau)
-            retire(sigma)
-        for cell in fallback:
-            if cell in avail:
-                avail.discard(cell)
-                out.add_critical(cell)
-                retire(cell)
-                break
+            taken = (next(f for f in records[sigma][1] if f in free), sigma)
+            out.add_pair(*taken)  # (tau, sigma)
+        else:
+            taken = (next(c for c in fallback if c in free),)
+            out.add_critical(*taken)
+        for cell in taken:
+            del free[cell]
+            for cof in inner_cofacets.get(cell, ()):
+                if cof in free:
+                    free[cof] -= 1
+                    if free[cof] == 1:
+                        heapq.heappush(pairable, (records[cof][0], cof))
     return out
 
 

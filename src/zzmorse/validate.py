@@ -1,12 +1,12 @@
 """Runtime audits used by validate mode and the acceptance suite.
 
-Two independent cross-checks live here.  ``check_matrix`` audits the
-structural conditions the column kernel promises to maintain: triangular
-leading terms, cycle columns with vanishing boundary, boundary columns that
-are exactly the boundaries of their partners, and a consistent pairing.
-``ShadowComplex`` feeds every raw cell it writes to an unreduced twin kernel,
-whose per-dimension cycle counts, the Betti numbers of the full complex, are
-compared with the Morse-reduced matrix's after each atomic operation.
+Three independent cross-checks live here.  ``check_matrix`` (as an observer,
+``check_invariants``) audits the column kernel's promises: triangular leading
+terms, cycle columns with zero boundary, boundary columns equal to their
+partners' boundaries, and a consistent pairing.  ``check_betti`` compares the
+dense Betti numbers of the full and the Morse complex with the matrix's cycle
+counts.  ``ShadowComplex`` replays each raw cell in an unreduced twin kernel,
+whose cycle counts must match the reduced matrix's after every atomic op.
 """
 
 from .cells import Complex, apply_boundary

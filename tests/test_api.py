@@ -48,3 +48,9 @@ def test_validate_does_not_know_the_op_vocabulary():
 def test_the_column_kernel_imports_only_cells_and_errors():
     # the matrix knows nothing of the Morse layer, the op stream or the door
     assert imported_modules("matrix.py") == {"heapq", "cells", "errors"}
+
+
+def test_the_matcher_imports_only_cells_and_errors():
+    # coreduction and the flows know nothing of the kernel, the op stream
+    # or the door
+    assert imported_modules("morse.py") == {"heapq", "cells", "errors"}

@@ -196,6 +196,44 @@ def test_coreduce_deterministic():
     assert a.critical == b.critical and a.pair_up == b.pair_up
 
 
+def literal_coreduce(records):
+    """The order contract of ``coreduce``, by a full scan at every step.
+
+    Among the unmatched records with exactly one unmatched facet among the
+    records, the lowest (dim, id) pairs with that facet; when there is none,
+    the lowest (dim, id) unmatched record turns critical.  Returns the
+    critical set and the pairs in the order they formed.
+    """
+    unmatched = set(records)
+    critical, pairs = set(), []
+    while unmatched:
+        order = sorted(unmatched, key=lambda c: (records[c][0], c))
+        for sigma in order:
+            free = [f for f in records[sigma][1] if f in unmatched]
+            if len(free) == 1:
+                pairs.append((free[0], sigma))
+                unmatched -= {free[0], sigma}
+                break
+        else:
+            critical.add(order[0])
+            unmatched.remove(order[0])
+    return critical, pairs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coreduce_follows_the_literal_rule(p):
+    # a random subset of a complex in shuffled order: some facets lie
+    # outside the records, and dict order is not id order
+    for seed in range(300):
+        rng = make_rng(20_000 + 1_000 * p + seed)
+        cx = random_complex(rng, p=p, n=rng.randint(2, 18))
+        cells = [c for c in cx.dims if rng.random() < 0.75] or list(cx.dims)
+        rng.shuffle(cells)
+        records = cell_records(cx, cells)
+        m = coreduce(records)
+        assert (m.critical, list(m.pair_up.items())) == literal_coreduce(records)
+
+
 # -- properties on random complexes -------------------------------------------
 
 @pytest.mark.parametrize("seed", range(15))
