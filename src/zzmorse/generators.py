@@ -16,10 +16,10 @@ import random
 
 import numpy as np
 
-from .cells import check_prime, cube_facets, simplex_facets
+from .cells import (chain_addmul, check_prime, cube_facets, field_inv,
+                    simplex_facets)
 from .errors import (BadParameters, CountMismatch, EmptyCloud, EmptyDims,
                      NonMonotoneLevels, RaggedRow)
-from .linalg import boundary_matrix, nullspace
 from .stream import BlockOp, ForwardCell
 
 
@@ -362,37 +362,56 @@ def fourier_image(dims, seed, terms):
 
 # -- random streams for differential testing ----------------------------------------
 
-def _random_cycle(state, q, p, rng):
-    """A random nonzero mod-p cycle among the q-cells of ``state``, or None."""
-    cells = sorted(c for c, (d, _) in state.items() if d == q)
-    if not cells:
-        return None
-    below = sorted(c for c, (d, _) in state.items() if d == q - 1)
-    kernel = nullspace(boundary_matrix(state, below, cells), p)
-    if kernel.shape[1] == 0:
+def _random_cycle_among(chains, p, rng):
+    """A random nonzero mod-p cycle among the cells of ``chains``, or None.
+
+    ``chains`` maps each candidate cell, in ascending order, to its
+    boundary; facets must be comparable.  The boundaries are reduced one
+    by one against the earlier ones.  A cell whose boundary reduces to zero
+    gives the one kernel vector with coefficient 1 on it and support on it
+    and the earlier cells that did not reduce to zero.  That is the basis
+    vector ``linalg.nullspace`` reads off the reduced row echelon form for
+    the cell's free column.  Each of at most 8 attempts draws one weight
+    per basis vector, in cell order; a zero combination is drawn again.
+    """
+    pivots = {}  # top facet -> (reduced boundary, its combination of cells)
+    kernel = []
+    for cell, bnd in chains.items():
+        col = chain_addmul({}, bnd, 1, p)
+        comb = {cell: 1}
+        while col:
+            top = max(col)
+            if top not in pivots:
+                pivots[top] = col, comb
+                break
+            pcol, pcomb = pivots[top]
+            f = -col[top] * field_inv(pcol[top], p)
+            chain_addmul(col, pcol, f, p)
+            chain_addmul(comb, pcomb, f, p)
+        else:
+            kernel.append(comb)
+    if not kernel:
         return None
     for _ in range(8):
-        weights = [rng.randrange(p) for _ in range(kernel.shape[1])]
-        vec = kernel @ np.array(weights, dtype=np.int64) % p
-        if vec.any():
-            return {cells[i]: int(vec[i]) for i in range(len(cells)) if vec[i]}
+        vec = {}
+        for cycle in kernel:
+            chain_addmul(vec, cycle, rng.randrange(p), p)
+        if vec:
+            return {c: vec[c] for c in chains if c in vec}
     return None
-
-
-def _maximal_cells(state):
-    covered = set()
-    for _, bnd in state.values():
-        covered.update(bnd)
-    return sorted(c for c in state if c not in covered)
 
 
 def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
     """Random valid zigzag stream as blocks of ``("i", cell, dim, boundary)``
     or ``("r", cell)`` ops, for ``blocks_to_stream``.
 
-    ``rng`` is a random.Random instance or an integer seed.  Consecutive
-    ops of one kind are grouped into blocks of random length; the stream
-    always tears down to the empty complex at the end.
+    ``rng`` is a random.Random instance or an integer seed.  Cells get
+    ids 0, 1, 2, ... in insertion order.  A new q-cell's boundary is a
+    random nonzero cycle among the live (q-1)-cells taken in ascending id;
+    a q-cell with no such cycle enters as a vertex instead.  Each removal
+    picks one of the maximal live cells, listed in ascending id.
+    Consecutive ops of one kind are grouped into blocks of random length;
+    the stream always tears down to the empty complex at the end.
     """
     p = check_prime(p)
     max_live = _integer("max_live", max_live, 1)
@@ -400,34 +419,44 @@ def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
     max_dim = _integer("max_dim", max_dim, 0)
     if not isinstance(rng, random.Random):
         rng = random.Random(_integer("seed", rng))
-    state = {}
+    # Ids only grow, so insertion order is ascending id in every dict here.
+    dims = {}  # live cell -> dim
+    by_dim = {}  # dim -> {live cell of that dim: its boundary}
+    cofacets = {}  # live cell -> number of live cells whose boundary has it
     next_id = [0]
     ops = []
 
     def insert():
         dim = rng.randint(0, max_dim)
-        bnd = {} if dim == 0 else _random_cycle(state, dim - 1, p, rng)
-        if dim > 0 and bnd is None:
+        bnd = {} if dim == 0 else _random_cycle_among(by_dim.get(dim - 1, {}),
+                                                      p, rng)
+        if bnd is None:
             dim, bnd = 0, {}
         cell = next_id[0]
         next_id[0] += 1
-        state[cell] = (dim, bnd)
+        dims[cell] = dim
+        by_dim.setdefault(dim, {})[cell] = bnd
+        cofacets[cell] = 0
+        for facet in bnd:
+            cofacets[facet] += 1
         ops.append(("i", cell, dim, bnd))
 
     def remove():
-        cell = rng.choice(_maximal_cells(state))
-        del state[cell]
+        cell = rng.choice([c for c, n in cofacets.items() if not n])
+        del cofacets[cell]
+        for facet in by_dim[dims.pop(cell)].pop(cell):
+            cofacets[facet] -= 1
         ops.append(("r", cell))
 
     budget = rng.randint(4, max_arrows)
-    while len(ops) < budget - len(state):
-        if not state:
+    while len(ops) < budget - len(dims):
+        if not dims:
             insert()
-        elif len(state) >= max_live:
+        elif len(dims) >= max_live:
             remove()
         else:
             insert() if rng.random() < 0.6 else remove()
-    while state:
+    while dims:
         remove()
 
     blocks = []

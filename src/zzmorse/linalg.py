@@ -1,8 +1,8 @@
 """Dense linear algebra over Z/p on int64 numpy arrays.
 
 Row reduction, rank, kernel bases, span solves and Betti numbers for the
-oracle, validate mode's Betti check and the random-stream generator.  A
-snapshot is a dict ``cell -> (dim, {facet: coeff})``, as in ``oracle``.
+oracle and validate mode's Betti check.  A snapshot is a dict
+``cell -> (dim, {facet: coeff})``, as in ``oracle``.
 """
 
 import numpy as np

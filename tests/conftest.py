@@ -8,7 +8,7 @@ import pytest
 
 from zzmorse.cells import Complex, simplex_facets
 from zzmorse.errors import UnknownCell
-from zzmorse.generators import (_random_cycle, blocks_to_stream,
+from zzmorse.generators import (_random_cycle_among, blocks_to_stream,
                                 random_block_stream)
 from zzmorse.kernel import run_stream
 
@@ -66,13 +66,20 @@ def check_mirrors(cx):
     assert down == up
 
 
+def random_cycle(state, q, p, rng):
+    """A random nonzero mod-p cycle among the q-cells of a ``{cell: (dim,
+    boundary)}`` snapshot, drawn as ``random_block_stream`` draws one."""
+    return _random_cycle_among({c: bnd for c, (d, bnd) in sorted(state.items())
+                                if d == q}, p, rng)
+
+
 def random_complex(rng, p=2, n=10, max_dim=3):
     """A random small complex grown by inserting random cycles as boundaries."""
     cx = Complex(p=p)
     for _ in range(n):
         dim = rng.randint(0, max_dim)
         state = {c: (cx.dims[c], cx.facets[c]) for c in cx.dims}
-        bnd = {} if dim == 0 else _random_cycle(state, dim - 1, p, rng)
+        bnd = {} if dim == 0 else random_cycle(state, dim - 1, p, rng)
         if bnd is None:
             dim, bnd = 0, {}
         cx.insert_cell(dim, bnd)
@@ -85,7 +92,7 @@ def grow_records(rng, cx, k, max_dim=3):
     records = {}
     for _ in range(k):
         dim = rng.randint(0, max_dim)
-        bnd = {} if dim == 0 else _random_cycle(state, dim - 1, cx.p, rng)
+        bnd = {} if dim == 0 else random_cycle(state, dim - 1, cx.p, rng)
         if bnd is None:
             dim, bnd = 0, {}
         cid = cx.fresh_id()

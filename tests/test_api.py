@@ -50,6 +50,11 @@ def test_the_column_kernel_imports_only_cells_and_errors():
     assert imported_modules("matrix.py") == {"heapq", "cells", "errors"}
 
 
+def test_the_random_streams_need_no_dense_linear_algebra():
+    # random_block_stream finds its cycles with its own small kernel basis
+    assert "linalg" not in imported_modules("generators.py")
+
+
 def test_the_matcher_imports_only_cells_and_errors():
     # coreduction and the flows know nothing of the kernel, the op stream
     # or the door

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import random
 from itertools import combinations, product
 
 import numpy as np
@@ -12,11 +13,13 @@ from conftest import make_rng
 from zzmorse.cells import cube_facets
 from zzmorse.errors import (BadParameters, CountMismatch, EmptyCloud,
                             EmptyDims, NonMonotoneLevels, RaggedRow)
-from zzmorse.generators import (ScalarImage, as_point_cloud, blocks_to_stream,
-                                circle_points, even_levels, fourier_image,
+from zzmorse.generators import (ScalarImage, _random_cycle_among,
+                                as_point_cloud, blocks_to_stream, circle_points,
+                                even_levels, fourier_image,
                                 furthest_point_ordering, levelset_stream,
                                 oscillating_rips_stream, random_block_stream)
 from zzmorse.kernel import run_stream
+from zzmorse.linalg import boundary_matrix, nullspace
 from zzmorse.oracle import block_diagram
 
 
@@ -514,6 +517,105 @@ def test_random_streams_are_seed_reproducible():
     stream = blocks_to_stream(a)
     assert sum(len(bl.cells) for bl in stream if bl.direction == "F") == \
         sum(len(bl.cells) for bl in stream if bl.direction == "B")
+
+
+# sha256 over repr(random_block_stream(seed, **kwargs)) for seeds 0-39,
+# recorded while the generator still drew its cycles through linalg.nullspace
+RANDOM_STREAMS = [
+    ({"p": 7},
+     "d2cc38ff905a074099844b5cff520ea50ad483aa518c4161cab052bd195dee97"),
+    ({"max_live": 24, "max_arrows": 80},
+     "cbcaf382c845ef9dea37b26f7b186534bbbecfcad11bd525061598944082db3d"),
+    ({"max_dim": 0},
+     "d977339edfcb1bc59f45235a68cd4299414ba6f5e820589d370524099860b22a"),
+    ({"max_dim": 1},
+     "bddfba90828b67979b06d39a18fdc63f821051a685c269a6790294b5c2409719"),
+    ({"max_dim": 5},
+     "ae94db78ff60d71222b3737a858d0ada0edffce3bf46fffcc2911ad14ce42302"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", RANDOM_STREAMS)
+def test_random_streams_are_pinned(kwargs, digest):
+    h = hashlib.sha256()
+    for seed in range(40):
+        h.update(repr(random_block_stream(seed, **kwargs)).encode())
+    assert h.hexdigest() == digest
+
+
+def test_a_huge_max_dim_sizes_nothing():
+    # the live cells are indexed by the dimensions in use, not up to max_dim;
+    # a cell drawn above every live dimension enters as a vertex
+    blocks = random_block_stream(1, max_dim=10 ** 9)
+    inserted = [op for block in blocks for op in block if op[0] == "i"]
+    assert inserted and all(op[2] == 0 and op[3] == {} for op in inserted)
+
+
+def _nullspace_cycle(state, q, p, rng):
+    """The generator's former cycle draw: a dense kernel basis from
+    ``linalg.nullspace``, weighted by one draw per basis vector."""
+    cells = sorted(c for c, (d, _) in state.items() if d == q)
+    if not cells:
+        return None
+    below = sorted(c for c, (d, _) in state.items() if d == q - 1)
+    kernel = nullspace(boundary_matrix(state, below, cells), p)
+    if kernel.shape[1] == 0:
+        return None
+    for _ in range(8):
+        weights = [rng.randrange(p) for _ in range(kernel.shape[1])]
+        vec = kernel @ np.array(weights, dtype=np.int64) % p
+        if vec.any():
+            return {cells[i]: int(vec[i]) for i in range(len(cells)) if vec[i]}
+    return None
+
+
+def _matrix_state(rows, columns):
+    """A snapshot whose 1-cells 100, 101, ... have the given columns as
+    boundaries over the 0-cells 0..rows-1 (rows=0: 0-cells over nothing)."""
+    q = 1 if rows else 0
+    state = {r: (0, {}) for r in range(rows)}
+    for j, col in enumerate(columns):
+        state[100 + j] = (q, {r: k for r, k in enumerate(col) if k})
+    return state, q
+
+
+def _matrix_cases(p):
+    gen = random.Random(p)
+    yield [[0] * 3] * 4, 3  # the zero matrix
+    yield [[int(r == j) for r in range(4)] for j in range(4)], 4  # full rank
+    yield [[] for _ in range(5)], 0  # no rows: cycles among vertices
+    for _ in range(150):
+        rows, cols = gen.randint(1, 5), gen.randint(1, 6)
+        density = gen.random()
+        yield ([[gen.randint(1 - p, p) if gen.random() < density else 0
+                 for _ in range(rows)] for _ in range(cols)], rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_small_kernel_basis_draws_the_nullspace_cycle(p):
+    nones = 0
+    for columns, rows in _matrix_cases(p):
+        state, q = _matrix_state(rows, columns)
+        chains = {c: bnd for c, (d, bnd) in sorted(state.items()) if d == q}
+        for seed in range(4):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = _random_cycle_among(chains, p, ours)
+            assert got == _nullspace_cycle(state, q, p, theirs)
+            assert ours.getstate() == theirs.getstate()
+            nones += got is None
+    assert nones  # the full-rank case, at least, has no cycle
+
+
+def test_the_cycle_draw_gives_up_after_eight_zero_combinations():
+    # a lone vertex's kernel is one basis vector; at p = 2 its weight draws 0
+    # half the time, so a few seeds draw 0 eight times over and get no cycle
+    def zero_draws(seed):
+        rng = random.Random(seed)
+        return not any(rng.randrange(2) for _ in range(8))
+
+    misses = [seed for seed in range(2000)
+              if _random_cycle_among({0: {}}, 2, random.Random(seed)) is None]
+    assert misses and misses == list(filter(zero_draws, range(2000)))
 
 
 # -- parameter checks ----------------------------------------------------------------
