@@ -9,7 +9,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import make_rng, random_cycle
 from zzmorse.cells import cube_facets
 from zzmorse.errors import (BadParameters, CountMismatch, EmptyCloud,
                             EmptyDims, NonMonotoneLevels, RaggedRow)
@@ -596,10 +596,9 @@ def test_the_small_kernel_basis_draws_the_nullspace_cycle(p):
     nones = 0
     for columns, rows in _matrix_cases(p):
         state, q = _matrix_state(rows, columns)
-        chains = {c: bnd for c, (d, bnd) in sorted(state.items()) if d == q}
         for seed in range(4):
             ours, theirs = random.Random(seed), random.Random(seed)
-            got = _random_cycle_among(chains, p, ours)
+            got = random_cycle(state, q, p, ours)
             assert got == _nullspace_cycle(state, q, p, theirs)
             assert ours.getstate() == theirs.getstate()
             nones += got is None
