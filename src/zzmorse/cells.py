@@ -162,7 +162,11 @@ class Complex:
 
     def remove_cell(self, cell):
         """Remove a maximal cell; the complex is unchanged if it raises."""
-        if cell not in self.dims:
+        try:
+            known = cell in self.dims
+        except TypeError:
+            raise InvalidOp("cell id %r is not hashable" % (cell,)) from None
+        if not known:
             raise UnknownCell(repr(cell))
         if self.cofacets[cell]:
             raise NotRemovable("cell %r still has cofacets" % (cell,))

@@ -18,20 +18,35 @@ from .cells import check_prime
 from .errors import (BadHeader, BadParameters, BadStreamLine, CountMismatch,
                      EmptyFile, RaggedRow, ZigzagError)
 from .generators import (ScalarImage, _integer, _real, as_point_cloud,
-                         blocks_to_stream, even_levels, levelset_stream,
-                         oscillating_rips_stream, random_block_stream)
+                         even_levels, levelset_stream, oscillating_rips_stream,
+                         random_block_stream)
 from .kernel import run_stream
 from .oracle import block_diagram
 from .stream import BlockOp, ForwardCell
 
 # -- file formats --------------------------------------------------------------------
 
+def _open_text(path):
+    # an undecodable byte becomes a lone surrogate, which _numbered refuses
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _numbered(fh, error, start=1):
+    """enumerate(fh, start), raising ``error`` on a line that is not UTF-8."""
+    for ln, line in enumerate(fh, start):
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise error("line %d is not UTF-8 text" % ln) from None
+        yield ln, line
+
+
 def parse_points(path):
     """Point cloud from whitespace-separated decimal rows, one point per line."""
     rows = []
     arity = None
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
+    with _open_text(path) as fh:
+        for ln, line in _numbered(fh, RaggedRow):
             parts = line.split()
             if not parts:
                 continue
@@ -51,7 +66,8 @@ def parse_points(path):
 
 def parse_image(path):
     """Scalar image from a "dims nx ny nz" header and x-fastest values."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
+        # a header with an undecodable byte fails the checks below
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "dims":
             raise BadHeader("expected a 'dims nx ny nz' header line")
@@ -60,7 +76,7 @@ def parse_image(path):
         except ValueError:
             raise BadHeader("non-integer extent in %r" % (header,)) from None
         values = []
-        for ln, line in enumerate(fh, 2):
+        for ln, line in _numbered(fh, CountMismatch, 2):
             try:
                 values.extend(float(v) for v in line.split())
             except ValueError:
@@ -91,8 +107,8 @@ def parse_stream(path):
     integers.
     """
     blocks = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
+    with _open_text(path) as fh:
+        for ln, line in _numbered(fh, BadStreamLine):
             tokens = line.split()
             if not tokens:
                 continue
@@ -291,7 +307,7 @@ def oracle_check(seed, runs, p, validate):
         _integer("--runs", runs, 1)
         failures = 0
         for s in range(seed, seed + runs):
-            blocks = blocks_to_stream(random_block_stream(s, p=p))
+            blocks = random_block_stream(s, p=p)
             want = block_diagram(blocks, p)
             reduced = [tuple(i) for i in run_stream(
                 blocks, p=p, morse=True, validate=validate)[0]]

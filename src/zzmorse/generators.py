@@ -402,16 +402,16 @@ def _random_cycle_among(chains, p, rng):
 
 
 def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
-    """Random valid zigzag stream as blocks of ``("i", cell, dim, boundary)``
-    or ``("r", cell)`` ops, for ``blocks_to_stream``.
+    """Random valid zigzag stream as a list of ``BlockOp``s.
 
     ``rng`` is a random.Random instance or an integer seed.  Cells get
     ids 0, 1, 2, ... in insertion order.  A new q-cell's boundary is a
     random nonzero cycle among the live (q-1)-cells taken in ascending id;
     a q-cell with no such cycle enters as a vertex instead.  Each removal
     picks one of the maximal live cells, listed in ascending id.
-    Consecutive ops of one kind are grouped into blocks of random length;
-    the stream always tears down to the empty complex at the end.
+    Consecutive insertions (``ForwardCell``s) or removals (bare ids) are
+    grouped into "F" or "B" blocks of random length; the stream always
+    tears down to the empty complex at the end.
     """
     p = check_prime(p)
     max_live = _integer("max_live", max_live, 1)
@@ -439,14 +439,14 @@ def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
         cofacets[cell] = 0
         for facet in bnd:
             cofacets[facet] += 1
-        ops.append(("i", cell, dim, bnd))
+        ops.append(ForwardCell(cell, dim, bnd))
 
     def remove():
         cell = rng.choice([c for c, n in cofacets.items() if not n])
         del cofacets[cell]
         for facet in by_dim[dims.pop(cell)].pop(cell):
             cofacets[facet] -= 1
-        ops.append(("r", cell))
+        ops.append(cell)
 
     budget = rng.randint(4, max_arrows)
     while len(ops) < budget - len(dims):
@@ -462,23 +462,16 @@ def random_block_stream(rng, p=2, max_live=12, max_arrows=30, max_dim=3):
     blocks = []
     i = 0
     while i < len(ops):
-        kind = ops[i][0]
+        forward = isinstance(ops[i], ForwardCell)
         j = i
         limit = rng.randint(1, 4)
-        while j < len(ops) and ops[j][0] == kind and j - i < limit:
+        while (j < len(ops) and isinstance(ops[j], ForwardCell) == forward
+               and j - i < limit):
             j += 1
-        blocks.append(ops[i:j])
+        blocks.append(BlockOp("F" if forward else "B", ops[i:j]))
         i = j
     return blocks
 
 
-def blocks_to_stream(blocks):
-    """Op blocks -> the BlockOp stream that ``run_stream`` and the oracle read."""
-    out = []
-    for block in blocks:
-        if block[0][0] == "i":
-            out.append(BlockOp("F", [ForwardCell(cell, dim, bnd)
-                                     for _, cell, dim, bnd in block]))
-        else:
-            out.append(BlockOp("B", [cell for _, cell in block]))
-    return out
+# Only perfbench/workloads.py and perfbench/test_perfbench.py still call this.
+blocks_to_stream = list

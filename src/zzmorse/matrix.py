@@ -35,7 +35,7 @@ bookkeeping: the occurrence index and the reduction heap.
 
 import heapq
 
-from .cells import chain_addmul, field_inv
+from .cells import apply_boundary, chain_addmul, field_inv
 from .errors import KernelError
 
 
@@ -103,13 +103,6 @@ class HomologyMatrix:
             self._occ_drop(slot, old.chain)
         self.cols[slot] = column
         self._occ_add(slot, column.chain)
-
-    def _combination(self, coeffs):
-        """Linear combination of whole columns: sum of a_i * cols[i].chain."""
-        out = {}
-        for slot, a in coeffs.items():
-            chain_addmul(out, self.cols[slot].chain, a, self.p)
-        return out
 
     def _seq_of(self, cell):
         if cell not in self.seq or cell not in self.dims:
@@ -191,9 +184,13 @@ class HomologyMatrix:
         self.row_ops += 1
         self.last_seq = cell_seq
         self._new_row(cell)
+
+        def column(slot):
+            return self.cols[slot].chain
+
         if gs:
-            chain = self._combination({self.cols[g].partner: -a
-                                       for g, a in gs.items()})
+            chain = apply_boundary({self.cols[g].partner: -a
+                                    for g, a in gs.items()}, column, self.p)
             chain[cell] = 1
         else:  # a creator with an empty boundary is its own cycle column
             chain = {cell: 1}
@@ -210,7 +207,7 @@ class HomologyMatrix:
         seq, p = self.seq, self.p
         lead = max(fs, key=seq.get)
         dim = self.rowdim[lead]
-        g_chain = self._combination(fs)
+        g_chain = apply_boundary(fs, column, p)
         walker = self.cols[lead]
         self._set_column(lead, Column(g_chain, "G", partner=cell))
         self._set_column(cell, Column(chain, "H", partner=lead))

@@ -14,6 +14,7 @@ of mixed types too: bases follow each snapshot's insertion order, unsorted.
 
 import numpy as np
 
+from .cells import check_prime
 from .errors import InvalidOp, MissingFacet, NotRemovable, TooLarge, UnknownCell
 from .linalg import boundary_matrix, nullspace, rank_mod, rref, solve_in_span
 
@@ -143,6 +144,7 @@ def _module_over_states(kinds, states, dim, p):
 def block_module(blocks, dim, p=2):
     """Homology-in-``dim`` module over block-boundary snapshots, one arrow
     per block."""
+    p = check_prime(p)
     return _module_over_states(*_replay(blocks), dim, p)
 
 
@@ -240,6 +242,7 @@ def block_diagram(blocks, p=2):
     Interval endpoints are block indices: a class alive in the snapshots after
     blocks b..d is reported as [b, d].  The stream must end empty.
     """
+    p = check_prime(p)
     kinds, states = _replay(blocks)
     if states[-1]:
         raise InvalidOp("stream must start and end at the empty complex")

@@ -8,11 +8,8 @@ import pytest
 
 from zzmorse.cells import Complex, simplex_facets
 from zzmorse.errors import UnknownCell
-from zzmorse.generators import (_random_cycle_among, blocks_to_stream,
-                                random_block_stream)
+from zzmorse.generators import _random_cycle_among
 from zzmorse.kernel import run_stream
-
-random_block_ops = random_block_stream
 
 # verdict details registered by tests/test_acceptance.py, printed at the end
 ACCEPTANCE = {}

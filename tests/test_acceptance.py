@@ -17,7 +17,6 @@ from test_morse import brute_boundary
 from test_stream import update_formula
 from zzmorse.cli import emit_image, emit_stream, format_diagram, main
 from zzmorse.generators import (
-    blocks_to_stream,
     circle_points,
     even_levels,
     fourier_image,
@@ -37,8 +36,8 @@ def random_streams():
     out = []
     for seed in range(500):
         p = 2 if seed % 2 == 0 else 5
-        out.append((p, blocks_to_stream(random_block_stream(
-            seed, p=p, max_live=12, max_arrows=30, max_dim=3))))
+        out.append((p, random_block_stream(
+            seed, p=p, max_live=12, max_arrows=30, max_dim=3)))
     return out
 
 
@@ -237,7 +236,7 @@ def test_criterion_8_deterministic_reruns(tmp_path, circle_run, image_run):
                  "--noise", "0.05"], tmp_path, "levelset")
 
     stream = tmp_path / "run.stream"
-    stream.write_text(emit_stream(blocks_to_stream(random_block_stream(3, p=5))))
+    stream.write_text(emit_stream(random_block_stream(3, p=5)))
     rerun_twice(["stream", str(stream), "--field-char", "5"],
                 tmp_path, "stream")
     ACCEPTANCE[8] = "double runs byte-identical (diagram + metrics), all modes"

@@ -16,6 +16,7 @@ from zzmorse.cells import (
 )
 from zzmorse.errors import (
     BrokenBoundary,
+    InvalidOp,
     MissingFacet,
     NotRemovable,
     UnknownCell,
@@ -130,6 +131,15 @@ def test_remove_cell_rules():
 def test_remove_from_empty():
     with pytest.raises(UnknownCell):
         Complex().remove_cell(0)
+
+
+def test_remove_refuses_an_unhashable_id():
+    cx = Complex()
+    cx.insert_cell(0, {})
+    with pytest.raises(InvalidOp, match=r"cell id \[1\] is not hashable"):
+        cx.remove_cell([1])
+    assert len(cx) == 1
+    check_mirrors(cx)
 
 
 def test_cellids_strictly_increase_and_never_reused():

@@ -14,8 +14,7 @@ from zzmorse.cli import (emit_image, emit_stream, format_diagram,
                          parse_stream)
 from zzmorse.errors import (BadHeader, BadStreamLine, CountMismatch,
                             EmptyFile, RaggedRow)
-from zzmorse.generators import (ScalarImage, blocks_to_stream,
-                                fourier_image, levelset_stream,
+from zzmorse.generators import (ScalarImage, fourier_image, levelset_stream,
                                 random_block_stream)
 from zzmorse.kernel import Interval, run_stream
 
@@ -44,6 +43,13 @@ def test_ragged_point_file(tmp_path):
         parse_points(path)
     path.write_text("0 zero\n")
     with pytest.raises(RaggedRow):
+        parse_points(path)
+
+
+def test_non_utf8_point_file(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_bytes(b"0 0\n1 \xff\n")
+    with pytest.raises(RaggedRow, match="line 2 is not UTF-8 text"):
         parse_points(path)
 
 
@@ -85,6 +91,16 @@ def test_image_bad_header(tmp_path):
         parse_image(path)
 
 
+def test_non_utf8_image_file(tmp_path):
+    path = tmp_path / "img.txt"
+    path.write_bytes(b"dims \xff 1 1\n0 0\n")
+    with pytest.raises(BadHeader):
+        parse_image(path)
+    path.write_bytes(b"dims 2 1 1\n0\n\xfe\n")
+    with pytest.raises(CountMismatch, match="line 3 is not UTF-8 text"):
+        parse_image(path)
+
+
 def test_image_roundtrip(tmp_path):
     img = fourier_image((3, 4, 2), seed=9, terms=3)
     path = tmp_path / "img.txt"
@@ -97,7 +113,7 @@ def test_image_roundtrip(tmp_path):
 # -- stream files --------------------------------------------------------------------
 
 def test_stream_roundtrip(tmp_path):
-    blocks = blocks_to_stream(random_block_stream(17, p=5))
+    blocks = random_block_stream(17, p=5)
     path = tmp_path / "run.stream"
     path.write_text(emit_stream(blocks))
     assert parse_stream(path) == blocks
@@ -119,6 +135,13 @@ def test_stream_parse_errors(tmp_path):
         parse_stream(path)
     path.write_text("F 1 0 0 2 0 0\nF 3 1 2 1 1 1 -1\n")
     with pytest.raises(BadStreamLine, match="line 2: facet 1 listed twice"):
+        parse_stream(path)
+
+
+def test_non_utf8_stream_file(tmp_path):
+    path = tmp_path / "run.stream"
+    path.write_bytes(b"F 1 0 0\nF \xff\n")
+    with pytest.raises(BadStreamLine, match="line 2 is not UTF-8 text"):
         parse_stream(path)
 
 
@@ -249,6 +272,16 @@ def test_levelset_requires_a_level_spec(tmp_path):
     result = runner.invoke(main, ["levelset", str(img), "--levels", "a,b"])
     assert result.exit_code == 2
     assert "error: --levels expects comma-separated numbers" in result.output
+
+
+@pytest.mark.parametrize("command", [["stream"], ["rips"],
+                                     ["levelset", "--epsilon", "1"]])
+def test_a_non_utf8_file_is_an_error_not_a_traceback(tmp_path, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"F \xff\n")
+    result = CliRunner().invoke(main, command + [str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
 
 
 def test_composite_field_char_is_rejected(tmp_path):

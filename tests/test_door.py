@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blocks_to_stream, random_block_ops
 from zzmorse.cells import Complex
 from zzmorse.cli import emit_stream, parse_stream
 from zzmorse.errors import (BadParameters, BadStreamLine, BrokenBoundary,
                             InvalidOp, MissingFacet, NotRemovable, UnknownCell,
                             ZigzagError)
+from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.oracle import block_diagram
 from zzmorse.stream import BlockOp, ForwardCell
@@ -132,8 +132,7 @@ def as_numpy(blocks):
 @given(seed=st.integers(0, 10_000), p=st.sampled_from([2, 3, 5]),
        defect=st.sampled_from(list(DEFECTS)), data=st.data())
 def test_both_pipelines_refuse_the_same_input(seed, p, defect, data):
-    blocks = blocks_to_stream(random_block_ops(seed, p=p, max_live=8,
-                                               max_arrows=16))
+    blocks = random_block_stream(seed, p=p, max_live=8, max_arrows=16)
     run_p = p
     if defect == "numpy integers":
         blocks, run_p = as_numpy(blocks), np.int64(p)
@@ -182,8 +181,8 @@ def test_both_pipelines_refuse_the_same_input(seed, p, defect, data):
     expected = DEFECTS[defect]
     if expected is None:
         assert isinstance(reduced, list)
-        assert reduced == outcome(blocks_to_stream(
-            random_block_ops(seed, p=p, max_live=8, max_arrows=16)), p, True)
+        assert reduced == outcome(
+            random_block_stream(seed, p=p, max_live=8, max_arrows=16), p, True)
     else:
         assert reduced is expected
 

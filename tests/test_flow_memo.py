@@ -8,10 +8,11 @@ matching.
 
 import pytest
 
-from conftest import blocks_to_stream, build_simplicial, random_block_ops
+from conftest import build_simplicial
 from zzmorse.cells import Complex
 from zzmorse.errors import BrokenInvariant, CyclicMatching
-from zzmorse.generators import circle_points, oscillating_rips_stream
+from zzmorse.generators import (circle_points, oscillating_rips_stream,
+                                random_block_stream)
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, _flow, morse_boundary
 from zzmorse.stream import BlockOp, ForwardCell, Split
@@ -41,7 +42,7 @@ def test_memo_matches_fresh_flows_on_random_streams(p):
     seen = dict(ops=0, entries=0, unpairs=0)
     audit = memo_auditor(seen)
     for seed in range(120):
-        blocks = blocks_to_stream(random_block_ops(seed, p=p))
+        blocks = random_block_stream(seed, p=p)
         run_stream(blocks, p=p, observer=audit)
     assert seen["unpairs"] > 0 and seen["entries"] > 0
 

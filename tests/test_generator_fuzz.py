@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzmorse.errors import ZigzagError
-from zzmorse.generators import (ScalarImage, as_point_cloud, blocks_to_stream,
-                                circle_points, even_levels, fourier_image,
+from zzmorse.generators import (ScalarImage, as_point_cloud, circle_points,
+                                even_levels, fourier_image,
                                 furthest_point_ordering, levelset_stream,
                                 oscillating_rips_stream, random_block_stream)
 from zzmorse.kernel import run_stream
@@ -124,6 +124,6 @@ def test_levelset_streams(image, args):
     p=st.sampled_from([2, 3, 5]), max_live=st.integers(1, 6),
     max_arrows=st.integers(4, 12), max_dim=DIM))
 def test_random_block_stream(args):
-    ops = call(random_block_stream, **args)
-    if ops is not None:
-        run_stream(blocks_to_stream(ops), p=args["p"])
+    blocks = call(random_block_stream, **args)
+    if blocks is not None:
+        run_stream(blocks, p=args["p"])

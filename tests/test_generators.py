@@ -14,13 +14,14 @@ from zzmorse.cells import cube_facets
 from zzmorse.errors import (BadParameters, CountMismatch, EmptyCloud,
                             EmptyDims, NonMonotoneLevels, RaggedRow)
 from zzmorse.generators import (ScalarImage, _random_cycle_among,
-                                as_point_cloud, blocks_to_stream, circle_points,
-                                even_levels, fourier_image,
-                                furthest_point_ordering, levelset_stream,
-                                oscillating_rips_stream, random_block_stream)
+                                as_point_cloud, circle_points, even_levels,
+                                fourier_image, furthest_point_ordering,
+                                levelset_stream, oscillating_rips_stream,
+                                random_block_stream)
 from zzmorse.kernel import run_stream
 from zzmorse.linalg import boundary_matrix, nullspace
 from zzmorse.oracle import block_diagram
+from zzmorse.stream import BlockOp, ForwardCell
 
 
 # -- furthest-point ordering ---------------------------------------------------------
@@ -514,28 +515,41 @@ def test_random_streams_are_seed_reproducible():
     a = random_block_stream(123)
     b = random_block_stream(make_rng(123))
     assert a == b
-    stream = blocks_to_stream(a)
-    assert sum(len(bl.cells) for bl in stream if bl.direction == "F") == \
-        sum(len(bl.cells) for bl in stream if bl.direction == "B")
+    assert sum(len(bl.cells) for bl in a if bl.direction == "F") == \
+        sum(len(bl.cells) for bl in a if bl.direction == "B")
 
 
-# sha256 over repr(random_block_stream(seed, **kwargs)) for seeds 0-39,
-# recorded while the generator still drew its cycles through linalg.nullspace
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_random_streams_are_block_ops(p):
+    for seed in range(200):
+        for block in random_block_stream(seed, p=p):
+            assert type(block) is BlockOp and block.cells
+            if block.direction == "F":
+                assert all(type(c) is ForwardCell for c in block.cells)
+            else:
+                assert block.direction == "B"
+                assert all(type(c) is int for c in block.cells)
+
+
+# sha256 over repr(random_block_stream(seed, **kwargs)) for seeds 0-39, the
+# same streams as recorded while the generator still drew its cycles through
+# linalg.nullspace and returned ("i"/"r") op lists for a converter to wrap
 RANDOM_STREAMS = [
     ({"p": 7},
-     "d2cc38ff905a074099844b5cff520ea50ad483aa518c4161cab052bd195dee97"),
+     "1511bea330bae32852d8dce03930c67602226f390ad4117f40d6dfd926b902f5"),
     ({"max_live": 24, "max_arrows": 80},
-     "cbcaf382c845ef9dea37b26f7b186534bbbecfcad11bd525061598944082db3d"),
+     "a2b7c8b1fafed8bca04a4085fcd13c122e8f1eb3a212b8007940bdff6b078b50"),
     ({"max_dim": 0},
-     "d977339edfcb1bc59f45235a68cd4299414ba6f5e820589d370524099860b22a"),
+     "5a09d31a1997a39203821188d61139a4c39cbab85183b82545872707fd7ea087"),
     ({"max_dim": 1},
-     "bddfba90828b67979b06d39a18fdc63f821051a685c269a6790294b5c2409719"),
+     "5863cef5e2a5afecc527f6d3dacde8ca6507b53172a877353cbbf7e4846cf47e"),
     ({"max_dim": 5},
-     "ae94db78ff60d71222b3737a858d0ada0edffce3bf46fffcc2911ad14ce42302"),
+     "208f1243c1de79d6a6c6024696123a2a83b8c1cfd37b2776faf627a98f8ef707"),
 ]
 
 
-@pytest.mark.parametrize("kwargs, digest", RANDOM_STREAMS)
+@pytest.mark.parametrize("kwargs, digest", RANDOM_STREAMS,
+                         ids=["p7", "live24-arrows80", "dim0", "dim1", "dim5"])
 def test_random_streams_are_pinned(kwargs, digest):
     h = hashlib.sha256()
     for seed in range(40):
@@ -547,8 +561,9 @@ def test_a_huge_max_dim_sizes_nothing():
     # the live cells are indexed by the dimensions in use, not up to max_dim;
     # a cell drawn above every live dimension enters as a vertex
     blocks = random_block_stream(1, max_dim=10 ** 9)
-    inserted = [op for block in blocks for op in block if op[0] == "i"]
-    assert inserted and all(op[2] == 0 and op[3] == {} for op in inserted)
+    inserted = [c for block in blocks if block.direction == "F"
+                for c in block.cells]
+    assert inserted and all(c.dim == 0 and c.boundary == {} for c in inserted)
 
 
 def _nullspace_cycle(state, q, p, rng):

@@ -9,7 +9,7 @@ The tracing module is read from the benchmark directory as it is.
 import importlib.util
 from pathlib import Path
 
-from conftest import blocks_to_stream, random_block_ops
+from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.stream import Split
 
@@ -43,7 +43,7 @@ def test_every_hook_is_reached():
     tracer = HitTracer()
     with tracing.traced(tracer):
         for seed in range(20):
-            blocks = blocks_to_stream(random_block_ops(seed, p=5))
+            blocks = random_block_stream(seed, p=5)
             run_stream(blocks, p=5,
                        observer=lambda state, matrix, op: splits.append(
                            isinstance(op, Split)))

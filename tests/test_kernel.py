@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import blocks_to_stream, make_rng, random_block_ops
+from conftest import make_rng
 from zzmorse.cells import Complex
 from zzmorse.errors import (
     BadParameters,
@@ -16,6 +16,7 @@ from zzmorse.errors import (
     ZeroInverse,
     ZigzagError,
 )
+from zzmorse.generators import random_block_stream
 from zzmorse.kernel import (insert_into_matrix, remove_from_matrix, run_stream,
                             unpair_in_matrix)
 from zzmorse.matrix import HomologyMatrix
@@ -26,12 +27,20 @@ from zzmorse.validate import check_matrix
 # -- helpers -----------------------------------------------------------------
 
 
+def op_stream(blocks):
+    """The BlockOp stream written in this file's shorthand: blocks of
+    ``("i", cell, dim, boundary)`` inserts or ``("r", cell)`` removals."""
+    return [BlockOp("F", [ForwardCell(*op[1:]) for op in block])
+            if block[0][0] == "i" else BlockOp("B", [op[1] for op in block])
+            for block in blocks]
+
+
 def single_op_blocks(ops):
     return [[op] for op in ops]
 
 
 def diagram(blocks, p=2, morse=True):
-    intervals, _ = run_stream(blocks_to_stream(blocks), p=p, morse=morse)
+    intervals, _ = run_stream(op_stream(blocks), p=p, morse=morse)
     return sorted((i.dim, i.birth, i.death) for i in intervals)
 
 
@@ -133,7 +142,7 @@ def test_scalar_weights_mod_five(morse):
 
 
 def test_triangle_metrics():
-    stream = blocks_to_stream(TRIANGLE_BLOCKS)
+    stream = op_stream(TRIANGLE_BLOCKS)
     _, met = run_stream(stream, p=2, morse=True, validate=True)
     assert met.raw_ops == 14
     assert met.reduced_ops == 6   # 1 critical insert + unpaired removal + 2 removes
@@ -146,12 +155,12 @@ def test_triangle_metrics():
 
 
 def test_runs_are_deterministic():
-    stream = blocks_to_stream(TRIANGLE_BLOCKS)
+    stream = op_stream(TRIANGLE_BLOCKS)
     assert run_stream(stream, p=2) == run_stream(stream, p=2)
 
 
 def test_backward_cells_may_be_an_iterator():
-    stream = blocks_to_stream(TRIANGLE_BLOCKS)
+    stream = op_stream(TRIANGLE_BLOCKS)
     lazy = [BlockOp(b.direction, iter(b.cells)) if b.direction == "B" else b
             for b in stream]
     assert run_stream(lazy, p=2) == run_stream(stream, p=2)
@@ -467,7 +476,7 @@ def test_non_prime_field_is_rejected():
 @given(st.integers(0, 10 ** 9), st.sampled_from([2, 5]))
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 def test_engine_matches_oracle_on_random_streams(seed, p):
-    stream = blocks_to_stream(random_block_ops(make_rng(seed), p=p))
+    stream = random_block_stream(make_rng(seed), p=p)
     expect = sorted(block_diagram(stream, p))
     morse_ivs, morse_met = run_stream(stream, p=p, morse=True, validate=True)
     raw_ivs, raw_met = run_stream(stream, p=p, morse=False, validate=True)

@@ -17,9 +17,9 @@ import pytest
 
 from zzmorse import kernel
 
-from zzmorse.generators import (blocks_to_stream, circle_points, even_levels,
-                                fourier_image, levelset_stream,
-                                oscillating_rips_stream, random_block_stream)
+from zzmorse.generators import (circle_points, even_levels, fourier_image,
+                                levelset_stream, oscillating_rips_stream,
+                                random_block_stream)
 from zzmorse.kernel import run_stream
 from zzmorse.stream import Split
 
@@ -53,8 +53,7 @@ RANDOM = {
 
 @pytest.mark.parametrize("p", sorted(RANDOM))
 def test_random_streams_op_digest(p):
-    streams = [blocks_to_stream(random_block_stream(seed, p=p))
-               for seed in range(200)]
+    streams = [random_block_stream(seed, p=p) for seed in range(200)]
     assert op_digest(streams, p) == RANDOM[p]
 
 
@@ -99,7 +98,7 @@ def test_layers_run_per_split_and_per_multi_cell_block(monkeypatch, morse):
 
     lone = multi = 0
     for seed in range(100):
-        blocks = blocks_to_stream(random_block_stream(seed, p=5))
+        blocks = random_block_stream(seed, p=5)
         for direction, cells in blocks:
             if direction == "F":
                 lone += len(cells) == 1

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import blocks_to_stream, make_rng, random_block_ops
-from zzmorse.errors import (InvalidOp, MissingFacet, NotRemovable, TooLarge,
-                            UnknownCell)
+from conftest import make_rng
+from zzmorse.errors import (BadParameters, InvalidOp, MissingFacet,
+                            NotRemovable, TooLarge, UnknownCell)
+from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.linalg import betti_numbers, rref
 from zzmorse.oracle import (
@@ -176,6 +177,16 @@ def test_nonempty_end_rejected():
         block_diagram([("F", [("v", 0, {})])])
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 2.0])
+def test_a_field_characteristic_that_is_not_prime_is_refused(p):
+    blocks = [("F", [("a", 0, {}), ("b", 0, {})]), ("B", ["a", "b"])]
+    assert block_diagram(blocks, p=2) == [(0, 1, 1), (0, 1, 1)]
+    with pytest.raises(BadParameters, match="not prime"):
+        block_diagram(blocks, p=p)
+    with pytest.raises(BadParameters, match="not prime"):
+        block_module(blocks, 0, p=p)
+
+
 def test_too_large():
     with pytest.raises(TooLarge):
         block_module([("F", [(k, 0, {}) for k in range(201)])], dim=0)
@@ -230,7 +241,7 @@ def _conjugate(mod, rng):
 @pytest.mark.parametrize("p", [2, 5])
 def test_multiplicity_sums_match_space_dims(seed, p):
     rng = make_rng(1000 * p + seed)
-    blocks = blocks_to_stream(random_block_ops(rng, p=p))
+    blocks = random_block_stream(rng, p=p)
     for dim in range(3):
         mod = block_module(blocks, dim, p)
         intervals = decompose_module(mod)
@@ -243,7 +254,7 @@ def test_multiplicity_sums_match_space_dims(seed, p):
 def test_decomposition_basis_invariant(seed):
     rng = make_rng(seed)
     p = rng.choice([2, 5])
-    blocks = blocks_to_stream(random_block_ops(rng, p=p))
+    blocks = random_block_stream(rng, p=p)
     for dim in range(3):
         mod = block_module(blocks, dim, p)
         assert decompose_module(_conjugate(mod, rng)) == decompose_module(mod)

@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from conftest import blocks_to_stream, random_block_ops
-from zzmorse.generators import circle_points, oscillating_rips_stream
+from zzmorse.generators import (circle_points, oscillating_rips_stream,
+                                random_block_stream)
 from zzmorse.kernel import run_stream
 from zzmorse.stream import BlockOp, ForwardCell
 
@@ -33,8 +33,7 @@ def relabel(blocks, label):
 @pytest.mark.parametrize("seed", range(0, 40, 4))
 def test_int_ids_to_strings(seed, morse):
     # "c10" sorts before "c2": the new ids also reorder the old ones
-    blocks = blocks_to_stream(random_block_ops(seed, p=5, max_live=10,
-                                               max_arrows=24))
+    blocks = random_block_stream(seed, p=5, max_live=10, max_arrows=24)
     assert (run_stream(relabel(blocks, "c{}".format), p=5, morse=morse)
             == run_stream(blocks, p=5, morse=morse))
 
@@ -74,8 +73,8 @@ def assert_reversal_mirrors(blocks, p, morse):
 @pytest.mark.parametrize("morse", [True, False])
 @pytest.mark.parametrize("seed", range(0, 40, 4))
 def test_reversal_mirrors_intervals(seed, morse):
-    blocks = blocks_to_stream(random_block_ops(seed, p=5, max_live=10,
-                                               max_arrows=24))
+    blocks = random_block_stream(seed, p=5, max_live=10,
+                                               max_arrows=24)
     assert_reversal_mirrors(blocks, 5, morse)
 
 

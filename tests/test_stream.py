@@ -6,11 +6,10 @@ import pytest
 
 from conftest import (build_simplicial, cell_records, engine_after,
                       forward_block, full_triangle, grow_records,
-                      is_acyclic_matching, make_rng, random_block_ops,
-                      random_complex)
+                      is_acyclic_matching, make_rng, random_complex)
 from zzmorse.cells import Complex, chain_addmul, field_inv, simplex_facets
 from zzmorse.errors import InvalidOp, NotRemovable, ZigzagError
-from zzmorse.generators import blocks_to_stream
+from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce, morse_boundary
 from zzmorse.linalg import betti_numbers
@@ -442,7 +441,7 @@ def test_betti_preserved_after_every_atomic_op(seed):
         assert len(state.matching) == len(cx)
         checked.append(op)
 
-    run_stream(blocks_to_stream(random_block_ops(rng, p=p)), p,
+    run_stream(random_block_stream(rng, p=p), p,
                validate=True, observer=check)
     assert checked
 

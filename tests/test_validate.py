@@ -2,8 +2,9 @@
 
 import pytest
 
-from conftest import blocks_to_stream, make_rng, random_block_ops
+from conftest import make_rng
 from zzmorse.errors import BrokenInvariant
+from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.matrix import Column, HomologyMatrix
 from zzmorse.validate import (ShadowComplex, apply_boundary, check_betti,
@@ -34,7 +35,7 @@ def test_tiny_matrix_passes_the_audit():
 def test_random_streams_pass_every_audit(seed, morse):
     rng = make_rng(470_000 + seed)
     p = rng.choice([2, 5])
-    blocks = blocks_to_stream(random_block_ops(rng, p=p))
+    blocks = random_block_stream(rng, p=p)
 
     def audit(state, matrix, op):
         check_invariants(state, matrix, op)
@@ -130,7 +131,7 @@ def test_shadow_holds_every_live_cell_after_every_op(p):
         assert set(state.complex.shadow.occ) == set(state.complex.dims)
 
     for seed in range(70):
-        blocks = blocks_to_stream(random_block_ops(make_rng(480_000 + seed), p=p))
+        blocks = random_block_stream(make_rng(480_000 + seed), p=p)
         run_stream(blocks, p=p, validate=True, observer=lockstep)
 
 
