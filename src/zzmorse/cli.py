@@ -90,15 +90,6 @@ def parse_image(path):
     return ScalarImage(dims, flat)
 
 
-def emit_image(image):
-    """Inverse of parse_image: header line plus x-fastest values."""
-    lines = ["dims %d %d %d" % image.dims]
-    flat = image.values.reshape(-1, order="F")
-    for start in range(0, flat.size, 8):
-        lines.append(" ".join("%.17g" % v for v in flat[start:start + 8]))
-    return "\n".join(lines) + "\n"
-
-
 def parse_stream(path):
     """Block stream from one line per block: 'F' or 'B' plus cell records.
 
@@ -143,22 +134,6 @@ def parse_stream(path):
             except ValueError:
                 raise BadStreamLine("line %d: non-integer token" % ln) from None
     return blocks
-
-
-def emit_stream(blocks):
-    """Inverse of parse_stream for integer-labelled blocks."""
-    lines = []
-    for block in blocks:
-        if block.direction == "F":
-            parts = ["F"]
-            for c in block.cells:
-                parts += [str(int(c.cell)), str(int(c.dim)), str(len(c.boundary))]
-                for facet, coeff in c.boundary.items():
-                    parts += [str(int(facet)), str(int(coeff))]
-        else:
-            parts = ["B"] + [str(int(c)) for c in block.cells]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- output --------------------------------------------------------------------------

@@ -9,8 +9,8 @@ decomposition in block indices plus operation/size metrics.
 from collections import ChainMap, namedtuple
 
 from .cells import Complex, check_boundary, check_cycle, check_dim
-from .errors import (BrokenBoundary, BrokenInvariant, InvalidOp, KernelError,
-                     NotRemovable, UnknownCell)
+from .errors import (BadParameters, BrokenBoundary, BrokenInvariant,
+                     InvalidOp, KernelError, NotRemovable, UnknownCell)
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (InsertCritical, InsertPair, MorseState, RemoveCritical,
@@ -22,25 +22,14 @@ Interval = namedtuple("Interval", "dim birth death")
 Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
 
 
-# perfbench/tracing.HOOKS rebinds these three wrappers (and coreduce,
+# perfbench/tracing.HOOKS rebinds these three names (and coreduce,
 # atomize_*, apply_atomic, and stream.morse_boundary/morse_coboundary), so
 # they stay module globals called by name: run_stream's op loop calls one
-# wrapper per critical insertion, critical removal and split, and
-# apply_atomic per split; tests/test_hooks.py checks it.
-def insert_into_matrix(matrix, cell, boundary, block):
-    """Feed one critical insertion to the column kernel; returns an event."""
-    return matrix.forward_insert(cell, boundary, block)
-
-
-def remove_from_matrix(matrix, cell, block):
-    """Feed one critical removal to the column kernel; returns an event."""
-    return matrix.backward_remove(cell, block)
-
-
-def unpair_in_matrix(matrix, update):
-    """Feed a pair split to the column kernel."""
-    matrix.unpair_update(update.tau, update.sigma, update.sigma_boundary,
-                         update.tau_cofacets)
+# per critical insertion, critical removal and split, and apply_atomic per
+# split; tests/test_hooks.py checks it.
+insert_into_matrix = HomologyMatrix.forward_insert
+remove_from_matrix = HomologyMatrix.backward_remove
+unpair_in_matrix = HomologyMatrix.unpair_update
 
 
 def _caller_id(alive, cell):
@@ -121,10 +110,11 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     from 1: the class is alive in the complexes seen after those blocks.
     The kernel is told each op's block index and orders births itself;
     ``Metrics.reduced_ops`` counts the rows it added or removed.
-    ``p`` must be prime (``BadParameters`` otherwise).
-    ``morse=False`` skips the matching step and runs every cell through the
-    kernel.  ``observer(state, matrix, op)`` is called after every atomic
-    operation; a non-callable observer raises ``InvalidOp``.
+    ``p`` must be prime, and ``morse`` and ``validate`` bools
+    (``BadParameters`` otherwise).  ``morse=False`` skips the matching step
+    and runs every cell through the kernel.  ``observer(state, matrix, op)``
+    is called after every atomic operation; a non-callable observer raises
+    ``InvalidOp``.
 
     Each block becomes atomic ops (``stream.atomize_forward`` after
     ``coreduce``, or ``stream.atomize_backward``); a one-cell insertion block
@@ -139,6 +129,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     operation (skipped when ``morse=False``, where the two would coincide by
     construction).
     """
+    for name, flag in (("morse", morse), ("validate", validate)):
+        if type(flag) is not bool:
+            raise BadParameters("%s=%r is not a bool" % (name, flag))
     if observer is not None and not callable(observer):
         raise InvalidOp("observer %r is not callable" % (observer,))
     shadowed = validate and morse
@@ -235,7 +228,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 memo.pop(tau, None)
                 memo.pop(sigma, None)
             elif kind is Split:
-                unpair_in_matrix(matrix, apply_atomic(state, op))
+                unpair_in_matrix(matrix, *apply_atomic(state, op))
             else:
                 raise InvalidOp("unknown atomic op %r" % (op,))
             if event is not None and event[1] < block_index:

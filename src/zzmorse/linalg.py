@@ -1,8 +1,8 @@
 """Dense linear algebra over Z/p on int64 numpy arrays.
 
-Row reduction, rank, kernel bases, span solves and Betti numbers for the
-oracle and validate mode's Betti check.  A snapshot is a dict
-``cell -> (dim, {facet: coeff})``, as in ``oracle``.
+Row reduction, rank, kernel bases, span solves and boundary matrices for
+the oracle.  A snapshot is a dict ``cell -> (dim, {facet: coeff})``, as in
+``oracle``.
 """
 
 import numpy as np
@@ -71,19 +71,3 @@ def boundary_matrix(state, cells_low, cells_high):
         for facet, coeff in state[c][1].items():
             mat[index[facet], j] = coeff
     return mat
-
-
-def betti_numbers(state, p=2):
-    """Betti numbers of a snapshot, indexed by dimension (trailing zeros cut)."""
-    if not state:
-        return []
-    top = max(d for d, _ in state.values())
-    layers = [[c for c, (d, _) in state.items() if d == q]
-              for q in range(top + 2)]
-    ranks = [0]
-    for q in range(1, top + 2):
-        ranks.append(rank_mod(boundary_matrix(state, layers[q - 1], layers[q]), p))
-    betti = [len(layers[q]) - ranks[q] - ranks[q + 1] for q in range(top + 1)]
-    while betti and betti[-1] == 0:
-        betti.pop()
-    return betti

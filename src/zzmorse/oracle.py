@@ -4,7 +4,8 @@ This module is the ground truth the streaming engine is tested against.  It
 replays a block stream into explicit complex snapshots, computes homology
 spaces and inclusion-induced maps by dense mod-p linear algebra, and
 decomposes the resulting module into intervals.  It deliberately shares no
-code with the Morse engine or the streaming kernel beyond field arithmetic.
+code with the Morse engine or the streaming kernel beyond field arithmetic
+and the door's record checks (``cells.check_dim``, ``cells.check_boundary``).
 
 A stream is what ``run_stream`` reads: blocks ``("F", [(cell, dim,
 {facet: coeff}), ...])`` that insert cells and ``("B", [cell, ...])`` that
@@ -14,8 +15,8 @@ of mixed types too: bases follow each snapshot's insertion order, unsorted.
 
 import numpy as np
 
-from .cells import check_prime
-from .errors import InvalidOp, MissingFacet, NotRemovable, TooLarge, UnknownCell
+from .cells import check_boundary, check_dim, check_prime
+from .errors import InvalidOp, NotRemovable, TooLarge, UnknownCell
 from .linalg import boundary_matrix, nullspace, rank_mod, rref, solve_in_span
 
 MAX_CELLS = 200
@@ -72,52 +73,82 @@ class ExplicitModule:
 
     ``spaces`` lists dimensions; ``maps[i]`` is ``(direction, matrix)`` where
     direction "fwd" maps space i to space i+1 and "bwd" maps space i+1 to
-    space i (matrices are target-rows by source-columns).
+    space i (matrices are target-rows by source-columns).  ``p`` must be
+    prime (``BadParameters``) and each direction "fwd" or "bwd" (``InvalidOp``).
     """
 
     def __init__(self, spaces, maps, p):
         self.spaces = list(spaces)
         self.maps = list(maps)
-        self.p = p
+        self.p = check_prime(p)
         if len(self.maps) != max(len(self.spaces) - 1, 0):
             raise InvalidOp("one map required between consecutive spaces")
         for i, (direction, mat) in enumerate(self.maps):
+            if direction not in ("fwd", "bwd"):
+                raise InvalidOp("map %d has direction %r, not 'fwd' or 'bwd'"
+                                % (i, direction))
             src, dst = (i, i + 1) if direction == "fwd" else (i + 1, i)
             if mat.shape != (self.spaces[dst], self.spaces[src]):
                 raise InvalidOp("map %d has shape %r, expected %r"
                                 % (i, mat.shape, (self.spaces[dst], self.spaces[src])))
 
 
-def _replay(blocks):
+def _replay(blocks, p):
     """Arrow kinds and block-boundary states of a block stream.
 
     A block inserts or removes its cells as a set, so a facet may come
     later in its block than its cofacet; an empty block is an identity
-    arrow.  States are plain ``{cell: (dim, boundary)}`` dicts: the empty
-    one, then one after each block.
+    arrow.  Each record passes ``check_dim`` and ``check_boundary``, as at
+    ``run_stream``'s door.  States are plain ``{cell: (dim, boundary)}``
+    dicts: the empty one, then one after each block.
     """
     state = {}
     states = [{}]
     kinds = []
-    for index, (direction, cells) in enumerate(blocks, 1):
-        if isinstance(cells, (str, bytes, bytearray)):  # not one id each
-            raise InvalidOp("block %d gives its cells as a string %r"
-                            % (index, cells))
-        cells = list(cells)
+
+    def lookup(facet):
+        return (facet, state[facet][0]) if facet in state else None
+
+    for index, block in enumerate(blocks, 1):
+        try:
+            direction, cells = block
+            if isinstance(cells, (str, bytes, bytearray)):  # not one id each
+                raise InvalidOp("block %d gives its cells as a string %r"
+                                % (index, cells))
+            cells = list(cells)
+        except (TypeError, ValueError):
+            raise InvalidOp("block %d is not (direction, cells)"
+                            % (index,)) from None
         if direction == "F":
-            for cell, dim, bnd in cells:
-                if cell in state:
+            new = []
+            for record in cells:
+                try:
+                    cell, dim, bnd = record
+                except (TypeError, ValueError):
+                    raise InvalidOp("forward record %r is not (cell, dim, "
+                                    "boundary)" % (record,)) from None
+                try:
+                    known = cell in state
+                except TypeError:
+                    raise InvalidOp("cell id %r is not hashable"
+                                    % (cell,)) from None
+                if known:
                     raise InvalidOp("cell %r inserted twice" % (cell,))
-                state[cell] = (dim, dict(bnd))
-            for cell, dim, bnd in cells:
-                for facet in bnd:
-                    if facet not in state or state[facet][0] != dim - 1:
-                        raise MissingFacet("facet %r for %r" % (facet, cell))
+                state[cell] = (check_dim(cell, dim), None)
+                new.append((cell, bnd))
+            for cell, bnd in new:
+                dim = state[cell][0]
+                state[cell] = (dim, check_boundary(cell, dim, bnd, lookup, p))
             if len(state) > MAX_CELLS:
                 raise TooLarge("state exceeds %d cells" % MAX_CELLS)
         elif direction == "B":
             for cell in cells:
-                if state.pop(cell, None) is None:
+                try:
+                    gone = state.pop(cell, None)
+                except TypeError:
+                    raise InvalidOp("cell id %r is not hashable"
+                                    % (cell,)) from None
+                if gone is None:
                     raise UnknownCell(repr(cell))
             for other, (_, bnd) in state.items():
                 stuck = bnd.keys() & cells
@@ -139,13 +170,6 @@ def _module_over_states(kinds, states, dim, p):
         else:
             maps.append(("bwd", _induced_map(snaps[i + 1], snaps[i])))
     return ExplicitModule([s.dim for s in snaps], maps, p)
-
-
-def block_module(blocks, dim, p=2):
-    """Homology-in-``dim`` module over block-boundary snapshots, one arrow
-    per block."""
-    p = check_prime(p)
-    return _module_over_states(*_replay(blocks), dim, p)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +267,7 @@ def block_diagram(blocks, p=2):
     blocks b..d is reported as [b, d].  The stream must end empty.
     """
     p = check_prime(p)
-    kinds, states = _replay(blocks)
+    kinds, states = _replay(blocks, p)
     if states[-1]:
         raise InvalidOp("stream must start and end at the empty complex")
     top = max((d for s in states for d, _ in s.values()), default=-1)

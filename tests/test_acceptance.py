@@ -12,10 +12,11 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from audits import check_betti, check_invariants, emit_image, emit_stream
 from conftest import ACCEPTANCE, cell_records, make_rng, random_complex
 from test_morse import brute_boundary
 from test_stream import update_formula
-from zzmorse.cli import emit_image, emit_stream, format_diagram, main
+from zzmorse.cli import format_diagram, main
 from zzmorse.generators import (
     circle_points,
     even_levels,
@@ -28,7 +29,6 @@ from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce
 from zzmorse.oracle import block_diagram
 from zzmorse.stream import MorseState, Split, apply_atomic
-from zzmorse.validate import check_betti, check_invariants
 
 
 def random_streams():

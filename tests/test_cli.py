@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from zzmorse.cli import (emit_image, emit_stream, format_diagram,
-                         format_metrics, main, parse_image, parse_points,
-                         parse_stream)
+from audits import emit_image, emit_stream
+from zzmorse.cli import (format_diagram, format_metrics, main, parse_image,
+                         parse_points, parse_stream)
 from zzmorse.errors import (BadHeader, BadStreamLine, CountMismatch,
                             EmptyFile, RaggedRow)
 from zzmorse.generators import (ScalarImage, fourier_image, levelset_stream,

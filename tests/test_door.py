@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audits import emit_stream
 from zzmorse.cells import Complex
-from zzmorse.cli import emit_stream, parse_stream
+from zzmorse.cli import parse_stream
 from zzmorse.errors import (BadParameters, BadStreamLine, BrokenBoundary,
                             InvalidOp, MissingFacet, NotRemovable, UnknownCell,
                             ZigzagError)
@@ -244,6 +245,17 @@ def test_door_errors_name_the_defect(morse):
                             ForwardCell(3, 1, {1: 1, 2: np.int64(4)})]),
               BlockOp("B", [3, 1, 2])]
     assert run_stream(blocks, p=np.int64(5), morse=morse)[0] == [(0, 1, 1)]
+
+
+@pytest.mark.parametrize("name", ["morse", "validate"])
+@pytest.mark.parametrize("flag", ["no", "off", 1, np.bool_(True)])
+def test_a_flag_that_is_not_a_bool_is_refused(name, flag):
+    blocks = [("F", [("a", 0, {}), ("b", 0, {}), ("e", 1, {"a": 1, "b": 1})]),
+              ("B", ["e", "a", "b"])]
+    with pytest.raises(BadParameters, match="%s=" % name):
+        run_stream(blocks, **{name: flag})
+    with pytest.raises(BadParameters, match="%s=" % name):
+        run_stream([None], **{name: flag})  # before the first block
 
 
 @pytest.mark.parametrize("morse", [True, False])

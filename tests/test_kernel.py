@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from audits import check_matrix
 from conftest import make_rng
 from zzmorse.cells import Complex
 from zzmorse.errors import (
@@ -22,7 +23,6 @@ from zzmorse.kernel import (insert_into_matrix, remove_from_matrix, run_stream,
 from zzmorse.matrix import HomologyMatrix
 from zzmorse.oracle import block_diagram
 from zzmorse.stream import BlockOp, ForwardCell, KernelUnpair
-from zzmorse.validate import check_matrix
 
 # -- helpers -----------------------------------------------------------------
 
@@ -431,8 +431,8 @@ def test_blocker_free_removal_of_a_chain_column_reopens_its_partner():
 
 
 def test_errors_surface_through_the_wrappers():
-    # The wrappers add no checks of their own: the kernel refuses an unknown
-    # row and a zero pair incidence before it writes anything.
+    # The hooked names are the kernel's own methods: the kernel refuses an
+    # unknown row and a zero pair incidence before it writes anything.
     m = HomologyMatrix(2, {}, {})
     insert(m, "v", 0, {}, 1, 0)
     enter(m, "t", 0, 1)
@@ -443,7 +443,7 @@ def test_errors_surface_through_the_wrappers():
         remove_from_matrix(m, "ghost", 2)
     update = KernelUnpair("t", "s", {"t": 2}, {})
     with pytest.raises(ZeroInverse):
-        unpair_in_matrix(m, update)
+        unpair_in_matrix(m, *update)
     assert m.rowdim == rows and set(m.occ) == set(rows)
     assert {slot: col.chain for slot, col in m.cols.items()} == chains
     assert m.row_ops == 1

@@ -7,12 +7,12 @@ traversal-based implementation.
 
 import pytest
 
+from audits import betti_numbers
 from conftest import (build_simplicial, cell_records, full_triangle,
                       is_acyclic_matching, make_rng, random_complex)
 from zzmorse.cells import Complex, field_inv
 from zzmorse.errors import CyclicMatching, NotCritical, UnknownCell
 from zzmorse.morse import Matching, coreduce, morse_boundary, morse_coboundary
-from zzmorse.linalg import betti_numbers
 
 
 def circle(p=2):

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from audits import betti_numbers, block_module
 from conftest import make_rng
 from zzmorse.errors import (BadParameters, InvalidOp, MissingFacet,
                             NotRemovable, TooLarge, UnknownCell)
 from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
-from zzmorse.linalg import betti_numbers, rref
+from zzmorse.linalg import rref
 from zzmorse.oracle import (
     ExplicitModule,
     block_diagram,
-    block_module,
     decompose_module,
     rank_mod,
 )
@@ -55,6 +55,17 @@ def test_zero_arrow():
 def test_shape_mismatch_rejected():
     with pytest.raises(InvalidOp):
         ExplicitModule([1, 2], [("fwd", mat([[1]]))], p=2)
+
+
+@pytest.mark.parametrize("p", [4, 2.0])
+def test_a_module_over_a_field_that_is_not_prime_is_refused(p):
+    with pytest.raises(BadParameters, match="not prime"):
+        ExplicitModule([1, 1], [("fwd", mat([[2]]))], p)
+
+
+def test_an_unknown_arrow_direction_is_refused():
+    with pytest.raises(InvalidOp, match="direction 'up'"):
+        ExplicitModule([1, 2], [("up", mat([[1, 0]]))], 2)
 
 
 def test_nontrivial_overlap():
@@ -159,6 +170,28 @@ def test_replay_names_the_broken_precondition():
         block_diagram([("F", [("a", 0, {})]), ("F", [("a", 0, {})])])
     with pytest.raises(UnknownCell, match="'b'"):
         block_diagram([("F", [("a", 0, {})]), ("B", ["b"])])
+
+
+# malformed streams the oracle refuses with the same error as run_stream
+MALFORMED = {
+    "unhashable id": [("F", [([1], 0, {})])],
+    "short record": [("F", [("a", 0)])],
+    "boundary not a mapping": [("F", [("a", 0, 5)]), ("B", ["a"])],
+    "block not a pair": [None],
+    "dimension not an integer": [("F", [("a", "x", {})]), ("B", ["a"])],
+    "float coefficient": [("F", [("a", 0, {}), ("b", 0, {}),
+                                 ("e", 1, {"a": 1.5, "b": 1})]),
+                          ("B", ["e", "a", "b"])],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+def test_a_malformed_record_is_refused_as_at_the_door(defect):
+    blocks = MALFORMED[defect]
+    with pytest.raises(InvalidOp):
+        block_diagram(blocks, p=3)
+    with pytest.raises(InvalidOp):
+        run_stream(blocks, p=3)
 
 
 @pytest.mark.parametrize("morse", [True, False])

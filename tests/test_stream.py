@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from audits import betti_numbers
 from conftest import (build_simplicial, cell_records, engine_after,
                       forward_block, full_triangle, grow_records,
                       is_acyclic_matching, make_rng, random_complex)
@@ -12,7 +13,6 @@ from zzmorse.errors import InvalidOp, NotRemovable, ZigzagError
 from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, coreduce, morse_boundary
-from zzmorse.linalg import betti_numbers
 from zzmorse.stream import (
     InsertCritical,
     InsertPair,

@@ -2,13 +2,14 @@
 
 import pytest
 
+from audits import check_betti, check_invariants, check_matrix
 from conftest import make_rng
 from zzmorse.errors import BrokenInvariant
 from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.matrix import Column, HomologyMatrix
-from zzmorse.validate import (ShadowComplex, apply_boundary, check_betti,
-                              check_invariants, check_matrix)
+from zzmorse.cells import apply_boundary
+from zzmorse.validate import ShadowComplex
 
 
 def tiny_matrix(p=2):
