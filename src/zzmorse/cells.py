@@ -19,13 +19,24 @@ from .errors import (
 )
 
 
+# Miller-Rabin to these bases has no false positive below 3.18e23 (Sorenson &
+# Webster, 2015); a base that shares a factor with p also exposes it
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def check_prime(p):
-    """Return p as an int; raise BadParameters unless it is a prime."""
+    """Return p as an int; raise BadParameters unless it is a prime < 2**64."""
     try:
         q = operator.index(p)
     except TypeError:
         q = 0
-    if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
+    if q >= 1 << 64:
+        raise BadParameters("field characteristic %r is not below 2**64" % (p,))
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2**s with d odd
+    if q < 2 or q not in _BASES and not all(
+            pow(b, q - 1 >> s, q) == 1
+            or any(pow(b, q - 1 >> s << i, q) == q - 1 for i in range(s))
+            for b in _BASES):
         raise BadParameters("field characteristic %r is not prime" % (p,))
     return q
 

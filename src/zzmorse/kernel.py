@@ -192,7 +192,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 cell = op.cell
                 cx.attach(cell, op.dim, op.boundary)
                 critical.add(cell)
-                boundary = reduced_boundary(state, cell)
+                # a cell with no facets reaches no critical cell: no flow
+                boundary = reduced_boundary(state, cell) if op.boundary else {}
                 try:
                     event = insert_into_matrix(matrix, cell, boundary,
                                                block_index)
@@ -219,7 +220,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 tau, sigma = op
                 if m.pair_up.get(tau) != sigma:
                     raise InvalidOp("cells %r, %r are not paired" % (tau, sigma))
-                if cx.cofacets[tau].keys() - {sigma}:
+                cofacets = cx.cofacets[tau]
+                if len(cofacets) > (sigma in cofacets):  # not sigma's alone
                     raise InvalidOp("queue cell %r not maximal after its king"
                                     % (tau,))
                 cx.remove_cell(sigma)

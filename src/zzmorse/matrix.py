@@ -71,14 +71,6 @@ class HomologyMatrix:
         if not self.f_counts[dim]:
             del self.f_counts[dim]
 
-    def _occ_add(self, slot, chain):
-        for cell in chain:
-            self.occ[cell].add(slot)
-
-    def _occ_drop(self, slot, chain):
-        for cell in chain:
-            self.occ[cell].discard(slot)
-
     def _addmul(self, slot, src, scalar):
         """cols[slot].chain += scalar * src, maintaining the occurrence index."""
         p = self.p
@@ -98,16 +90,14 @@ class HomologyMatrix:
                 occ[cell].discard(slot)
 
     def _set_column(self, slot, column):
+        occ = self.occ
         old = self.cols.get(slot)
         if old is not None:
-            self._occ_drop(slot, old.chain)
+            for cell in old.chain:
+                occ[cell].discard(slot)
         self.cols[slot] = column
-        self._occ_add(slot, column.chain)
-
-    def _seq_of(self, cell):
-        if cell not in self.seq or cell not in self.dims:
-            raise KernelError("cell %r is not in the complex" % (cell,))
-        return self.seq[cell]
+        for cell in column.chain:
+            occ[cell].add(slot)
 
     def _new_row(self, cell):
         self.rowdim[cell] = self.dims[cell]
@@ -165,11 +155,21 @@ class HomologyMatrix:
         """
         if cell in self.occ:
             raise KernelError("cell %r already has a row" % (cell,))
-        cell_seq = self._seq_of(cell)
+        if cell not in self.seq or cell not in self.dims:
+            raise KernelError("cell %r is not in the complex" % (cell,))
+        cell_seq = self.seq[cell]
         if self.last_seq is not None and cell_seq <= self.last_seq:
             raise KernelError("seq %r of %r is not above the last insertion's"
                               % (cell_seq, cell))
-        used = self._reduce(boundary) if boundary else {}
+        if not boundary:  # a creator with an empty boundary: its own cycle
+            self.row_ops += 1
+            self.last_seq = cell_seq
+            dim = self.rowdim[cell] = self.dims[cell]
+            self.occ[cell] = {cell}
+            self.cols[cell] = Column({cell: 1}, "F", (self.row_ops, block))
+            self.f_counts[dim] = self.f_counts.get(dim, 0) + 1
+            return None
+        used = self._reduce(boundary)
         gs = {}
         fs = {}
         for slot, a in used.items():
@@ -188,12 +188,9 @@ class HomologyMatrix:
         def column(slot):
             return self.cols[slot].chain
 
-        if gs:
-            chain = apply_boundary({self.cols[g].partner: -a
-                                    for g, a in gs.items()}, column, self.p)
-            chain[cell] = 1
-        else:  # a creator with an empty boundary is its own cycle column
-            chain = {cell: 1}
+        chain = apply_boundary({self.cols[g].partner: -a
+                                for g, a in gs.items()}, column, self.p)
+        chain[cell] = 1
 
         if not fs:
             self._set_column(cell, Column(chain, "F", birth=(self.row_ops, block)))
@@ -231,15 +228,15 @@ class HomologyMatrix:
         Returns (dim, birth block) of the class it kills, or None when it
         reopens one, born ``(-row_ops, block)``.
         """
-        if cell not in self.occ:
+        occ, cols = self.occ, self.cols
+        rows = occ.get(cell)
+        if rows is None:
             raise KernelError("cell %r has no row" % (cell,))
-        if self.cols[cell].label == "G":
+        if cols[cell].label == "G":
             raise KernelError("a boundary column leads at a maximal cell")
         self.row_ops += 1
         p = self.p
-        seq = self.seq
-        rows = self.occ[cell]
-        blockers = (sorted((b for b in rows if b != cell), key=seq.get)
+        blockers = (sorted((b for b in rows if b != cell), key=self.seq.get)
                     if len(rows) > 1 else ())
         for beta in blockers:
             leave, keep = self.cols[cell], self.cols[beta]
@@ -260,23 +257,22 @@ class HomologyMatrix:
             if leave.label == "H":  # both are chains: keep boundary(H) = G
                 self._addmul(keep.partner, self.cols[leave.partner].chain, c)
 
-        if self.occ[cell] != {cell}:
+        if len(rows) != 1 or cell not in rows:
             raise KernelError("cell %r still occurs in other columns" % (cell,))
 
-        col = self.cols[cell]
-        dim = self.rowdim[cell]  # not dims: the complex dropped cell first
-        event = None
+        col = cols.pop(cell)
+        for c in col.chain:
+            occ[c].discard(cell)
+        del occ[cell]
+        dim = self.rowdim.pop(cell)  # not dims: the complex dropped cell first
         if col.label == "F":
-            event = (dim, col.birth[1])
-            self._count(dim, -1)
-        else:
-            partner = self.cols[col.partner]
-            partner.label = "F"
-            partner.birth = (-self.row_ops, block)
+            event, delta = (dim, col.birth[1]), -1
+        else:  # the chain's G partner turns back into a cycle
+            partner = cols[col.partner]
+            partner.label, partner.birth = "F", (-self.row_ops, block)
             partner.partner = None
-            self._count(self.rowdim[col.partner], 1)
-        self._occ_drop(cell, col.chain)
-        del self.cols[cell], self.rowdim[cell], self.occ[cell]
+            event, dim, delta = None, self.rowdim[col.partner], 1
+        self._count(dim, delta)
         return event
 
     def unpair_update(self, tau, sigma, sigma_boundary, tau_cofacets):
@@ -290,7 +286,10 @@ class HomologyMatrix:
         pair's sequence numbers in the complex must be consecutive.  Returns
         the number of corrected columns.
         """
-        tau_seq, sigma_seq = self._seq_of(tau), self._seq_of(sigma)
+        for cell in (tau, sigma):
+            if cell not in self.seq or cell not in self.dims:
+                raise KernelError("cell %r is not in the complex" % (cell,))
+        tau_seq, sigma_seq = self.seq[tau], self.seq[sigma]
         if sigma_seq != tau_seq + 1:
             raise KernelError("pair (%r, %r) was not inserted consecutively"
                               % (tau, sigma))

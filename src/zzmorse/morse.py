@@ -34,9 +34,6 @@ class Matching:
     def __len__(self):
         return len(self.critical) + 2 * len(self.pair_up)
 
-    def add_critical(self, cell):
-        self.critical.add(cell)
-
     def add_pair(self, tau, sigma):
         self.pair_up[tau] = sigma
         self.pair_down[sigma] = tau
@@ -80,28 +77,38 @@ def coreduce(records):
         free[cell] = n
         if n == 1:
             pairable.append((dim, cell))
+    out = Matching()
+    if not inner_cofacets:  # no facet in the records: nothing can pair
+        out.critical.update(records)
+        return out
     heapq.heapify(pairable)
     # a cell never returns to free, so one pass over the (dim, id) order,
     # resumed where the last critical was found, reads it like a heap
-    fallback = iter(sorted(records, key=lambda c: (records[c][0], c)))
+    fallback = iter(sorted([(dim, c) for c, (dim, _) in records.items()]))
 
-    out = Matching()
     while free:
         if pairable:
             _, sigma = heapq.heappop(pairable)
             if free.get(sigma) != 1:
                 continue
-            taken = (next(f for f in records[sigma][1] if f in free), sigma)
-            out.add_pair(*taken)  # (tau, sigma)
+            for tau in records[sigma][1]:
+                if tau in free:
+                    break
+            out.pair_up[tau], out.pair_down[sigma] = sigma, tau
+            taken = (tau, sigma)
         else:
-            taken = (next(c for c in fallback if c in free),)
-            out.add_critical(*taken)
+            for _, cell in fallback:
+                if cell in free:
+                    break
+            out.critical.add(cell)
+            taken = (cell,)
         for cell in taken:
             del free[cell]
             for cof in inner_cofacets.get(cell, ()):
-                if cof in free:
-                    free[cof] -= 1
-                    if free[cof] == 1:
+                n = free.get(cof)
+                if n is not None:
+                    free[cof] = n - 1
+                    if n == 2:
                         heapq.heappush(pairable, (records[cof][0], cof))
     return out
 
@@ -126,8 +133,6 @@ def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
     always a fresh dict.  Raises CyclicMatching if the traversal revisits an
     in-progress cell.
     """
-    if not seeds:  # a vertex has no facets
-        return {}
     if memo is None:
         memo = {}
     expanded = set()

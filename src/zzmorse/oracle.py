@@ -142,14 +142,16 @@ def _replay(blocks, p):
             if len(state) > MAX_CELLS:
                 raise TooLarge("state exceeds %d cells" % MAX_CELLS)
         elif direction == "B":
-            for cell in cells:
+            for i, cell in enumerate(cells):
                 try:
                     gone = state.pop(cell, None)
                 except TypeError:
                     raise InvalidOp("cell id %r is not hashable"
                                     % (cell,)) from None
                 if gone is None:
-                    raise UnknownCell(repr(cell))
+                    raise (InvalidOp("cell id %r removed twice in one block"
+                                     % (cell,)) if cell in cells[:i]
+                           else UnknownCell(repr(cell)))
             for other, (_, bnd) in state.items():
                 stuck = bnd.keys() & cells
                 if stuck:

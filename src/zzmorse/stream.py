@@ -73,14 +73,15 @@ def atomize_forward(records, matching):
     level-d cell lie at earlier levels, and the other facets of a king were
     critical or paired before its pair formed (see ``coreduce``).
     """
-    ops = [InsertCritical(cell, *records[cell])
-           for cell in sorted(matching.critical)]
-    ops += [InsertPair(tau, sigma, *records[tau], *records[sigma])
-            for tau, sigma in matching.pair_up.items()]
-    # op[0] is the critical or queue cell; the stable sort keeps each
-    # level's critical cells first, then its pairs, in the order built above
-    ops.sort(key=lambda op: records[op[0]][0])
-    return ops
+    levels = {}  # dim -> the level's ops: its critical cells, then its pairs
+    for cell in sorted(matching.critical):
+        dim, bnd = records[cell]
+        levels.setdefault(dim, []).append(InsertCritical(cell, dim, bnd))
+    for tau, sigma in matching.pair_up.items():
+        dim, bnd = records[tau]
+        levels.setdefault(dim, []).append(
+            InsertPair(tau, sigma, dim, bnd, *records[sigma]))
+    return [op for dim in sorted(levels) for op in levels[dim]]
 
 
 # ---------------------------------------------------------------------------

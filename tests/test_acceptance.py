@@ -95,11 +95,11 @@ def split_pair(m, tau):
     """Copy of a matching with tau's pair released to critical."""
     out = Matching()
     for c in m.critical:
-        out.add_critical(c)
+        out.critical.add(c)
     for t, s in m.pair_up.items():
         if t == tau:
-            out.add_critical(t)
-            out.add_critical(s)
+            out.critical.add(t)
+            out.critical.add(s)
         else:
             out.add_pair(t, s)
     return out

@@ -1,5 +1,6 @@
 """Complex construction, incidence algebra, and the cell sign rules."""
 
+import time
 from itertools import combinations, product
 
 import pytest
@@ -10,11 +11,13 @@ from zzmorse.cells import (
     Complex,
     apply_boundary,
     chain_addmul,
+    check_prime,
     cube_facets,
     field_inv,
     simplex_facets,
 )
 from zzmorse.errors import (
+    BadParameters,
     BrokenBoundary,
     InvalidOp,
     MissingFacet,
@@ -50,6 +53,41 @@ def test_field_inv_is_inverse(a, p):
     if a % p == 0:
         a += 1
     assert (a * field_inv(a, p)) % p == 1
+
+
+def test_check_prime_agrees_with_trial_division():
+    for n in range(-3, 20_000):
+        prime = n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        if prime:
+            assert check_prime(n) == n
+        else:
+            with pytest.raises(BadParameters, match="is not prime"):
+                check_prime(n)
+
+
+# Carmichael numbers; 3215031751, a strong pseudoprime to the bases 2, 3, 5
+# and 7; and 3825123056546413051, one to every prime base up to 31, which
+# only the base 37 exposes
+@pytest.mark.parametrize("n", [561, 41041, 825265, 3215031751,
+                               3825123056546413051])
+def test_check_prime_refuses_pseudoprimes(n):
+    with pytest.raises(BadParameters, match="is not prime"):
+        check_prime(n)
+
+
+@pytest.mark.parametrize("p", [100_000_000_000_031, 2 ** 61 - 1])
+def test_check_prime_accepts_a_large_prime_at_once(p):
+    start = time.perf_counter()
+    assert check_prime(p) == p
+    # trial division up to sqrt(p) takes about 0.7 s for the smaller p
+    assert time.perf_counter() - start < 0.05
+    assert Complex(p).p == p
+
+
+@pytest.mark.parametrize("p", [2 ** 64, 2 ** 64 + 1, 2 ** 100 - 1])
+def test_check_prime_refuses_a_field_at_or_above_its_bound(p):
+    with pytest.raises(BadParameters, match=r"not below 2\*\*64"):
+        check_prime(p)
 
 
 def test_chain_addmul_cancels():

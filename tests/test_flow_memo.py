@@ -118,8 +118,8 @@ def cyclic_complex():
     m.add_pair(ids[(1,)], ids[(1, 2)])
     m.add_pair(ids[(2,)], ids[(2, 3)])
     m.add_pair(ids[(3,)], ids[(1, 3)])
-    m.add_critical(ids[(4,)])
-    m.add_critical(ids[(1, 4)])
+    m.critical.add(ids[(4,)])
+    m.critical.add(ids[(1, 4)])
     return cx, m, ids
 
 
@@ -139,8 +139,8 @@ def test_result_is_not_a_memo_value():
     v = cx.insert_cell(0, {})
     e = cx.insert_cell(1, {v: 1})
     m = Matching()
-    m.add_critical(v)
-    m.add_critical(e)
+    m.critical.add(v)
+    m.critical.add(e)
     memo = {}
     morse_boundary(cx, m, e, memo=memo)[v] = 0
     assert memo == {v: {v: 1}}

@@ -408,6 +408,31 @@ def test_empty_boundary_refusals_leave_the_matrix_unchanged(cell, seq, message):
     assert snapshot(m) == before
 
 
+def test_insertion_refuses_a_boundary_through_a_chain_column():
+    m = edge_matrix()
+    assert m.cols["ab"].label == "H"
+    before = snapshot(m)
+    with pytest.raises(KernelError, match="boundary is not a cycle in the "
+                                          "reduced complex"):
+        insert(m, "x", 2, {"ab": 1}, 2, 3)
+    assert snapshot(m) == before
+
+
+# a corrupted occurrence index: the row of a must hold exactly a's own slot
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda occ: occ.update(a=set()), "cell 'a' still occurs in other columns"),
+    (lambda occ: occ.update(a={"b"}), "cell 'a' still occurs in other columns"),
+    (lambda occ: occ["a"].add("b"), "stale occurrence of 'a' in 'b'"),
+], ids=["no slot", "another slot only", "a stale slot too"])
+def test_removal_refuses_a_corrupt_occurrence_index(corrupt, message):
+    m = HomologyMatrix(2, {}, {})
+    insert(m, "a", 0, {}, 1, 0)
+    insert(m, "b", 0, {}, 1, 1)
+    corrupt(m.occ)
+    with pytest.raises(KernelError, match=message):
+        remove(m, "a", 2)
+
+
 def test_blocker_free_removal_of_a_cycle_returns_its_event():
     m = edge_matrix()
     insert(m, "c", 0, {}, 2, 3)

@@ -24,8 +24,8 @@ def circle_matching(cx):
     m = Matching()
     m.add_pair(ids[(2,)], ids[(1, 2)])
     m.add_pair(ids[(3,)], ids[(2, 3)])
-    m.add_critical(ids[(1,)])
-    m.add_critical(ids[(1, 3)])
+    m.critical.add(ids[(1,)])
+    m.critical.add(ids[(1, 3)])
     return m
 
 
@@ -98,7 +98,7 @@ def test_filled_triangle_vertex_boundary():
     m.add_pair(ids[(2,)], ids[(1, 2)])
     m.add_pair(ids[(3,)], ids[(2, 3)])
     m.add_pair(ids[(1, 3)], ids[(1, 2, 3)])
-    m.add_critical(ids[(1,)])
+    m.critical.add(ids[(1,)])
     assert morse_boundary(cx, m, ids[(1,)]) == {}
 
 
@@ -126,7 +126,7 @@ def test_not_critical_raises():
 def test_uncovered_cell_raises():
     cx = circle()
     m = Matching()
-    m.add_critical(cx.simplex_ids[(1, 3)])
+    m.critical.add(cx.simplex_ids[(1, 3)])
     with pytest.raises(UnknownCell):
         morse_boundary(cx, m, cx.simplex_ids[(1, 3)])
 
@@ -139,8 +139,8 @@ def test_cyclic_matching_detected_in_traversal():
     m.add_pair(ids[(1,)], ids[(1, 2)])
     m.add_pair(ids[(2,)], ids[(2, 3)])
     m.add_pair(ids[(3,)], ids[(1, 3)])
-    m.add_critical(ids[(4,)])
-    m.add_critical(ids[(1, 4)])
+    m.critical.add(ids[(4,)])
+    m.critical.add(ids[(1, 4)])
     assert not is_acyclic_matching(cx, m)
     with pytest.raises(CyclicMatching):
         morse_boundary(cx, m, ids[(1, 4)])
@@ -223,15 +223,21 @@ def literal_coreduce(records):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_coreduce_follows_the_literal_rule(p):
     # a random subset of a complex in shuffled order: some facets lie
-    # outside the records, and dict order is not id order
+    # outside the records, and dict order is not id order; then the shapes
+    # the engine gives: the same cells by ascending id, and the subset's
+    # maximal cells, of mixed dimensions, none a facet of another
     for seed in range(300):
         rng = make_rng(20_000 + 1_000 * p + seed)
         cx = random_complex(rng, p=p, n=rng.randint(2, 18))
         cells = [c for c in cx.dims if rng.random() < 0.75] or list(cx.dims)
         rng.shuffle(cells)
-        records = cell_records(cx, cells)
-        m = coreduce(records)
-        assert (m.critical, list(m.pair_up.items())) == literal_coreduce(records)
+        top = sorted(c for c in cells if not cx.cofacets[c].keys() & set(cells))
+        for block in (cells, sorted(cells), top):
+            records = cell_records(cx, block)
+            m = coreduce(records)
+            assert (m.critical, list(m.pair_up.items())) == \
+                literal_coreduce(records)
+        assert m.critical == set(top)
 
 
 # -- properties on random complexes -------------------------------------------

@@ -6,8 +6,8 @@ fields, boundaries in sorted order) together with ``(intervals, Metrics)``,
 for both pipelines and for the validated, shadowed run.  The digests were recorded before op application moved
 into ``run_stream``'s loop, so they show that the engine still applies the
 same ops, in the same order, and that the observer sees every one of them.
-The last test counts the calls into the layers that ``zzmorse.kernel`` looks
-up by name.
+The last test counts the calls into the layers that ``zzmorse.kernel`` and
+``zzmorse.stream`` look up by name.
 """
 
 import hashlib
@@ -15,13 +15,13 @@ from collections import Counter
 
 import pytest
 
-from zzmorse import kernel
+from zzmorse import kernel, stream
 
 from zzmorse.generators import (circle_points, even_levels, fourier_image,
                                 levelset_stream, oscillating_rips_stream,
                                 random_block_stream)
 from zzmorse.kernel import run_stream
-from zzmorse.stream import Split
+from zzmorse.stream import InsertCritical, Split
 
 
 def _field(value):
@@ -73,7 +73,9 @@ def test_levelset_op_digest():
 @pytest.mark.parametrize("morse", [True, False])
 def test_layers_run_per_split_and_per_multi_cell_block(monkeypatch, morse):
     # apply_atomic runs once per Split; the matcher and atomize_forward run
-    # once per insertion block of two or more cells, never for a lone cell
+    # once per insertion block of two or more cells, never for a lone cell;
+    # a flow runs once per split and once per critical insertion with a
+    # non-empty boundary, never for a cell with no facets
     calls = Counter()
 
     def count(name, min_records):
@@ -90,11 +92,21 @@ def test_layers_run_per_split_and_per_multi_cell_block(monkeypatch, morse):
     count("apply_atomic", 0)
     count("coreduce", 2)
     count("atomize_forward", 2)
+    flows = Counter()
+    morse_boundary = stream.morse_boundary
+
+    def counted_flow(*args, **kwargs):
+        flows["calls"] += 1
+        return morse_boundary(*args, **kwargs)
+
+    monkeypatch.setattr(stream, "morse_boundary", counted_flow)
     splits = []
 
     def observe(state, matrix, op):
         if type(op) is Split:
             splits.append(op)
+        elif type(op) is InsertCritical and op.boundary:
+            flows["expected"] += 1
 
     lone = multi = 0
     for seed in range(100):
@@ -108,3 +120,5 @@ def test_layers_run_per_split_and_per_multi_cell_block(monkeypatch, morse):
     assert calls["apply_atomic"] == len(splits)
     assert calls["atomize_forward"] == multi
     assert calls["coreduce"] == (multi if morse else 0)
+    assert flows["expected"] and \
+        flows["calls"] == flows["expected"] + len(splits)

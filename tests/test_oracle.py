@@ -172,6 +172,14 @@ def test_replay_names_the_broken_precondition():
         block_diagram([("F", [("a", 0, {})]), ("B", ["b"])])
 
 
+def test_an_id_removed_twice_in_one_block_is_refused_as_at_the_door():
+    blocks = [("F", [("a", 0, {})]), ("B", ["a", "a"])]
+    for engine in (block_diagram, run_stream):
+        with pytest.raises(InvalidOp) as refused:
+            engine(blocks)
+        assert str(refused.value) == "cell id 'a' removed twice in one block"
+
+
 # malformed streams the oracle refuses with the same error as run_stream
 MALFORMED = {
     "unhashable id": [("F", [([1], 0, {})])],

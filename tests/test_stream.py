@@ -39,7 +39,7 @@ TRIANGLE_RECORDS = {
 
 def triangle_matching():
     m = Matching()
-    m.add_critical(0)
+    m.critical.add(0)
     m.add_pair(1, 3)
     m.add_pair(2, 4)
     m.add_pair(5, 6)
@@ -61,7 +61,7 @@ def triangle_state(p=2):
     cx = full_triangle(p)
     ids = cx.simplex_ids
     m = Matching()
-    m.add_critical(ids[(1,)])
+    m.critical.add(ids[(1,)])
     m.add_pair(ids[(2,)], ids[(1, 2)])
     m.add_pair(ids[(3,)], ids[(2, 3)])
     m.add_pair(ids[(1, 3)], ids[(1, 2, 3)])
@@ -113,7 +113,7 @@ def test_atomize_forward_goes_by_level():
 
         everything = Matching()
         for cell in records:
-            everything.add_critical(cell)
+            everything.critical.add(cell)
         assert [op.cell for op in atomize_forward(records, everything)] == \
             sorted(records, key=lambda c: (records[c][0], c))
 
@@ -157,7 +157,7 @@ def test_atomize_backward_critical_vertex():
     cx = Complex()
     v = cx.insert_cell(0, {})
     m = Matching()
-    m.add_critical(v)
+    m.critical.add(v)
     assert atomize_backward({v}, MorseState(cx, m)) == [RemoveCritical(v)]
 
 
@@ -235,8 +235,8 @@ def test_remove_unpaired_circle_fixture():
     cx = build_simplicial([(1,), (2,), (3,), (1, 2), (2, 3), (1, 3)])
     ids = cx.simplex_ids
     m = Matching()
-    m.add_critical(ids[(1,)])
-    m.add_critical(ids[(1, 3)])
+    m.critical.add(ids[(1,)])
+    m.critical.add(ids[(1, 3)])
     m.add_pair(ids[(2,)], ids[(1, 2)])
     m.add_pair(ids[(3,)], ids[(2, 3)])
     state = MorseState(cx, m)
@@ -333,8 +333,8 @@ def test_apply_errors(monkeypatch):
     cx = build_simplicial([(1,), (2,), (3,), (1, 2)])
     ids = cx.simplex_ids
     m = Matching()
-    m.add_critical(ids[(1,)])
-    m.add_critical(ids[(2,)])
+    m.critical.add(ids[(1,)])
+    m.critical.add(ids[(2,)])
     m.add_pair(ids[(3,)], ids[(1, 2)])
     with pytest.raises(InvalidOp, match="has zero incidence"):
         apply_atomic(MorseState(cx, m), Split(ids[(3,)], ids[(1, 2)]))
