@@ -160,7 +160,7 @@ class Complex:
         Checks only what the door cannot: every facet is already in the
         complex (``MissingFacet``).
         """
-        if not bd.keys() <= self.dims.keys():
+        if bd and not bd.keys() <= self.dims.keys():
             raise MissingFacet("facet %r of cell %r is not in the complex"
                                % (next(iter(bd.keys() - self.dims.keys())), cell))
         self.dims[cell] = dim

@@ -15,7 +15,7 @@ from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (InsertCritical, InsertPair, MorseState, RemoveCritical,
                      RemovePair, Split, apply_atomic, atomize_backward,
-                     atomize_forward, reduced_boundary)
+                     atomize_forward, new_op, reduced_boundary)
 from .validate import ShadowComplex
 
 Interval = namedtuple("Interval", "dim birth death")
@@ -49,6 +49,7 @@ def _translate_forward(cells, cx, alive, validate):
     # gives byte-identical output, but a probe ran rips-150 about 14% slower,
     # since every dict operation then hashes a simplex tuple.
     new = []
+    fresh_id, lookup, p = cx.fresh_id, alive.get, cx.p
     for record in cells:
         try:
             ext, dim, boundary = record
@@ -61,14 +62,18 @@ def _translate_forward(cells, cx, alive, validate):
             raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
         if known:
             raise InvalidOp("cell id %r is already alive" % (ext,))
-        entry = alive[ext] = (cx.fresh_id(), check_dim(ext, dim))
+        if type(dim) is not int or dim < 0:  # a plain int needs no check
+            dim = check_dim(ext, dim)
+        entry = alive[ext] = (fresh_id(), dim)
         new.append((ext, boundary, entry))
-    records = {cell: (dim, check_boundary(ext, dim, boundary, alive.get, cx.p))
-               for ext, boundary, (cell, dim) in new}
+    records = {}
+    for ext, boundary, (cell, dim) in new:  # an empty dict needs no check
+        records[cell] = (dim, {} if type(boundary) is dict and not boundary
+                         else check_boundary(ext, dim, boundary, lookup, p))
     if validate:
         chains = ChainMap({c: bd for c, (_, bd) in records.items()}, cx.facets)
         for ext, _, (cell, _) in new:
-            check_cycle(ext, records[cell][1], chains.__getitem__, cx.p)
+            check_cycle(ext, records[cell][1], chains.__getitem__, p)
     return records
 
 
@@ -109,7 +114,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     Intervals are (dim, birth, death) with inclusive block indices counted
     from 1: the class is alive in the complexes seen after those blocks.
     The kernel is told each op's block index and orders births itself;
-    ``Metrics.reduced_ops`` counts the rows it added or removed.
+    ``Metrics.reduced_ops`` counts the rows it added or removed; the sizes
+    ``max_cells`` and ``max_critical`` are read after each block, not op.
     ``p`` must be prime, and ``morse`` and ``validate`` bools
     (``BadParameters`` otherwise).  ``morse=False`` skips the matching step
     and runs every cell through the kernel.  ``observer(state, matrix, op)``
@@ -129,9 +135,10 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     operation (skipped when ``morse=False``, where the two would coincide by
     construction).
     """
-    for name, flag in (("morse", morse), ("validate", validate)):
-        if type(flag) is not bool:
-            raise BadParameters("%s=%r is not a bool" % (name, flag))
+    if type(morse) is not bool or type(validate) is not bool:
+        for name, flag in (("morse", morse), ("validate", validate)):
+            if type(flag) is not bool:
+                raise BadParameters("%s=%r is not a bool" % (name, flag))
     if observer is not None and not callable(observer):
         raise InvalidOp("observer %r is not callable" % (observer,))
     shadowed = validate and morse
@@ -155,10 +162,11 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
         block_index += 1
         try:
             direction, cells = block
-            if isinstance(cells, (str, bytes, bytearray)):  # not one id each
-                raise InvalidOp("block %d gives its cells as a string %r"
-                                % (block_index, cells))
-            cells = list(cells)
+            if type(cells) is not list:  # a list is read in place, not copied
+                if isinstance(cells, (str, bytes, bytearray)):  # not one id each
+                    raise InvalidOp("block %d gives its cells as a string %r"
+                                    % (block_index, cells))
+                cells = list(cells)
         except (TypeError, ValueError):
             raise InvalidOp("block %d is not (direction, cells)"
                             % (block_index,)) from None
@@ -170,7 +178,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 # A lone cell's facets lie outside its block: it is critical.
                 # Skipping coreduce for it cut random-p5's engine time about
                 # 10% (6 in 10 of its insertion blocks hold one cell).
-                ops = [InsertCritical(cell, dim, bd)
+                ops = [new_op(InsertCritical, (cell, dim, bd))
                        for cell, (dim, bd) in records.items()]
             else:
                 matching = coreduce(records) if morse else Matching()
@@ -189,11 +197,11 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
             kind = type(op)
             event = None
             if kind is InsertCritical:
-                cell = op.cell
-                cx.attach(cell, op.dim, op.boundary)
+                cell, dim, boundary = op
+                cx.attach(cell, dim, boundary)
                 critical.add(cell)
                 # a cell with no facets reaches no critical cell: no flow
-                boundary = reduced_boundary(state, cell) if op.boundary else {}
+                boundary = reduced_boundary(state, cell) if boundary else {}
                 try:
                     event = insert_into_matrix(matrix, cell, boundary,
                                                block_index)
@@ -234,7 +242,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
             else:
                 raise InvalidOp("unknown atomic op %r" % (op,))
             if event is not None and event[1] < block_index:
-                intervals.append(Interval(event[0], event[1], block_index - 1))
+                intervals.append((event[0], event[1], block_index - 1))
             if shadowed:
                 cx.compare(matrix)
             if observer is not None:
@@ -242,11 +250,13 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
 
         if validate and len(matrix) != len(critical):
             raise BrokenInvariant("matrix rows diverge from the critical cells")
-        max_cells = max(max_cells, len(cx))
-        max_critical = max(max_critical, len(critical))
+        if len(cx.dims) > max_cells:
+            max_cells = len(cx.dims)
+        if len(critical) > max_critical:
+            max_critical = len(critical)
 
-    if len(cx):
+    if cx.dims:
         raise InvalidOp("stream must end at the empty complex")
 
-    intervals.sort()
+    intervals = sorted(map(Interval._make, intervals))
     return intervals, Metrics(raw_ops, matrix.row_ops, max_cells, max_critical)

@@ -155,9 +155,9 @@ class HomologyMatrix:
         """
         if cell in self.occ:
             raise KernelError("cell %r already has a row" % (cell,))
-        if cell not in self.seq or cell not in self.dims:
+        cell_seq = self.seq.get(cell)
+        if cell_seq is None or cell not in self.dims:
             raise KernelError("cell %r is not in the complex" % (cell,))
-        cell_seq = self.seq[cell]
         if self.last_seq is not None and cell_seq <= self.last_seq:
             raise KernelError("seq %r of %r is not above the last insertion's"
                               % (cell_seq, cell))
@@ -234,16 +234,19 @@ class HomologyMatrix:
             raise KernelError("cell %r has no row" % (cell,))
         if cols[cell].label == "G":
             raise KernelError("a boundary column leads at a maximal cell")
-        self.row_ops += 1
-        p = self.p
         blockers = (sorted((b for b in rows if b != cell), key=self.seq.get)
                     if len(rows) > 1 else ())
-        for beta in blockers:
-            leave, keep = self.cols[cell], self.cols[beta]
-            if not keep.chain.get(cell, 0):
+        for beta in blockers:  # every refusal comes before the first write
+            if not cols[beta].chain.get(cell, 0):
                 raise KernelError("stale occurrence of %r in %r" % (cell, beta))
-            if keep.label == "G":
+            if cols[beta].label == "G":
                 raise KernelError("a boundary column contains a removable cell")
+        if cell not in rows:
+            raise KernelError("cell %r still occurs in other columns" % (cell,))
+        self.row_ops += 1
+        p = self.p
+        for beta in blockers:
+            leave, keep = cols[cell], cols[beta]
             if self._yield_key(keep) < self._yield_key(leave):
                 # the blocker's class dies first, so it leaves with the row
                 self._set_column(cell, keep)
@@ -251,13 +254,12 @@ class HomologyMatrix:
                 leave, keep = keep, leave
                 for slot, col in ((cell, leave), (beta, keep)):
                     if col.label == "H":
-                        self.cols[col.partner].partner = slot
+                        cols[col.partner].partner = slot
             c = -keep.chain[cell] * field_inv(leave.chain[cell], p)
             self._addmul(beta, leave.chain, c)
             if leave.label == "H":  # both are chains: keep boundary(H) = G
-                self._addmul(keep.partner, self.cols[leave.partner].chain, c)
-
-        if len(rows) != 1 or cell not in rows:
+                self._addmul(keep.partner, cols[leave.partner].chain, c)
+        if len(rows) != 1:  # the post-condition of the eliminations
             raise KernelError("cell %r still occurs in other columns" % (cell,))
 
         col = cols.pop(cell)
@@ -266,14 +268,15 @@ class HomologyMatrix:
         del occ[cell]
         dim = self.rowdim.pop(cell)  # not dims: the complex dropped cell first
         if col.label == "F":
-            event, delta = (dim, col.birth[1]), -1
-        else:  # the chain's G partner turns back into a cycle
-            partner = cols[col.partner]
-            partner.label, partner.birth = "F", (-self.row_ops, block)
-            partner.partner = None
-            event, dim, delta = None, self.rowdim[col.partner], 1
-        self._count(dim, delta)
-        return event
+            n = self.f_counts[dim] = self.f_counts.get(dim, 0) - 1  # _count(dim, -1)
+            if not n:
+                del self.f_counts[dim]
+            return (dim, col.birth[1])
+        partner = cols[col.partner]  # the G partner turns back into a cycle
+        partner.label, partner.birth = "F", (-self.row_ops, block)
+        partner.partner = None
+        self._count(self.rowdim[col.partner], 1)
+        return None
 
     def unpair_update(self, tau, sigma, sigma_boundary, tau_cofacets):
         """Splice the freshly unpaired cells tau, sigma into the matrix.

@@ -31,9 +31,6 @@ class Matching:
         self.pair_up = {}    # queue cell -> its king
         self.pair_down = {}  # king cell -> its queue cell
 
-    def __len__(self):
-        return len(self.critical) + 2 * len(self.pair_up)
-
     def add_pair(self, tau, sigma):
         self.pair_up[tau] = sigma
         self.pair_down[sigma] = tau

@@ -40,6 +40,8 @@ Split = namedtuple("Split", "tau sigma")
 KernelUnpair = namedtuple("KernelUnpair",
                           "tau sigma sigma_boundary tau_cofacets")
 
+new_op = tuple.__new__  # new_op(Op, fields) == Op(*fields), built in C
+
 
 class MorseState:
     """The streamed complex, its global matching, and its downward-flow memo.
@@ -76,11 +78,12 @@ def atomize_forward(records, matching):
     levels = {}  # dim -> the level's ops: its critical cells, then its pairs
     for cell in sorted(matching.critical):
         dim, bnd = records[cell]
-        levels.setdefault(dim, []).append(InsertCritical(cell, dim, bnd))
+        levels.setdefault(dim, []).append(
+            new_op(InsertCritical, (cell, dim, bnd)))
     for tau, sigma in matching.pair_up.items():
         dim, bnd = records[tau]
         levels.setdefault(dim, []).append(
-            InsertPair(tau, sigma, dim, bnd, *records[sigma]))
+            new_op(InsertPair, (tau, sigma, dim, bnd, *records[sigma])))
     return [op for dim in sorted(levels) for op in levels[dim]]
 
 
@@ -106,11 +109,12 @@ def atomize_backward(sigma_set, state):
         if cell in m.pair_down:
             tau = m.pair_down[cell]
             if tau in sigma_set:
-                out.append(RemovePair(tau, cell))
+                out.append(new_op(RemovePair, (tau, cell)))
             else:
-                out += Split(tau, cell), RemoveCritical(cell)
+                out += (new_op(Split, (tau, cell)),
+                        new_op(RemoveCritical, (cell,)))
         elif cell not in m.pair_up:
-            out.append(RemoveCritical(cell))
+            out.append(new_op(RemoveCritical, (cell,)))
     return out
 
 

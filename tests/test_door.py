@@ -10,6 +10,7 @@ reach that door.
 """
 
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -320,8 +321,14 @@ def test_a_string_of_cells_is_refused(direction, cells):
         block_diagram(stream)
 
 
-# one malformed record on top of the vertices 0, 1 and the edge 2 -> the
-# error for it
+class Dim(int):
+    """An int subclass, which the door checks as it checks any other type."""
+
+
+# one record on top of the vertices 0, 1 and the edge 2 -> the error for it,
+# or None for the odd records that are valid: the door's shortcuts for a
+# plain int dimension and an empty dict boundary must not change what it
+# takes or refuses
 RECORD_DEFECTS = {
     "float coefficient": ((1, {0: 1.5, 1: 1}), InvalidOp),
     "string coefficient": ((1, {0: "1", 1: 1}), InvalidOp),
@@ -334,6 +341,11 @@ RECORD_DEFECTS = {
     "missing facet with coefficient 0": ((1, {0: 1, 7: 3}), MissingFacet),
     "wrong-dimension facet": ((2, {0: 1, 1: 1}), MissingFacet),
     "boundary not a cycle": ((2, {2: 1}), BrokenBoundary),
+    "empty list boundary": ((0, []), InvalidOp),
+    "negative int-subclass dimension": ((Dim(-1), {}), InvalidOp),
+    "bool dimension": ((True, {0: 1, 1: 2}), None),
+    "int-subclass dimension": ((Dim(1), {0: 1, 1: 2}), None),
+    "empty mapping that is not a dict": ((0, MappingProxyType({})), None),
 }
 
 
@@ -348,16 +360,30 @@ def test_complex_and_run_stream_refuse_a_record_alike(defect):
         cx.insert_cell(dim, boundary)
     except ZigzagError as exc:
         raised.append(type(exc))
-    assert len(cx) == 3 and cx.insert_cell(0, {}) == 3  # nothing was written
+    else:
+        raised.append(None)
+        assert type(cx.dims[3]) is int and cx.dims[3] == dim
+    written = expected is None
+    # a refused record writes nothing
+    assert len(cx) == 3 + written and cx.insert_cell(0, {}) == 3 + written
     base = BlockOp("F", [ForwardCell(0, 0, {}), ForwardCell(1, 0, {}),
                          ForwardCell(2, 1, {0: 1, 1: 2})])
-    bad = BlockOp("F", [ForwardCell(3, dim, boundary)])
+    end = BlockOp("B", [3, 2, 1, 0])
+
+    def blocks(dim, boundary):
+        return [base, BlockOp("F", [ForwardCell(3, dim, boundary)]), end]
+
     # the cycle precondition goes unchecked with Morse on and validate off
     runs = [(True, True), (False, True), (False, False)]
     if expected is not BrokenBoundary:
         runs.append((True, False))
     for morse, validate in runs:
-        raised.append(outcome([base, bad], 3, morse, validate))
+        got = outcome(blocks(dim, boundary), 3, morse, validate)
+        if isinstance(got, list):  # a valid record: its plain twin's diagram
+            assert got == run_stream(blocks(int(dim), dict(boundary)), p=3,
+                                     morse=morse)[0]
+            got = None
+        raised.append(got)
     assert raised == [expected] * (1 + len(runs))
 
 

@@ -154,6 +154,21 @@ def test_triangle_metrics():
     assert raw_met.max_critical == 7
 
 
+def test_size_metrics_are_sampled_after_each_block():
+    # Block 3 splits a pair while two critical cells stand, so one op in it
+    # sees 4 critical cells; Metrics reads the sizes only after each block.
+    stream = [("F", [("a", 0, {}), ("b", 0, {}), ("c", 0, {}),
+                     ("ab", 1, {"a": 1, "b": 1}), ("bc", 1, {"b": 1, "c": 1}),
+                     ("ac", 1, {"a": 1, "c": 1}),
+                     ("t", 2, {"ab": 1, "bc": 1, "ac": 1})]),
+              ("B", ["t"]), ("B", ["ab", "bc", "ac"]), ("B", ["a", "b", "c"])]
+    per_op = []
+    _, met = run_stream(stream, observer=lambda state, matrix, op: per_op.append(
+        len(state.matching.critical)))
+    assert max(per_op) == 4
+    assert (met.max_cells, met.max_critical) == (7, 3)
+
+
 def test_runs_are_deterministic():
     stream = op_stream(TRIANGLE_BLOCKS)
     assert run_stream(stream, p=2) == run_stream(stream, p=2)
@@ -348,14 +363,17 @@ def test_removal_pairs_the_birth_order_minimum():
     ("b", "a boundary column leads at a maximal cell"),
 ])
 def test_removal_refuses_a_row_a_boundary_column_holds(cell, message):
-    # ab = a + b leaves a G column at b whose chain also holds a
+    # ab = a + b leaves a G column at b whose chain also holds a; the
+    # refusal comes before the clock ticks or a blocker is eliminated
     m = HomologyMatrix(2, {}, {})
     insert(m, "a", 0, {}, 1, 0)
     insert(m, "b", 0, {}, 1, 1)
     insert(m, "ab", 1, {"a": 1, "b": 1}, 1, 2)
     assert m.cols["b"].label == "G" and m.occ["a"] == {"a", "b"}
+    before = snapshot(m)
     with pytest.raises(KernelError, match=message):
         remove(m, cell, 2)
+    assert snapshot(m) == before
 
 
 # -- the O(1) paths: an insertion with nothing to reduce, a removal with no
@@ -429,8 +447,10 @@ def test_removal_refuses_a_corrupt_occurrence_index(corrupt, message):
     insert(m, "a", 0, {}, 1, 0)
     insert(m, "b", 0, {}, 1, 1)
     corrupt(m.occ)
+    before = snapshot(m)
     with pytest.raises(KernelError, match=message):
         remove(m, "a", 2)
+    assert snapshot(m) == before
 
 
 def test_blocker_free_removal_of_a_cycle_returns_its_event():
