@@ -7,6 +7,7 @@ decomposition in block indices plus operation/size metrics.
 """
 
 from collections import ChainMap, namedtuple
+from operator import itemgetter
 
 from .cells import Complex, check_boundary, check_cycle, check_dim
 from .errors import (BadParameters, BrokenBoundary, BrokenInvariant,
@@ -20,6 +21,7 @@ from .validate import ShadowComplex
 
 Interval = namedtuple("Interval", "dim birth death")
 Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
+_dim_of = itemgetter(1)  # an InsertCritical's dim
 
 
 # perfbench/tracing.HOOKS rebinds these three names (and coreduce,
@@ -38,12 +40,13 @@ def _caller_id(alive, cell):
 
 
 def _translate_forward(cells, cx, alive, validate):
-    """Map one insertion block to internal ids; returns insertion records.
+    """Map one insertion block to internal ids; returns ``(records, inner)``.
 
     ``alive`` maps each live external id to ``(internal id, dim)``.  The
     block's cells join it first, so a facet may also be another cell of the
     block; then each record is checked as in ``Complex``: ``check_boundary``,
-    and ``check_cycle`` if ``validate``.
+    and ``check_cycle`` if ``validate``.  ``inner`` tells whether any facet
+    is a cell of the block, that is, an id at or above its first fresh id.
     """
     # Fresh int ids are not a leftover: keyed by the caller's ids the engine
     # gives byte-identical output, but a probe ran rips-150 about 14% slower,
@@ -67,14 +70,21 @@ def _translate_forward(cells, cx, alive, validate):
         entry = alive[ext] = (fresh_id(), dim)
         new.append((ext, boundary, entry))
     records = {}
-    for ext, boundary, (cell, dim) in new:  # an empty dict needs no check
-        records[cell] = (dim, {} if type(boundary) is dict and not boundary
-                         else check_boundary(ext, dim, boundary, lookup, p))
+    inner = False
+    first = new[0][2][0] if new else None  # the block's first fresh id
+    for ext, boundary, (cell, dim) in new:
+        if type(boundary) is dict and not boundary:  # needs no check
+            records[cell] = (dim, {})
+            continue
+        bd = check_boundary(ext, dim, boundary, lookup, p)
+        records[cell] = (dim, bd)
+        if bd and not inner:
+            inner = max(bd) >= first
     if validate:
         chains = ChainMap({c: bd for c, (_, bd) in records.items()}, cx.facets)
         for ext, _, (cell, _) in new:
             check_cycle(ext, records[cell][1], chains.__getitem__, p)
-    return records
+    return records, inner
 
 
 def _translate_backward(cells, cx, alive):
@@ -123,11 +133,13 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     ``InvalidOp``.
 
     Each block becomes atomic ops (``stream.atomize_forward`` after
-    ``coreduce``, or ``stream.atomize_backward``); a one-cell insertion block
-    is one ``InsertCritical``, with no matching step, since its facets lie
-    outside it.  One loop applies every op to the complex, the matching and
-    the flow memo, and feeds critical insertions, critical removals and pair
-    splits (through ``stream.apply_atomic``) to the column kernel.
+    ``coreduce``, or ``stream.atomize_backward``).  An insertion block with
+    no facet inside it cannot pair, so it skips the matching step, as every
+    block does with ``morse=False``: its ops are an ``InsertCritical`` per
+    cell in (dim, id) order, the order ``atomize_forward`` would give.  One
+    loop applies every op to the complex, the matching and the flow memo,
+    and feeds critical insertions, critical removals and pair splits
+    (through ``stream.apply_atomic``) to the column kernel.
 
     ``validate=True`` also turns on consistency checks (``BrokenInvariant``):
     a recheck of every memoized flow, and an unreduced shadow kernel whose
@@ -173,18 +185,15 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
         raw_ops += len(cells)  # N: one raw op per cell in or out
 
         if direction == "F":
-            records = _translate_forward(cells, cx, alive, validate)
-            if len(records) < 2:
-                # A lone cell's facets lie outside its block: it is critical.
-                # Skipping coreduce for it cut random-p5's engine time about
-                # 10% (6 in 10 of its insertion blocks hold one cell).
+            records, inner = _translate_forward(cells, cx, alive, validate)
+            if inner and morse:
+                ops = atomize_forward(records, coreduce(records))
+            else:
+                # No facet inside the block, or no matching step: every cell
+                # is critical, in the (dim, id) order atomize_forward gives
                 ops = [new_op(InsertCritical, (cell, dim, bd))
                        for cell, (dim, bd) in records.items()]
-            else:
-                matching = coreduce(records) if morse else Matching()
-                if not morse:  # every cell of the block stays critical
-                    matching.critical.update(records)
-                ops = atomize_forward(records, matching)
+                ops.sort(key=_dim_of)
         elif direction == "B":
             ops = atomize_backward(_translate_backward(cells, cx, alive),
                                    state)
@@ -258,5 +267,6 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     if cx.dims:
         raise InvalidOp("stream must end at the empty complex")
 
-    intervals = sorted(map(Interval._make, intervals))
+    intervals.sort()
+    intervals = [tuple.__new__(Interval, t) for t in intervals]
     return intervals, Metrics(raw_ops, matrix.row_ops, max_cells, max_critical)

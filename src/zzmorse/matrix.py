@@ -35,7 +35,7 @@ bookkeeping: the occurrence index and the reduction heap.
 
 import heapq
 
-from .cells import apply_boundary, chain_addmul, field_inv
+from .cells import chain_addmul, field_inv
 from .errors import KernelError
 
 
@@ -140,6 +140,7 @@ class HomologyMatrix:
                     work[cell] = v
                 else:
                     work.pop(cell, None)
+        # cannot fire: each cell put in work is pushed, and its pop clears it
         if work:
             raise KernelError("reduction left a remainder")
         return used
@@ -169,43 +170,46 @@ class HomologyMatrix:
             self.cols[cell] = Column({cell: 1}, "F", (self.row_ops, block))
             self.f_counts[dim] = self.f_counts.get(dim, 0) + 1
             return None
-        used = self._reduce(boundary)
-        gs = {}
+        # The new chain is the cell minus the H partners of the boundary
+        # columns the boundary reduced onto; the cycle columns it met sum
+        # to the relation's boundary column.  Nothing is written yet.
+        cols, p = self.cols, self.p
+        chain = {}
         fs = {}
-        for slot, a in used.items():
-            label = self.cols[slot].label
+        g_chain = {}
+        for slot, a in self._reduce(boundary).items():
+            col = cols[slot]
+            label = col.label
             if label == "G":
-                gs[slot] = a
+                chain_addmul(chain, cols[col.partner].chain, -a, p)
             elif label == "F":
                 fs[slot] = a
+                chain_addmul(g_chain, col.chain, a, p)
             else:
                 raise KernelError("boundary is not a cycle in the reduced complex")
-
+        chain[cell] = 1
         self.row_ops += 1
         self.last_seq = cell_seq
-        self._new_row(cell)
 
-        def column(slot):
-            return self.cols[slot].chain
-
-        chain = apply_boundary({self.cols[g].partner: -a
-                                for g, a in gs.items()}, column, self.p)
-        chain[cell] = 1
-
-        if not fs:
-            self._set_column(cell, Column(chain, "F", birth=(self.row_ops, block)))
-            self._count(self.rowdim[cell], 1)
+        if not fs:  # a creator: the chain is its cycle column
+            dim = self.rowdim[cell] = self.dims[cell]
+            occ = self.occ
+            occ[cell] = set()
+            for c in chain:
+                occ[c].add(cell)
+            cols[cell] = Column(chain, "F", (self.row_ops, block))
+            self.f_counts[dim] = self.f_counts.get(dim, 0) + 1
             return None
 
         # The relation's sum becomes the boundary column at its top slot.  The
         # cycle it displaces walks down the other slots the relation met; at
         # each it keeps the elder birth there, reduces by that slot's column
         # and walks on, so it ends at zero carrying the youngest birth.
-        seq, p = self.seq, self.p
+        self._new_row(cell)
+        seq = self.seq
         lead = max(fs, key=seq.get)
         dim = self.rowdim[lead]
-        g_chain = apply_boundary(fs, column, p)
-        walker = self.cols[lead]
+        walker = cols[lead]
         self._set_column(lead, Column(g_chain, "G", partner=cell))
         self._set_column(cell, Column(chain, "H", partner=lead))
         self._count(dim, -1)

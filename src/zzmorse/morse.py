@@ -7,13 +7,15 @@ traversal: the reduced incidence of two critical cells is the signed sum over
 alternating paths between them, which a memoized sweep of the Hasse diagram
 computes without materializing paths.
 
-The memo of downward flows (cell -> the chain of criticals it reaches) can
-outlive a single query.  A cell's downward flow depends only on its downward
-closure and the pairing there, so the streaming engine keeps one memo for a
-whole run: inserting cells leaves every entry valid, a removed cell takes
-only its own entry with it (removals take maximal cells, so no live entry
-reaches it), and the single event that invalidates entries is
-``Matching.unpair``, after which the memo is cleared.  Upward flows change
+The memo of downward flows (non-critical cell -> the chain of criticals it
+reaches) can outlive a single query.  A cell's downward flow depends only on
+its downward closure and the pairing there, so the streaming engine keeps
+one memo for a whole run: inserting cells leaves every entry valid, a
+removed cell takes only its own entry with it (removals take maximal cells,
+so no live entry reaches it), and the single event that invalidates entries
+is ``Matching.unpair``.  Before it, the pair's two entries go, and so, up
+through the pairs, do those of the queue cells whose paths reach it: a queue
+cell's flow reads only its king's other facets.  Upward flows change
 whenever a cofacet is inserted, so ``morse_coboundary`` always starts fresh.
 """
 
@@ -75,9 +77,6 @@ def coreduce(records):
         if n == 1:
             pairable.append((dim, cell))
     out = Matching()
-    if not inner_cofacets:  # no facet in the records: nothing can pair
-        out.critical.update(records)
-        return out
     heapq.heapify(pairable)
     # a cell never returns to free, so one pass over the (dim, id) order,
     # resumed where the last critical was found, reads it like a heap
@@ -123,8 +122,10 @@ def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
     ``adj[mate][nxt]``.  ``critical`` cells end a path with coefficient 1
     and ``dead`` cells (the far side of a pair) end it with nothing.
 
-    ``memo`` maps a cell to its own flow, the chain of criticals it reaches.
-    It is filled in place and may be passed in pre-filled: the flow of a
+    ``memo`` maps a non-critical cell to its own flow, the chain of
+    criticals it reaches (``{}`` for a dead cell); a critical cell adds its
+    coefficient straight into the chain being built and gets no entry.  The
+    memo is filled in place and may be passed in pre-filled: the flow of a
     cell depends only on the cells below (or above) it and their pairing,
     so an entry stays valid while neither changes.  The returned chain is
     always a fresh dict.  Raises CyclicMatching if the traversal revisits an
@@ -132,15 +133,11 @@ def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
     """
     if memo is None:
         memo = {}
-    expanded = set()
-    stack = list(seeds)
+    stack = [c for c in seeds if c not in memo and c not in critical]
+    expanded = set() if stack else None
     while stack:
         cell = stack[-1]
         if cell in memo:
-            stack.pop()
-            continue
-        if cell in critical:
-            memo[cell] = {cell: 1}
             stack.pop()
             continue
         if cell in dead:
@@ -150,7 +147,8 @@ def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
         if cell not in pairs:
             raise UnknownCell("cell %r is not covered by the matching" % (cell,))
         links = adj[pairs[cell]]
-        deps = [n for n in links if n != cell and n not in memo]
+        deps = [n for n in links
+                if n != cell and n not in memo and n not in critical]
         if cell not in expanded:
             expanded.add(cell)
             if deps:
@@ -164,14 +162,29 @@ def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
         scale = -field_inv(links[cell], p)
         acc = {}
         for nxt, weight in links.items():
-            if nxt != cell:
+            if nxt == cell:
+                continue
+            if nxt in critical:  # chain_addmul of {nxt: 1}, written out
+                v = (acc.get(nxt, 0) + scale * weight) % p
+                if v:
+                    acc[nxt] = v
+                else:
+                    acc.pop(nxt, None)
+            else:
                 chain_addmul(acc, memo[nxt], scale * weight, p)
         memo[cell] = acc
         stack.pop()
 
     total = {}
     for cell, coeff in seeds.items():
-        chain_addmul(total, memo[cell], coeff, p)
+        if cell in critical:
+            v = (total.get(cell, 0) + coeff) % p
+            if v:
+                total[cell] = v
+            else:
+                total.pop(cell, None)
+        else:
+            chain_addmul(total, memo[cell], coeff, p)
     return total
 
 
@@ -180,8 +193,9 @@ def morse_boundary(cx, matching, nu, memo=None):
 
     ``memo`` is an optional downward-flow memo (see ``_flow``) shared
     between calls.  The caller keeps it valid: inserting cells never
-    invalidates it, removed cells' entries are dropped, and it must be
-    cleared whenever ``Matching.unpair`` changes an existing cell's pairing.
+    invalidates it, removed cells' entries are dropped, and before
+    ``Matching.unpair`` splits a pair, the pair's entries and every entry
+    whose paths reach them must go (``stream.apply_atomic`` does this).
     """
     if nu not in matching.critical:
         raise NotCritical(repr(nu))

@@ -47,10 +47,10 @@ class MorseState:
     """The streamed complex, its global matching, and its downward-flow memo.
 
     Nothing is staged here: insertion ops carry their own cell data.
-    ``flow_memo`` (cell -> reduced chain, see ``morse._flow``) lives across
-    blocks.  The ops keep it valid: insertions leave it alone, removals in
-    ``kernel.run_stream`` drop the removed cells' entries, and a split in
-    ``apply_atomic`` clears it.
+    ``flow_memo`` (non-critical cell -> reduced chain, see ``morse._flow``)
+    lives across blocks.  The ops keep it valid: insertions leave it alone,
+    removals in ``kernel.run_stream`` drop the removed cells' entries, and a
+    split in ``apply_atomic`` drops the entries whose paths reach the pair.
     ``validate=True`` rechecks every memoized boundary it reads.
     """
 
@@ -138,9 +138,9 @@ def reduced_boundary(state, cell):
 def apply_atomic(state, op):
     """Split the pair of a ``Split`` op; return the kernel's KernelUnpair.
 
-    The complex stays as it is: both cells turn critical, the flow memo is
-    cleared, and the king's reduced boundary and the queue cell's reduced
-    coboundary go to the kernel.  ``kernel.run_stream`` applies the other
+    The complex stays as it is: both cells turn critical, the flow memo
+    drops the entries whose paths reach the pair, and the king's reduced
+    boundary and the queue cell's reduced coboundary go to the kernel.  ``kernel.run_stream`` applies the other
     four ops itself.
     """
     cx = state.complex
@@ -152,8 +152,22 @@ def apply_atomic(state, op):
     incidence = cx.facets[op.sigma].get(op.tau, 0)
     if not incidence:
         raise InvalidOp("pair (%r, %r) has zero incidence" % (op.tau, op.sigma))
+    # A queue cell's flow reads only its king's other facets, so the split
+    # spoils the entries of sigma, tau, and each queue cell whose king has a
+    # spoiled cell as a facet, on up.  Nothing lies above sigma, a maximal
+    # cell, and the cells an entry reaches have entries unless critical, so
+    # the walk starts at tau and stops at a cell with no entry.
+    memo, cofacets, pair_down = state.flow_memo, cx.cofacets, m.pair_down
+    memo.pop(op.sigma, None)
+    memo.pop(op.tau, None)
+    spoiled = [op.tau]
+    while spoiled:
+        cell = spoiled.pop()
+        for king in cofacets[cell]:
+            z = pair_down.get(king)
+            if z is not None and z != cell and memo.pop(z, None) is not None:
+                spoiled.append(z)
     m.unpair(op.tau)
-    state.flow_memo.clear()  # the pair's flows, and all through them, change
     sigma_boundary = reduced_boundary(state, op.sigma)
     if sigma_boundary.get(op.tau) != incidence:
         raise InvalidOp("reduced boundary lost the pair incidence")

@@ -2,8 +2,8 @@
 
 Every entry must equal the flow computed from scratch, for live cells only,
 after every atomic operation; an unpair must invalidate the entries that run
-through the split pair; and a pre-filled memo must not hide a cyclic
-matching.
+through the split pair, and only those; and a pre-filled memo must not hide
+a cyclic matching.
 """
 
 import pytest
@@ -98,16 +98,60 @@ def test_unpair_invalidates_flows_under_validate():
                 == run_stream(blocks, p=p, morse=False)[0])
 
 
+def branch_stream(p):
+    """A stream whose split keeps one memo entry and drops one two pairs up.
+
+    Block 1 matches a critical and pairs (b, ab), (c, bc), (d, cd) and
+    (x, ax); block 2's critical edge dx memoizes the flows of d, c, b and x,
+    all running to a.  Block 3 removes ab, splitting the pair (b, ab): d
+    reaches b through the pairs of d and c, so the entries of b, c and d
+    go, while x's path avoids the pair and its entry stays.  Block 4's edge
+    y, from a to x, reads that entry.
+    """
+    neg = p - 1
+    return [
+        BlockOp("F", [ForwardCell(v, 0, {}) for v in "abcdx"] + [
+            ForwardCell("ab", 1, {"a": neg, "b": 1}),
+            ForwardCell("bc", 1, {"b": neg, "c": 1}),
+            ForwardCell("cd", 1, {"c": neg, "d": 1}),
+            ForwardCell("ax", 1, {"a": neg, "x": 1})]),
+        BlockOp("F", [ForwardCell("dx", 1, {"d": neg, "x": 1})]),
+        BlockOp("B", ["ab"]),
+        BlockOp("F", [ForwardCell("y", 1, {"a": neg, "x": 1})]),
+        BlockOp("B", ["y", "dx", "cd", "bc", "ax", "a", "b", "c", "d", "x"]),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_drops_only_the_entries_it_spoils(p):
+    blocks = branch_stream(p)
+    assert run_stream(blocks, p=p)[0] == run_stream(blocks, p=p, morse=False)[0]
+    seen = dict(ops=0, entries=0, unpairs=0)
+    audit = memo_auditor(seen)
+    kept = []
+
+    def observe(state, matrix, op):
+        audit(state, matrix, op)
+        if isinstance(op, Split):
+            kept.append(set(state.flow_memo))
+
+    run_stream(blocks, p=p, observer=observe)
+    # engine ids: a, b, c, d, x are 0-4; the split drops b, c and d (d two
+    # pairs above b) and keeps x, whose entry a memo cleared would lose
+    assert kept == [{4}]
+
+
 def test_validate_mode_names_a_stale_memo_entry():
     def spoil(state, matrix, op):
         for cell in state.flow_memo:
             state.flow_memo[cell] = {}
 
-    # critical removals read no boundary, and the unpair that removes e01
-    # clears the memo first; f02, the seventh cell inserted, has internal
-    # id 6, and its insertion is the first boundary read from spoiled entries
-    with pytest.raises(BrokenInvariant, match="stale boundary for 6$"):
-        run_stream(path_stream(2), validate=True, observer=spoil)
+    # critical removals read no boundary, and the split that removes ab
+    # drops the spoiled entries of b, c and d but keeps x's; y, the
+    # eleventh cell inserted, has internal id 10, and its insertion is the
+    # first boundary read from a spoiled entry
+    with pytest.raises(BrokenInvariant, match="stale boundary for 10$"):
+        run_stream(branch_stream(2), validate=True, observer=spoil)
 
 
 def cyclic_complex():
@@ -135,13 +179,17 @@ def test_cyclic_matching_detected_with_prefilled_memo():
 
 
 def test_result_is_not_a_memo_value():
+    # e's only facet is the queue cell v1, so its boundary is v1's flow
     cx = Complex()
-    v = cx.insert_cell(0, {})
-    e = cx.insert_cell(1, {v: 1})
+    v0 = cx.insert_cell(0, {})
+    v1 = cx.insert_cell(0, {})
+    a = cx.insert_cell(1, {v0: 1, v1: 1})
+    e = cx.insert_cell(1, {v1: 1})
     m = Matching()
-    m.critical.add(v)
+    m.critical.add(v0)
     m.critical.add(e)
+    m.add_pair(v1, a)
     memo = {}
-    morse_boundary(cx, m, e, memo=memo)[v] = 0
-    assert memo == {v: {v: 1}}
-    assert morse_boundary(cx, m, e, memo=memo) == {v: 1}
+    morse_boundary(cx, m, e, memo=memo)[v0] = 0
+    assert memo == {v1: {v0: 1}}
+    assert morse_boundary(cx, m, e, memo=memo) == {v0: 1}

@@ -6,8 +6,9 @@ fields, boundaries in sorted order) together with ``(intervals, Metrics)``,
 for both pipelines and for the validated, shadowed run.  The digests were recorded before op application moved
 into ``run_stream``'s loop, so they show that the engine still applies the
 same ops, in the same order, and that the observer sees every one of them.
-The last test counts the calls into the layers that ``zzmorse.kernel`` and
-``zzmorse.stream`` look up by name.
+The last two tests count the calls into the layers that ``zzmorse.kernel``
+and ``zzmorse.stream`` look up by name, and check that a block the door
+sends past the matcher gets the ops the matcher would give it.
 """
 
 import hashlib
@@ -21,7 +22,8 @@ from zzmorse.generators import (circle_points, even_levels, fourier_image,
                                 levelset_stream, oscillating_rips_stream,
                                 random_block_stream)
 from zzmorse.kernel import run_stream
-from zzmorse.stream import InsertCritical, Split
+from zzmorse.morse import coreduce
+from zzmorse.stream import InsertCritical, InsertPair, Split, atomize_forward
 
 
 def _field(value):
@@ -73,9 +75,10 @@ def test_levelset_op_digest():
 @pytest.mark.parametrize("morse", [True, False])
 def test_layers_run_per_split_and_per_multi_cell_block(monkeypatch, morse):
     # apply_atomic runs once per Split; the matcher and atomize_forward run
-    # once per insertion block of two or more cells, never for a lone cell;
-    # a flow runs once per split and once per critical insertion with a
-    # non-empty boundary, never for a cell with no facets
+    # once per insertion block with a facet inside it (so of two or more
+    # cells), and never without a matching step; a flow runs once per split
+    # and once per critical insertion with a non-empty boundary, never for a
+    # cell with no facets
     calls = Counter()
 
     def count(name, min_records):
@@ -108,17 +111,61 @@ def test_layers_run_per_split_and_per_multi_cell_block(monkeypatch, morse):
         elif type(op) is InsertCritical and op.boundary:
             flows["expected"] += 1
 
-    lone = multi = 0
+    lone = multi = inner = 0
     for seed in range(100):
         blocks = random_block_stream(seed, p=5)
         for direction, cells in blocks:
             if direction == "F":
                 lone += len(cells) == 1
                 multi += len(cells) >= 2
+                ids = {c.cell for c in cells}
+                inner += any(f in ids for c in cells for f in c.boundary)
         run_stream(blocks, p=5, morse=morse, observer=observe)
-    assert lone and multi and (splits or not morse)
+    assert lone and 0 < inner < multi and (splits or not morse)
     assert calls["apply_atomic"] == len(splits)
-    assert calls["atomize_forward"] == multi
-    assert calls["coreduce"] == (multi if morse else 0)
+    assert calls["atomize_forward"] == calls["coreduce"] == \
+        (inner if morse else 0)
     assert flows["expected"] and \
         flows["calls"] == flows["expected"] + len(splits)
+
+
+def mixed_blocks():
+    """Insertion blocks of mixed dimension with no facet inside the block,
+    listed out of (dim, id) order, then taken down again."""
+    return [
+        ("F", [("a", 0, {}), ("b", 0, {}), ("c", 0, {})]),
+        ("F", [("bc", 1, {"b": -1, "c": 1}), ("d", 0, {}),
+               ("ab", 1, {"a": -1, "b": 1}), ("e", 0, {})]),
+        ("F", [("ac", 1, {"a": -1, "c": 1}), ("f", 0, {}),
+               ("de", 1, {"d": -1, "e": 1})]),
+        ("F", [("g", 0, {}), ("abc", 2, {"ab": 1, "bc": 1, "ac": -1}),
+               ("ad", 1, {"a": -1, "d": 1})]),
+        ("B", ["abc", "ad", "de", "ac", "ab", "bc"]),
+        ("B", ["a", "b", "c", "d", "e", "f", "g"]),
+    ]
+
+
+def test_a_block_that_cannot_pair_gets_the_matchers_ops(monkeypatch):
+    # the door sends a block with no facet inside it past the matcher; its
+    # ops are still the ones coreduce and atomize_forward would give
+    translate = kernel._translate_forward
+    seen = []  # (records, inner, the block's ops)
+
+    def spy(*args):
+        records, inner = translate(*args)
+        seen.append((records, inner, []))
+        return records, inner
+
+    def observe(state, matrix, op):
+        if type(op) in (InsertCritical, InsertPair):
+            seen[-1][2].append(op)
+
+    monkeypatch.setattr(kernel, "_translate_forward", spy)
+    streams = [random_block_stream(seed, p=5) for seed in range(40)]
+    for blocks in streams + [mixed_blocks()]:
+        run_stream(blocks, p=5, validate=True, observer=observe)
+    outside = [(r, ops) for r, inner, ops in seen if not inner]
+    assert outside and len(outside) < len(seen)
+    assert any(len({dim for dim, _ in r.values()}) > 1 for r, _ in outside)
+    for records, _, ops in seen:
+        assert ops == atomize_forward(records, coreduce(records))

@@ -262,7 +262,9 @@ def test_remove_unpaired_circle_fixture():
 # pairs (2,)-(1, 2), (3,)-(1, 3) and (2, 3)-(1, 2, 3).
 TRI = full_triangle().simplex_ids
 TRIANGLE_GONE = ("B", sorted(TRI))  # the door lets the whole triangle go
-LOOSE_EDGE = ("F", [("x", 0, {}), ("y", 1, {(1,): 1})])  # engine ids 7, 8
+# engine ids 7, 8; y has a facet inside the block, so the block reaches
+# the matcher and atomize_forward
+LOOSE_EDGE = ("F", [("x", 0, {}), ("y", 1, {(1,): 1, "x": 1})])
 
 
 def snapshot(state):
