@@ -1,12 +1,19 @@
-"""Cell complexes over a prime field.
+"""Cell complexes over a prime field, and the door every stream passes.
 
 A complex is a mutable Hasse diagram: cells carry a dimension, incidence
 coefficients live on the (cofacet, facet) edges, and facet/cofacet adjacency
 is stored mirrored.  Chains are plain dicts CellId -> nonzero coefficient in
 [1, p).  All coefficients are reduced mod p at the door, ``check_boundary``.
+
+The door, which ``kernel.run_stream`` and the reference ``oracle`` both
+read their streams through, checks a block stream in the caller's ids:
+``read_stream`` the stream, ``read_block`` a block's shape,
+``translate_forward`` an insertion block's records and
+``translate_backward`` a removal block's ids.
 """
 
 import operator
+from collections import ChainMap
 
 from .errors import (
     BadParameters,
@@ -85,8 +92,9 @@ def check_dim(cell, dim):
 def check_boundary(cell, dim, boundary, facet_lookup, p):
     """The facet chain of a cell record, checked and reduced mod p.
 
-    The one record check of ``Complex.insert_cell`` and ``run_stream``;
-    ``facet_lookup(facet)`` gives a live facet's ``(id, dim)``, else None.
+    The one record check of ``Complex.insert_cell`` and
+    ``translate_forward``; ``facet_lookup(facet)`` gives a live facet's
+    ``(id, dim)``, else None.
     """
     try:
         chain = boundary.items()
@@ -121,6 +129,112 @@ def check_cycle(cell, bd, facets, p):
     ``facets(f)`` gives a facet's chain.  O(deg^2) per cell."""
     if apply_boundary(bd, facets, p):
         raise BrokenBoundary("boundary of cell %r is not a cycle" % (cell,))
+
+
+def read_stream(blocks):
+    """An iterator over a stream's blocks; InvalidOp unless it is iterable."""
+    try:
+        return iter(blocks)
+    except TypeError:
+        raise InvalidOp("stream %r is not iterable" % (blocks,)) from None
+
+
+def read_block(block, index):
+    """The ``(direction, cells)`` of the ``index``-th block, cells as a list.
+
+    Raises ``InvalidOp`` unless the block is a pair whose cells are an
+    iterable other than a string and whose direction is "F" or "B".
+    """
+    try:
+        direction, cells = block
+        if type(cells) is not list:  # a list is read in place, not copied
+            if isinstance(cells, (str, bytes, bytearray)):  # not one id each
+                raise InvalidOp("block %d gives its cells as a string %r"
+                                % (index, cells))
+            cells = list(cells)
+    except (TypeError, ValueError):
+        raise InvalidOp("block %d is not (direction, cells)"
+                        % (index,)) from None
+    if direction != "F" and direction != "B":
+        raise InvalidOp("unknown block direction %r" % (direction,))
+    return direction, cells
+
+
+def caller_id(alive, cell):
+    """The external id of a live internal id; a scan, so only for errors."""
+    return next(ext for ext, (c, _) in alive.items() if c == cell)
+
+
+def translate_forward(cells, cx, alive, validate):
+    """Map one insertion block to internal ids; returns ``(records, inner)``.
+
+    ``alive`` maps each live external id to ``(internal id, dim)``; internal
+    ids come from ``cx.fresh_id``.  The block's cells join ``alive`` first,
+    so a facet may also be another cell of the block; then each record is
+    checked as in ``Complex``: ``check_boundary``, and ``check_cycle`` if
+    ``validate``.  ``records`` maps each new internal id to ``(dim,
+    boundary)``, ready for ``cx.attach``; ``inner`` tells whether any facet
+    is a cell of the block, that is, an id at or above its first fresh id.
+    """
+    # Fresh int ids are not a leftover: keyed by the caller's ids the engine
+    # gives byte-identical output, but a probe ran rips-150 about 14% slower,
+    # since every dict operation then hashes a simplex tuple.
+    new = []
+    fresh_id, lookup, p = cx.fresh_id, alive.get, cx.p
+    for record in cells:
+        try:
+            ext, dim, boundary = record
+        except (TypeError, ValueError):
+            raise InvalidOp("forward record %r is not (cell, dim, boundary)"
+                            % (record,)) from None
+        try:
+            known = ext in alive
+        except TypeError:
+            raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
+        if known:
+            raise InvalidOp("cell id %r is already alive" % (ext,))
+        if type(dim) is not int or dim < 0:  # a plain int needs no check
+            dim = check_dim(ext, dim)
+        entry = alive[ext] = (fresh_id(), dim)
+        new.append((ext, boundary, entry))
+    records = {}
+    inner = False
+    first = new[0][2][0] if new else None  # the block's first fresh id
+    for ext, boundary, (cell, dim) in new:
+        if type(boundary) is dict and not boundary:  # needs no check
+            records[cell] = (dim, {})
+            continue
+        bd = check_boundary(ext, dim, boundary, lookup, p)
+        records[cell] = (dim, bd)
+        if bd and not inner:
+            inner = max(bd) >= first
+    if validate:
+        chains = ChainMap({c: bd for c, (_, bd) in records.items()}, cx.facets)
+        for ext, _, (cell, _) in new:
+            check_cycle(ext, records[cell][1], chains.__getitem__, p)
+    return records, inner
+
+
+def translate_backward(cells, cx, alive):
+    """Take a removal block's ids out of ``alive``; return the internal ids.
+    A cofacet left behind raises ``NotRemovable`` in the caller's ids."""
+    out = set()
+    for ext in cells:
+        try:
+            cell = alive[ext][0]
+        except KeyError:
+            raise UnknownCell("cell id %r is not alive" % (ext,)) from None
+        except TypeError:
+            raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
+        if cell in out:
+            raise InvalidOp("cell id %r removed twice in one block" % (ext,))
+        out.add(cell)
+    for ext in cells:
+        for cof in cx.cofacets[alive.pop(ext)[0]]:
+            if cof not in out:
+                raise NotRemovable("cell %r has a cofacet %r outside the block"
+                                   % (ext, caller_id(alive, cof)))
+    return out
 
 
 class Complex:

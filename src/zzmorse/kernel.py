@@ -6,12 +6,13 @@ traffic to the column kernel in ``matrix``.  The output is the interval
 decomposition in block indices plus operation/size metrics.
 """
 
-from collections import ChainMap, namedtuple
+from collections import namedtuple
 from operator import itemgetter
 
-from .cells import Complex, check_boundary, check_cycle, check_dim
+from .cells import (Complex, caller_id, read_block, read_stream,
+                    translate_backward, translate_forward)
 from .errors import (BadParameters, BrokenBoundary, BrokenInvariant,
-                     InvalidOp, KernelError, NotRemovable, UnknownCell)
+                     InvalidOp, KernelError)
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (InsertCritical, InsertPair, MorseState, RemoveCritical,
@@ -32,81 +33,6 @@ _dim_of = itemgetter(1)  # an InsertCritical's dim
 insert_into_matrix = HomologyMatrix.forward_insert
 remove_from_matrix = HomologyMatrix.backward_remove
 unpair_in_matrix = HomologyMatrix.unpair_update
-
-
-def _caller_id(alive, cell):
-    """The external id of a live internal id; a scan, so only for errors."""
-    return next(ext for ext, (c, _) in alive.items() if c == cell)
-
-
-def _translate_forward(cells, cx, alive, validate):
-    """Map one insertion block to internal ids; returns ``(records, inner)``.
-
-    ``alive`` maps each live external id to ``(internal id, dim)``.  The
-    block's cells join it first, so a facet may also be another cell of the
-    block; then each record is checked as in ``Complex``: ``check_boundary``,
-    and ``check_cycle`` if ``validate``.  ``inner`` tells whether any facet
-    is a cell of the block, that is, an id at or above its first fresh id.
-    """
-    # Fresh int ids are not a leftover: keyed by the caller's ids the engine
-    # gives byte-identical output, but a probe ran rips-150 about 14% slower,
-    # since every dict operation then hashes a simplex tuple.
-    new = []
-    fresh_id, lookup, p = cx.fresh_id, alive.get, cx.p
-    for record in cells:
-        try:
-            ext, dim, boundary = record
-        except (TypeError, ValueError):
-            raise InvalidOp("forward record %r is not (cell, dim, boundary)"
-                            % (record,)) from None
-        try:
-            known = ext in alive
-        except TypeError:
-            raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
-        if known:
-            raise InvalidOp("cell id %r is already alive" % (ext,))
-        if type(dim) is not int or dim < 0:  # a plain int needs no check
-            dim = check_dim(ext, dim)
-        entry = alive[ext] = (fresh_id(), dim)
-        new.append((ext, boundary, entry))
-    records = {}
-    inner = False
-    first = new[0][2][0] if new else None  # the block's first fresh id
-    for ext, boundary, (cell, dim) in new:
-        if type(boundary) is dict and not boundary:  # needs no check
-            records[cell] = (dim, {})
-            continue
-        bd = check_boundary(ext, dim, boundary, lookup, p)
-        records[cell] = (dim, bd)
-        if bd and not inner:
-            inner = max(bd) >= first
-    if validate:
-        chains = ChainMap({c: bd for c, (_, bd) in records.items()}, cx.facets)
-        for ext, _, (cell, _) in new:
-            check_cycle(ext, records[cell][1], chains.__getitem__, p)
-    return records, inner
-
-
-def _translate_backward(cells, cx, alive):
-    """Take a removal block's ids out of ``alive``; return the internal ids.
-    A cofacet left behind raises ``NotRemovable`` in the caller's ids."""
-    out = set()
-    for ext in cells:
-        try:
-            cell = alive[ext][0]
-        except KeyError:
-            raise UnknownCell("cell id %r is not alive" % (ext,)) from None
-        except TypeError:
-            raise InvalidOp("cell id %r is not hashable" % (ext,)) from None
-        if cell in out:
-            raise InvalidOp("cell id %r removed twice in one block" % (ext,))
-        out.add(cell)
-    for ext in cells:
-        for cof in cx.cofacets[alive.pop(ext)[0]]:
-            if cof not in out:
-                raise NotRemovable("cell %r has a cofacet %r outside the block"
-                                   % (ext, _caller_id(alive, cof)))
-    return out
 
 
 def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
@@ -132,11 +58,14 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     is called after every atomic operation; a non-callable observer raises
     ``InvalidOp``.
 
-    Each block becomes atomic ops (``stream.atomize_forward`` after
-    ``coreduce``, or ``stream.atomize_backward``).  An insertion block with
-    no facet inside it cannot pair, so it skips the matching step, as every
-    block does with ``morse=False``: its ops are an ``InsertCritical`` per
-    cell in (dim, id) order, the order ``atomize_forward`` would give.  One
+    The stream and each block pass the door in ``cells`` (``read_stream``,
+    ``read_block``, then ``translate_forward`` or ``translate_backward``),
+    as in the oracle, and each block becomes atomic ops
+    (``stream.atomize_forward`` after ``coreduce``, or
+    ``stream.atomize_backward``).  An insertion block with no facet inside
+    it cannot pair, so it skips the matching step, as every block does with
+    ``morse=False``: its ops are an ``InsertCritical`` per cell in (dim,
+    id) order, the order ``atomize_forward`` would give.  One
     loop applies every op to the complex, the matching and the flow memo,
     and feeds critical insertions, critical removals and pair splits
     (through ``stream.apply_atomic``) to the column kernel.
@@ -165,27 +94,13 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     intervals = []
     raw_ops = max_cells = max_critical = 0
     block_index = 0
-    try:
-        blocks = iter(blocks)
-    except TypeError:
-        raise InvalidOp("stream %r is not iterable" % (blocks,)) from None
-
-    for block in blocks:
+    for block in read_stream(blocks):
         block_index += 1
-        try:
-            direction, cells = block
-            if type(cells) is not list:  # a list is read in place, not copied
-                if isinstance(cells, (str, bytes, bytearray)):  # not one id each
-                    raise InvalidOp("block %d gives its cells as a string %r"
-                                    % (block_index, cells))
-                cells = list(cells)
-        except (TypeError, ValueError):
-            raise InvalidOp("block %d is not (direction, cells)"
-                            % (block_index,)) from None
+        direction, cells = read_block(block, block_index)
         raw_ops += len(cells)  # N: one raw op per cell in or out
 
         if direction == "F":
-            records, inner = _translate_forward(cells, cx, alive, validate)
+            records, inner = translate_forward(cells, cx, alive, validate)
             if inner and morse:
                 ops = atomize_forward(records, coreduce(records))
             else:
@@ -194,11 +109,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 ops = [new_op(InsertCritical, (cell, dim, bd))
                        for cell, (dim, bd) in records.items()]
                 ops.sort(key=_dim_of)
-        elif direction == "B":
-            ops = atomize_backward(_translate_backward(cells, cx, alive),
-                                   state)
         else:
-            raise InvalidOp("unknown block direction %r" % (direction,))
+            ops = atomize_backward(translate_backward(cells, cx, alive), state)
 
         # Each op's effect is written here once (a split's in apply_atomic),
         # and each refusal of an op comes before its first write.
@@ -216,7 +128,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                                                block_index)
                 except KernelError:
                     raise BrokenBoundary("boundary of cell %r is not a cycle"
-                                         % (_caller_id(alive, cell),)) from None
+                                         % (caller_id(alive, cell),)) from None
             elif kind is InsertPair:
                 tau, sigma = op.tau, op.sigma
                 if tau not in op.sigma_boundary:
@@ -231,7 +143,6 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                     raise InvalidOp("cell %r is not critical" % (cell,))
                 cx.remove_cell(cell)
                 critical.discard(cell)
-                memo.pop(cell, None)
                 event = remove_from_matrix(matrix, cell, block_index)
             elif kind is RemovePair:
                 tau, sigma = op

@@ -4,19 +4,24 @@ This module is the ground truth the streaming engine is tested against.  It
 replays a block stream into explicit complex snapshots, computes homology
 spaces and inclusion-induced maps by dense mod-p linear algebra, and
 decomposes the resulting module into intervals.  It deliberately shares no
-code with the Morse engine or the streaming kernel beyond field arithmetic
-and the door's record checks (``cells.check_dim``, ``cells.check_boundary``).
+code with the Morse engine or the streaming kernel beyond field arithmetic,
+the plain ``cells.Complex`` and the door every stream passes
+(``cells.read_stream``, ``read_block``, ``translate_forward``,
+``translate_backward``).
 
 A stream is what ``run_stream`` reads: blocks ``("F", [(cell, dim,
 {facet: coeff}), ...])`` that insert cells and ``("B", [cell, ...])`` that
 remove them, as BlockOps or plain tuples.  Cell names may be any hashables,
-of mixed types too: bases follow each snapshot's insertion order, unsorted.
+of mixed types too: the door maps them to int ids.  The door always checks
+that each boundary is a cycle, so the oracle refuses what ``run_stream``
+refuses with ``validate=True``, with the same error and message.
 """
 
 import numpy as np
 
-from .cells import check_boundary, check_dim, check_prime
-from .errors import InvalidOp, NotRemovable, TooLarge, UnknownCell
+from .cells import (Complex, check_prime, read_block, read_stream,
+                    translate_backward, translate_forward)
+from .errors import InvalidOp, TooLarge
 from .linalg import boundary_matrix, nullspace, rank_mod, rref, solve_in_span
 
 MAX_CELLS = 200
@@ -96,70 +101,30 @@ class ExplicitModule:
 def _replay(blocks, p):
     """Arrow kinds and block-boundary states of a block stream.
 
-    A block inserts or removes its cells as a set, so a facet may come
-    later in its block than its cofacet; an empty block is an identity
-    arrow.  Each record passes ``check_dim`` and ``check_boundary``, as at
-    ``run_stream``'s door.  States are plain ``{cell: (dim, boundary)}``
-    dicts: the empty one, then one after each block.
+    Each block passes the door with ``validate=True`` and goes into a plain
+    ``Complex`` facets first, or leaves it cofacets first.  States are
+    ``{cell: (dim, boundary)}`` dicts in the door's int ids: the empty one,
+    then one after each block; an empty block is an identity arrow.
     """
-    state = {}
+    cx = Complex(p)
+    alive = {}
     states = [{}]
     kinds = []
-
-    def lookup(facet):
-        return (facet, state[facet][0]) if facet in state else None
-
-    for index, block in enumerate(blocks, 1):
-        try:
-            direction, cells = block
-            if isinstance(cells, (str, bytes, bytearray)):  # not one id each
-                raise InvalidOp("block %d gives its cells as a string %r"
-                                % (index, cells))
-            cells = list(cells)
-        except (TypeError, ValueError):
-            raise InvalidOp("block %d is not (direction, cells)"
-                            % (index,)) from None
+    for index, block in enumerate(read_stream(blocks), 1):
+        direction, cells = read_block(block, index)
         if direction == "F":
-            new = []
-            for record in cells:
-                try:
-                    cell, dim, bnd = record
-                except (TypeError, ValueError):
-                    raise InvalidOp("forward record %r is not (cell, dim, "
-                                    "boundary)" % (record,)) from None
-                try:
-                    known = cell in state
-                except TypeError:
-                    raise InvalidOp("cell id %r is not hashable"
-                                    % (cell,)) from None
-                if known:
-                    raise InvalidOp("cell %r inserted twice" % (cell,))
-                state[cell] = (check_dim(cell, dim), None)
-                new.append((cell, bnd))
-            for cell, bnd in new:
-                dim = state[cell][0]
-                state[cell] = (dim, check_boundary(cell, dim, bnd, lookup, p))
-            if len(state) > MAX_CELLS:
-                raise TooLarge("state exceeds %d cells" % MAX_CELLS)
-        elif direction == "B":
-            for i, cell in enumerate(cells):
-                try:
-                    gone = state.pop(cell, None)
-                except TypeError:
-                    raise InvalidOp("cell id %r is not hashable"
-                                    % (cell,)) from None
-                if gone is None:
-                    raise (InvalidOp("cell id %r removed twice in one block"
-                                     % (cell,)) if cell in cells[:i]
-                           else UnknownCell(repr(cell)))
-            for other, (_, bnd) in state.items():
-                stuck = bnd.keys() & cells
-                if stuck:
-                    raise NotRemovable("%r is a facet of %r" % (stuck.pop(), other))
+            records, _ = translate_forward(cells, cx, alive, True)
+            for cell, (dim, bd) in sorted(records.items(),
+                                          key=lambda r: r[1][0]):
+                cx.attach(cell, dim, bd)
         else:
-            raise InvalidOp("unknown block direction %r" % (direction,))
+            for cell in sorted(translate_backward(cells, cx, alive),
+                               key=cx.dims.__getitem__, reverse=True):
+                cx.remove_cell(cell)
+        if len(cx.dims) > MAX_CELLS:
+            raise TooLarge("state exceeds %d cells" % MAX_CELLS)
         kinds.append("fwd" if direction == "F" else "bwd")
-        states.append(dict(state))
+        states.append({c: (d, cx.facets[c]) for c, d in cx.dims.items()})
     return kinds, states
 
 
@@ -271,7 +236,7 @@ def block_diagram(blocks, p=2):
     p = check_prime(p)
     kinds, states = _replay(blocks, p)
     if states[-1]:
-        raise InvalidOp("stream must start and end at the empty complex")
+        raise InvalidOp("stream must end at the empty complex")
     top = max((d for s in states for d, _ in s.values()), default=-1)
     out = []
     for dim in range(top + 1):

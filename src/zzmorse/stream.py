@@ -49,8 +49,9 @@ class MorseState:
     Nothing is staged here: insertion ops carry their own cell data.
     ``flow_memo`` (non-critical cell -> reduced chain, see ``morse._flow``)
     lives across blocks.  The ops keep it valid: insertions leave it alone,
-    removals in ``kernel.run_stream`` drop the removed cells' entries, and a
-    split in ``apply_atomic`` drops the entries whose paths reach the pair.
+    a removed pair in ``kernel.run_stream`` drops its two entries (a
+    critical cell has none), and a split in ``apply_atomic`` drops the
+    entries whose paths reach the pair.
     ``validate=True`` rechecks every memoized boundary it reads.
     """
 
@@ -95,7 +96,7 @@ def atomize_backward(sigma_set, state):
     """Order a removal block of live cells into atomic ops, last inserted first.
 
     ``sigma_set`` must hold every cofacet of its cells, as
-    ``kernel._translate_backward`` checks.  Facets are inserted before
+    ``cells.translate_backward`` checks.  Facets are inserted before
     their cofacets, so descending ``cx.seq`` removes maximal cells only.  A
     pair holds consecutive seqs, so a king comes just before its queue cell
     and gives the op for both: RemovePair, or Split then RemoveCritical of
@@ -140,8 +141,8 @@ def apply_atomic(state, op):
 
     The complex stays as it is: both cells turn critical, the flow memo
     drops the entries whose paths reach the pair, and the king's reduced
-    boundary and the queue cell's reduced coboundary go to the kernel.  ``kernel.run_stream`` applies the other
-    four ops itself.
+    boundary and the queue cell's reduced coboundary go to the kernel.
+    ``kernel.run_stream`` applies the other four ops itself.
     """
     cx = state.complex
     m = state.matching

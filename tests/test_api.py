@@ -61,3 +61,10 @@ def test_the_matcher_imports_only_cells_and_errors():
     # coreduction and the flows know nothing of the kernel, the op stream
     # or the door
     assert imported_modules("morse.py") == {"heapq", "cells", "errors"}
+
+
+def test_the_oracle_imports_no_engine_module():
+    # the reference shares the door in cells with run_stream, and no code
+    # of the kernel, the column matrix, the Morse layer or the op stream
+    assert imported_modules("oracle.py") == {"numpy", "cells", "errors",
+                                             "linalg"}

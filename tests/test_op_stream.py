@@ -148,7 +148,7 @@ def mixed_blocks():
 def test_a_block_that_cannot_pair_gets_the_matchers_ops(monkeypatch):
     # the door sends a block with no facet inside it past the matcher; its
     # ops are still the ones coreduce and atomize_forward would give
-    translate = kernel._translate_forward
+    translate = kernel.translate_forward
     seen = []  # (records, inner, the block's ops)
 
     def spy(*args):
@@ -160,7 +160,7 @@ def test_a_block_that_cannot_pair_gets_the_matchers_ops(monkeypatch):
         if type(op) in (InsertCritical, InsertPair):
             seen[-1][2].append(op)
 
-    monkeypatch.setattr(kernel, "_translate_forward", spy)
+    monkeypatch.setattr(kernel, "translate_forward", spy)
     streams = [random_block_stream(seed, p=5) for seed in range(40)]
     for blocks in streams + [mixed_blocks()]:
         run_stream(blocks, p=5, validate=True, observer=observe)

@@ -5,8 +5,9 @@ import pytest
 
 from audits import betti_numbers, block_module
 from conftest import make_rng
-from zzmorse.errors import (BadParameters, InvalidOp, MissingFacet,
-                            NotRemovable, TooLarge, UnknownCell)
+from zzmorse.errors import (BadParameters, BrokenBoundary, InvalidOp,
+                            MissingFacet, NotRemovable, TooLarge, UnknownCell,
+                            ZigzagError)
 from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.linalg import rref
@@ -159,14 +160,30 @@ def test_blocks_are_sets():
     assert block_diagram(blocks) == [(0, 1, 1)]
 
 
+def refusal(engine, blocks, **options):
+    """The class and message of the ZigzagError a run raises."""
+    with pytest.raises(ZigzagError) as refused:
+        engine(blocks, **options)
+    return type(refused.value), str(refused.value)
+
+
+def assert_refused_as_at_the_door(blocks, p=2):
+    """The oracle raises what run_stream raises, class and message alike."""
+    expected = refusal(block_diagram, blocks, p=p)
+    for validate in (False, True):
+        assert refusal(run_stream, blocks, p=p, validate=validate) == expected
+    return expected
+
+
 def test_replay_names_the_broken_precondition():
     with pytest.raises(MissingFacet):
         block_diagram([("F", [("e", 1, {"a": 1})])])
-    with pytest.raises(NotRemovable, match="'a' is a facet of 'e'"):
+    with pytest.raises(NotRemovable,
+                       match="cell 'a' has a cofacet 'e' outside the block"):
         block_diagram([("F", [("a", 0, {}), ("e", 1, {"a": 1})]), ("B", ["a"])])
     with pytest.raises(InvalidOp, match="unknown block direction"):
         block_diagram([("i", [("a", 0, {})])])
-    with pytest.raises(InvalidOp, match="cell 'a' inserted twice"):
+    with pytest.raises(InvalidOp, match="cell id 'a' is already alive"):
         block_diagram([("F", [("a", 0, {})]), ("F", [("a", 0, {})])])
     with pytest.raises(UnknownCell, match="'b'"):
         block_diagram([("F", [("a", 0, {})]), ("B", ["b"])])
@@ -174,10 +191,8 @@ def test_replay_names_the_broken_precondition():
 
 def test_an_id_removed_twice_in_one_block_is_refused_as_at_the_door():
     blocks = [("F", [("a", 0, {})]), ("B", ["a", "a"])]
-    for engine in (block_diagram, run_stream):
-        with pytest.raises(InvalidOp) as refused:
-            engine(blocks)
-        assert str(refused.value) == "cell id 'a' removed twice in one block"
+    assert assert_refused_as_at_the_door(blocks) == (
+        InvalidOp, "cell id 'a' removed twice in one block")
 
 
 # malformed streams the oracle refuses with the same error as run_stream
@@ -195,11 +210,54 @@ MALFORMED = {
 
 @pytest.mark.parametrize("defect", sorted(MALFORMED))
 def test_a_malformed_record_is_refused_as_at_the_door(defect):
-    blocks = MALFORMED[defect]
-    with pytest.raises(InvalidOp):
-        block_diagram(blocks, p=3)
-    with pytest.raises(InvalidOp):
-        run_stream(blocks, p=3)
+    refused, _ = assert_refused_as_at_the_door(MALFORMED[defect], p=3)
+    assert refused is InvalidOp
+
+
+# streams that break a precondition of the door -> its error and message
+BROKEN = {
+    "unknown id": ([("F", [("a", 0, {})]), ("B", ["b"])],
+                   UnknownCell, "cell id 'b' is not alive"),
+    "cofacet left behind": (
+        [("F", [("a", 0, {}), ("e", 1, {"a": 1})]), ("B", ["a"])],
+        NotRemovable, "cell 'a' has a cofacet 'e' outside the block"),
+    "id inserted twice": ([("F", [("a", 0, {})]), ("F", [("a", 0, {})])],
+                          InvalidOp, "cell id 'a' is already alive"),
+    "id inserted twice in one block": ([("F", [("a", 0, {}), ("a", 0, {})])],
+                                       InvalidOp, "cell id 'a' is already alive"),
+    "unknown direction": ([("i", [("a", 0, {})])],
+                          InvalidOp, "unknown block direction 'i'"),
+    "stream not iterable": (5, InvalidOp, "stream 5 is not iterable"),
+    "missing facet": ([("F", [("e", 1, {"a": 1})])],
+                      MissingFacet, "facet 'a' is not alive"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BROKEN))
+def test_a_broken_precondition_is_refused_as_at_the_door(defect):
+    blocks, error, message = BROKEN[defect]
+    assert assert_refused_as_at_the_door(blocks) == (error, message)
+
+
+# a 2-cell on a single edge, and a 2-cell on the path a-b-c: with Morse on
+# and validate off run_stream may give a diagram; the oracle never does
+NON_CYCLES = {
+    "single edge": [("ab", 1, {"a": 1, "b": 1}), ("t", 2, {"ab": 1})],
+    "path a-b-c": [("ab", 1, {"a": 1, "b": 1}), ("bc", 1, {"b": 1, "c": 1}),
+                   ("t", 2, {"ab": 1, "bc": 1})],
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", sorted(NON_CYCLES))
+def test_a_non_cycle_is_refused_as_at_the_door(shape, p):
+    records = [(v, 0, {}) for v in "abc"] + NON_CYCLES[shape]
+    blocks = [("F", records), ("B", [r[0] for r in records])]
+    expected = (BrokenBoundary, "boundary of cell 't' is not a cycle")
+    assert refusal(block_diagram, blocks, p=p) == expected
+    for morse in (True, False):
+        assert refusal(run_stream, blocks, p=p, morse=morse,
+                       validate=True) == expected
 
 
 @pytest.mark.parametrize("morse", [True, False])
@@ -214,8 +272,8 @@ def test_ids_of_mixed_types_give_the_engines_diagram(morse):
 
 
 def test_nonempty_end_rejected():
-    with pytest.raises(InvalidOp):
-        block_diagram([("F", [("v", 0, {})])])
+    assert assert_refused_as_at_the_door([("F", [("v", 0, {})])]) == (
+        InvalidOp, "stream must end at the empty complex")
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 2.0])
