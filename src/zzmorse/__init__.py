@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .cells import Complex
 from .generators import (
     ScalarImage,
     circle_points,
@@ -17,7 +16,6 @@ from .stream import BlockOp, ForwardCell
 
 __all__ = [
     "BlockOp",
-    "Complex",
     "ForwardCell",
     "Interval",
     "Metrics",

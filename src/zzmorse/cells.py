@@ -92,9 +92,8 @@ def check_dim(cell, dim):
 def check_boundary(cell, dim, boundary, facet_lookup, p):
     """The facet chain of a cell record, checked and reduced mod p.
 
-    The one record check of ``Complex.insert_cell`` and
-    ``translate_forward``; ``facet_lookup(facet)`` gives a live facet's
-    ``(id, dim)``, else None.
+    The record check of ``translate_forward``; ``facet_lookup(facet)``
+    gives a live facet's ``(id, dim)``, else None.
     """
     try:
         chain = boundary.items()
@@ -171,10 +170,10 @@ def translate_forward(cells, cx, alive, validate):
     ``alive`` maps each live external id to ``(internal id, dim)``; internal
     ids come from ``cx.fresh_id``.  The block's cells join ``alive`` first,
     so a facet may also be another cell of the block; then each record is
-    checked as in ``Complex``: ``check_boundary``, and ``check_cycle`` if
-    ``validate``.  ``records`` maps each new internal id to ``(dim,
-    boundary)``, ready for ``cx.attach``; ``inner`` tells whether any facet
-    is a cell of the block, that is, an id at or above its first fresh id.
+    checked: ``check_boundary``, and ``check_cycle`` if ``validate``.
+    ``records`` maps each new internal id to ``(dim, boundary)``, ready for
+    ``cx.attach``; ``inner`` tells whether any facet is a cell of the
+    block, that is, an id at or above its first fresh id.
     """
     # Fresh int ids are not a leftover: keyed by the caller's ids the engine
     # gives byte-identical output, but a probe ran rips-150 about 14% slower,
@@ -249,24 +248,11 @@ class Complex:
         self._next_id = 0
         self._next_seq = 0
 
-    def __len__(self):
-        return len(self.dims)
-
     def fresh_id(self):
         """Reserve and return an unused CellId."""
         cid = self._next_id
         self._next_id += 1
         return cid
-
-    def insert_cell(self, dim, boundary):
-        """Check a record and its dd = 0 as the door does; insert it, return its id."""
-        cell, dims = self._next_id, self.dims
-        dim = check_dim(cell, dim)
-        bd = check_boundary(cell, dim, boundary,
-                            lambda f: (f, dims[f]) if f in dims else None, self.p)
-        check_cycle(cell, bd, self.facets.__getitem__, self.p)
-        self.attach(self.fresh_id(), dim, bd)
-        return cell
 
     def attach(self, cell, dim, bd):
         """Write a record checked at the door under an id from ``fresh_id``.
@@ -287,11 +273,7 @@ class Complex:
 
     def remove_cell(self, cell):
         """Remove a maximal cell; the complex is unchanged if it raises."""
-        try:
-            known = cell in self.dims
-        except TypeError:
-            raise InvalidOp("cell id %r is not hashable" % (cell,)) from None
-        if not known:
+        if cell not in self.dims:
             raise UnknownCell(repr(cell))
         if self.cofacets[cell]:
             raise NotRemovable("cell %r still has cofacets" % (cell,))
@@ -301,7 +283,6 @@ class Complex:
         del self.facets[cell]
         del self.cofacets[cell]
         del self.seq[cell]
-
 
 
 def simplex_facets(simplex):

@@ -17,9 +17,9 @@ import numpy as np
 from .cells import check_prime
 from .errors import (BadHeader, BadParameters, BadStreamLine, CountMismatch,
                      EmptyFile, RaggedRow, ZigzagError)
-from .generators import (ScalarImage, _integer, _real, as_point_cloud,
-                         even_levels, levelset_stream, oscillating_rips_stream,
-                         random_block_stream)
+from .generators import (ScalarImage, _extents, _integer, _real,
+                         as_point_cloud, even_levels, levelset_stream,
+                         oscillating_rips_stream, random_block_stream)
 from .kernel import run_stream
 from .oracle import block_diagram
 from .stream import BlockOp, ForwardCell
@@ -75,6 +75,7 @@ def parse_image(path):
             dims = tuple(int(v) for v in header[1:])
         except ValueError:
             raise BadHeader("non-integer extent in %r" % (header,)) from None
+        dims = _extents(dims)
         values = []
         for ln, line in _numbered(fh, CountMismatch, 2):
             try:
@@ -85,8 +86,8 @@ def parse_image(path):
         flat = np.asarray(values, dtype=float).reshape(dims, order="F")
     except ValueError:
         raise CountMismatch("expected %d values for dims %r, got %d"
-                            % (dims[0] * dims[1] * dims[2] if len(dims) == 3
-                               else -1, dims, len(values))) from None
+                            % (dims[0] * dims[1] * dims[2], dims,
+                               len(values))) from None
     return ScalarImage(dims, flat)
 
 

@@ -53,10 +53,10 @@ class NotRemovable(ZigzagError):
 class InvalidOp(ZigzagError):
     """Malformed input or an atomic operation inconsistent with the state.
 
-    Raised at the door, by ``run_stream`` and by the complex layer
-    (``Complex.insert_cell``) alike, for a block or record of the wrong
-    shape, an unhashable id, a boundary that is not a mapping, or a
-    dimension or coefficient that is not an integer.
+    Raised at the door that ``run_stream`` and the oracle share, for a
+    block or record of the wrong shape, an unhashable id, a boundary that
+    is not a mapping, or a dimension or coefficient that is not an integer,
+    and by ``run_stream`` for an atomic op the state cannot take.
     """
 
 

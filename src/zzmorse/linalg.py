@@ -1,13 +1,16 @@
 """Dense linear algebra over Z/p on int64 numpy arrays.
 
 Row reduction, rank, kernel bases, span solves and boundary matrices for
-the oracle.  A snapshot is a dict ``cell -> (dim, {facet: coeff})``, as in
-``oracle``.
+the oracle, exact for a prime up to ``MAX_PRIME``.  A snapshot is a dict
+``cell -> (dim, {facet: coeff})``, as in ``oracle``.
 """
 
 import numpy as np
 
 from .cells import field_inv
+
+# the largest prime p whose residue products fit int64: (p - 1)**2 < 2**63
+MAX_PRIME = 3_037_000_493
 
 
 def rref(mat, p):

@@ -290,8 +290,7 @@ class HomologyMatrix:
         write if that is 0); ``tau_cofacets`` is the reduced coboundary of
         tau.  Existing cycle and pairing columns are corrected so all
         invariants survive.  The two new rows tick ``row_ops`` by 2; the
-        pair's sequence numbers in the complex must be consecutive.  Returns
-        the number of corrected columns.
+        pair's sequence numbers in the complex must be consecutive.
         """
         for cell in (tau, sigma):
             if cell not in self.seq or cell not in self.dims:
@@ -321,7 +320,6 @@ class HomologyMatrix:
         self._new_row(tau)
         self._new_row(sigma)
 
-        touched = 0
         for slot in set().union(*(self.occ[c] for c in above)):
             col = self.cols[slot]
             if col.label == "G":
@@ -330,9 +328,7 @@ class HomologyMatrix:
             if not s:
                 continue
             self._addmul(slot, {sigma: 1}, scale * s)
-            touched += 1
 
         g_chain = {c: v % p for c, v in sigma_boundary.items() if v % p}
         self._set_column(tau, Column(g_chain, "G", partner=sigma))
         self._set_column(sigma, Column({sigma: 1}, "H", partner=tau))
-        return touched

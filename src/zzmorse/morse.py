@@ -42,7 +42,6 @@ class Matching:
         sigma = self.drop_pair(tau)
         self.critical.add(tau)
         self.critical.add(sigma)
-        return sigma
 
     def drop_pair(self, tau):
         sigma = self.pair_up.pop(tau)

@@ -21,10 +21,20 @@ import numpy as np
 
 from .cells import (Complex, check_prime, read_block, read_stream,
                     translate_backward, translate_forward)
-from .errors import InvalidOp, TooLarge
-from .linalg import boundary_matrix, nullspace, rank_mod, rref, solve_in_span
+from .errors import BadParameters, InvalidOp, TooLarge
+from .linalg import (MAX_PRIME, boundary_matrix, nullspace, rank_mod, rref,
+                     solve_in_span)
 
 MAX_CELLS = 200
+
+
+def _check_field(p):
+    """p as an int; BadParameters unless a prime the dense algebra can take."""
+    p = check_prime(p)
+    if p > MAX_PRIME:
+        raise BadParameters("field characteristic %d is above %d, the oracle's "
+                            "bound for exact int64 products" % (p, MAX_PRIME))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +89,14 @@ class ExplicitModule:
     ``spaces`` lists dimensions; ``maps[i]`` is ``(direction, matrix)`` where
     direction "fwd" maps space i to space i+1 and "bwd" maps space i+1 to
     space i (matrices are target-rows by source-columns).  ``p`` must be
-    prime (``BadParameters``) and each direction "fwd" or "bwd" (``InvalidOp``).
+    a prime up to ``linalg.MAX_PRIME`` (``BadParameters``) and each
+    direction "fwd" or "bwd" (``InvalidOp``).
     """
 
     def __init__(self, spaces, maps, p):
         self.spaces = list(spaces)
         self.maps = list(maps)
-        self.p = check_prime(p)
+        self.p = _check_field(p)
         if len(self.maps) != max(len(self.spaces) - 1, 0):
             raise InvalidOp("one map required between consecutive spaces")
         for i, (direction, mat) in enumerate(self.maps):
@@ -231,9 +242,10 @@ def block_diagram(blocks, p=2):
     """Oracle persistence diagram of a block stream: sorted (dim, b, d) triples.
 
     Interval endpoints are block indices: a class alive in the snapshots after
-    blocks b..d is reported as [b, d].  The stream must end empty.
+    blocks b..d is reported as [b, d].  The stream must end empty, and ``p``
+    must be a prime up to ``linalg.MAX_PRIME`` (``BadParameters``).
     """
-    p = check_prime(p)
+    p = _check_field(p)
     kinds, states = _replay(blocks, p)
     if states[-1]:
         raise InvalidOp("stream must end at the empty complex")

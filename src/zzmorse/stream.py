@@ -37,9 +37,6 @@ RemoveCritical = namedtuple("RemoveCritical", "cell")
 RemovePair = namedtuple("RemovePair", "tau sigma")
 Split = namedtuple("Split", "tau sigma")
 
-KernelUnpair = namedtuple("KernelUnpair",
-                          "tau sigma sigma_boundary tau_cofacets")
-
 new_op = tuple.__new__  # new_op(Op, fields) == Op(*fields), built in C
 
 
@@ -137,11 +134,12 @@ def reduced_boundary(state, cell):
 
 
 def apply_atomic(state, op):
-    """Split the pair of a ``Split`` op; return the kernel's KernelUnpair.
+    """Split the pair of a ``Split`` op; return the kernel's update.
 
     The complex stays as it is: both cells turn critical, the flow memo
-    drops the entries whose paths reach the pair, and the king's reduced
-    boundary and the queue cell's reduced coboundary go to the kernel.
+    drops the entries whose paths reach the pair, and the update is the
+    arguments of ``HomologyMatrix.unpair_update``: tau, sigma, sigma's
+    reduced boundary and tau's reduced coboundary.
     ``kernel.run_stream`` applies the other four ops itself.
     """
     cx = state.complex
@@ -172,5 +170,5 @@ def apply_atomic(state, op):
     sigma_boundary = reduced_boundary(state, op.sigma)
     if sigma_boundary.get(op.tau) != incidence:
         raise InvalidOp("reduced boundary lost the pair incidence")
-    return KernelUnpair(op.tau, op.sigma, sigma_boundary,
-                        morse_coboundary(cx, m, op.tau))
+    return (op.tau, op.sigma, sigma_boundary,
+            morse_coboundary(cx, m, op.tau))

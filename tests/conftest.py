@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from zzmorse.cells import Complex, simplex_facets
+from zzmorse.cells import Complex, simplex_facets, translate_forward
 from zzmorse.errors import UnknownCell
 from zzmorse.generators import _random_cycle_among
 from zzmorse.kernel import run_stream
@@ -36,16 +36,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                                     " (%s)" % note if note else ""))
 
 
+def insert_block(cx, records):
+    """Insert ``[(dim, boundary), ...]`` into cx as one block; returns the ids.
+
+    As ``oracle._replay`` does, the block passes the door,
+    ``cells.translate_forward`` with ``validate=True``, and goes in by
+    ``Complex.attach`` in ascending dimension.  The records get cx's next
+    ids in order, which also name them at the door, and a boundary may name
+    a live cell or an earlier record of the block.
+    """
+    first = cx._next_id
+    cells = [(first + i, dim, bd) for i, (dim, bd) in enumerate(records)]
+    alive = {c: (c, d) for c, d in cx.dims.items()}
+    new, _ = translate_forward(cells, cx, alive, True)
+    for cell, (dim, bd) in sorted(new.items(), key=lambda r: r[1][0]):
+        cx.attach(cell, dim, bd)
+    return list(new)
+
+
 def build_simplicial(simplices, p=2):
-    """Complex of a face-closed list of sorted vertex tuples.
+    """Complex of a face-closed list of sorted vertex tuples, as one block.
 
     The tuple -> CellId map is left on the result as ``simplex_ids``.
     """
     cx = Complex(p)
-    ids = {}
-    for s in sorted(set(map(tuple, simplices)), key=lambda s: (len(s), s)):
-        ids[s] = cx.insert_cell(len(s) - 1, {ids[f]: sign for f, sign
-                                             in simplex_facets(s).items()})
+    simplices = sorted(set(map(tuple, simplices)), key=lambda s: (len(s), s))
+    ids = {s: i for i, s in enumerate(simplices)}
+    insert_block(cx, [(len(s) - 1, {ids[f]: sign for f, sign
+                                     in simplex_facets(s).items()})
+                      for s in simplices])
     cx.simplex_ids = ids
     return cx
 
@@ -79,7 +98,7 @@ def random_complex(rng, p=2, n=10, max_dim=3):
         bnd = {} if dim == 0 else random_cycle(state, dim - 1, p, rng)
         if bnd is None:
             dim, bnd = 0, {}
-        cx.insert_cell(dim, bnd)
+        insert_block(cx, [(dim, bnd)])
     return cx
 
 

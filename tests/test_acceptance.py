@@ -131,14 +131,15 @@ def test_criterion_3_boundary_update_formula(p):
         scale = cx.facets[sigma][tau] % p
 
         state = MorseState(cx, m)
-        update = apply_atomic(state, Split(tau, sigma))
+        _, _, sigma_boundary, tau_cofacets = apply_atomic(state,
+                                                          Split(tau, sigma))
         cx.remove_cell(sigma)  # then the king leaves as a critical cell
         m.critical.discard(sigma)
         # the engine's operands agree with the enumeration-derived ones
-        assert update.sigma_boundary == sigma_bnd
-        assert update.sigma_boundary.get(tau, 0) % p == scale
+        assert sigma_boundary == sigma_bnd
+        assert sigma_boundary.get(tau, 0) % p == scale
         for nu, corr in correction.items():
-            assert update.tau_cofacets.get(nu, 0) % p == corr
+            assert tau_cofacets.get(nu, 0) % p == corr
 
         for nu, old in before.items():
             if dims[nu] == sdim:

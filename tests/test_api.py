@@ -11,7 +11,7 @@ import zzmorse
 
 def test_public_names():
     assert sorted(zzmorse.__all__) == sorted([
-        "BlockOp", "Complex", "ForwardCell", "Interval", "Metrics",
+        "BlockOp", "ForwardCell", "Interval", "Metrics",
         "ScalarImage", "circle_points", "even_levels", "fourier_image",
         "furthest_point_ordering", "levelset_stream",
         "oscillating_rips_stream", "run_stream", "__version__"])

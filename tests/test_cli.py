@@ -13,7 +13,7 @@ from audits import emit_image, emit_stream
 from zzmorse.cli import (format_diagram, format_metrics, main, parse_image,
                          parse_points, parse_stream)
 from zzmorse.errors import (BadHeader, BadStreamLine, CountMismatch,
-                            EmptyFile, RaggedRow)
+                            EmptyDims, EmptyFile, RaggedRow)
 from zzmorse.generators import (ScalarImage, fourier_image, levelset_stream,
                                 random_block_stream)
 from zzmorse.kernel import Interval, run_stream
@@ -89,6 +89,12 @@ def test_image_bad_header(tmp_path):
     path.write_text("dims 2 two 1\n0 0\n")
     with pytest.raises(BadHeader):
         parse_image(path)
+    # numpy's reshape would read one -1 as "infer" and multiply two away
+    for extents in ("-2 -2 2", "-1 2 2"):
+        path.write_text("dims %s\n%s\n" % (extents, " ".join(["0"] * 8)))
+        with pytest.raises(EmptyDims, match="three positive extents, got "
+                           r"\(%s\)" % extents.replace(" ", ", ")):
+            parse_image(path)
 
 
 def test_non_utf8_image_file(tmp_path):
@@ -309,6 +315,15 @@ def test_oracle_check_reports_pass_counts():
                                   "--field-char", "5"])
     assert result.exit_code == 0
     assert "passed 5/5" in result.output
+
+
+def test_oracle_check_refuses_a_prime_above_the_oracles_bound():
+    result = CliRunner().invoke(main, ["oracle-check", "--field-char",
+                                       "4294967291", "--runs", "60"])
+    assert result.exit_code == 2
+    assert result.output == ("error: field characteristic 4294967291 is above "
+                             "3037000493, the oracle's bound for exact int64 "
+                             "products\n")
 
 
 @pytest.mark.parametrize("runs", ["0", "-2"])

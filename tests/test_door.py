@@ -2,11 +2,11 @@
 
 A malformed block must raise one named ``ZigzagError`` whether or not the
 engine Morse-reduces the complex; a well-formed stream must give the same
-diagram either way.  ``Complex.insert_cell`` makes the same record check,
-so it refuses a malformed record with the same error.  A boundary that is
-not a cycle raises ``BrokenBoundary`` in validate mode and without Morse.
-A stream file is either refused by ``parse_stream`` or gives blocks that
-reach that door.
+diagram either way.  The tests' complexes are built through the same door
+(``conftest.insert_block``), so a malformed record is refused there with
+the same error and writes nothing.  A boundary that is not a cycle raises
+``BrokenBoundary`` in validate mode and without Morse.  A stream file is
+either refused by ``parse_stream`` or gives blocks that reach that door.
 """
 
 from collections.abc import Mapping
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audits import emit_stream
+from conftest import insert_block
 from zzmorse.cells import Complex
 from zzmorse.cli import parse_stream
 from zzmorse.errors import (BadParameters, BadStreamLine, BrokenBoundary,
@@ -353,19 +354,17 @@ RECORD_DEFECTS = {
 def test_complex_and_run_stream_refuse_a_record_alike(defect):
     (dim, boundary), expected = RECORD_DEFECTS[defect]
     cx = Complex(p=3)
-    assert [cx.insert_cell(0, {}), cx.insert_cell(0, {}),
-            cx.insert_cell(1, {0: 1, 1: 2})] == [0, 1, 2]
+    assert insert_block(cx, [(0, {}), (0, {}), (1, {0: 1, 1: 2})]) == [0, 1, 2]
     raised = []
     try:
-        cx.insert_cell(dim, boundary)
+        insert_block(cx, [(dim, boundary)])
     except ZigzagError as exc:
         raised.append(type(exc))
     else:
         raised.append(None)
         assert type(cx.dims[3]) is int and cx.dims[3] == dim
-    written = expected is None
     # a refused record writes nothing
-    assert len(cx) == 3 + written and cx.insert_cell(0, {}) == 3 + written
+    assert sorted(cx.dims) == [0, 1, 2] + [3] * (expected is None)
     base = BlockOp("F", [ForwardCell(0, 0, {}), ForwardCell(1, 0, {}),
                          ForwardCell(2, 1, {0: 1, 1: 2})])
     end = BlockOp("B", [3, 2, 1, 0])

@@ -8,7 +8,7 @@ a cyclic matching.
 
 import pytest
 
-from conftest import build_simplicial
+from conftest import build_simplicial, insert_block
 from zzmorse.cells import Complex
 from zzmorse.errors import BrokenInvariant, CyclicMatching
 from zzmorse.generators import (circle_points, oscillating_rips_stream,
@@ -24,7 +24,7 @@ def memo_auditor(seen):
     def audit(state, matrix, op):
         cx, m = state.complex, state.matching
         memo = state.flow_memo
-        assert len(memo) <= len(cx)
+        assert len(memo) <= len(cx.dims)
         for cell, chain in memo.items():
             assert cell in cx.dims, "memo keeps removed cell %r" % (cell,)
             fresh = _flow(cx.facets, m.pair_up, m.critical, m.pair_down,
@@ -181,10 +181,8 @@ def test_cyclic_matching_detected_with_prefilled_memo():
 def test_result_is_not_a_memo_value():
     # e's only facet is the queue cell v1, so its boundary is v1's flow
     cx = Complex()
-    v0 = cx.insert_cell(0, {})
-    v1 = cx.insert_cell(0, {})
-    a = cx.insert_cell(1, {v0: 1, v1: 1})
-    e = cx.insert_cell(1, {v1: 1})
+    v0, v1, a, e = insert_block(cx, [(0, {}), (0, {}), (1, {0: 1, 1: 1}),
+                                     (1, {1: 1})])
     m = Matching()
     m.critical.add(v0)
     m.critical.add(e)

@@ -22,7 +22,7 @@ from zzmorse.kernel import (insert_into_matrix, remove_from_matrix, run_stream,
                             unpair_in_matrix)
 from zzmorse.matrix import HomologyMatrix
 from zzmorse.oracle import block_diagram
-from zzmorse.stream import BlockOp, ForwardCell, KernelUnpair
+from zzmorse.stream import BlockOp, ForwardCell
 
 # -- helpers -----------------------------------------------------------------
 
@@ -238,9 +238,8 @@ def test_unpair_inserts_the_pair_and_corrects_cycles():
     insert(m, "e13", 1, {}, 1, 5)
     enter(m, "v3", 0, 3)
     enter(m, "e23", 1, 4)
-    touched = m.unpair_update("v3", "e23", {"v1": 1, "v3": 1},
-                              {"e13": 1, "e23": 1})
-    assert touched == 1
+    assert m.unpair_update("v3", "e23", {"v1": 1, "v3": 1},
+                           {"e13": 1, "e23": 1}) is None
     assert m.row_ops == 4  # a split gives the matrix two new rows
     assert m.cols["e13"].chain == {"e13": 1, "e23": 1}
     assert m.cols["e13"].label == "F"
@@ -486,9 +485,8 @@ def test_errors_surface_through_the_wrappers():
     chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
     with pytest.raises(KernelError, match="'ghost' has no row"):
         remove_from_matrix(m, "ghost", 2)
-    update = KernelUnpair("t", "s", {"t": 2}, {})
     with pytest.raises(ZeroInverse):
-        unpair_in_matrix(m, *update)
+        unpair_in_matrix(m, "t", "s", {"t": 2}, {})
     assert m.rowdim == rows and set(m.occ) == set(rows)
     assert {slot: col.chain for slot, col in m.cols.items()} == chains
     assert m.row_ops == 1

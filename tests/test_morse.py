@@ -9,7 +9,8 @@ import pytest
 
 from audits import betti_numbers
 from conftest import (build_simplicial, cell_records, full_triangle,
-                      is_acyclic_matching, make_rng, random_complex)
+                      insert_block, is_acyclic_matching, make_rng,
+                      random_complex)
 from zzmorse.cells import Complex, field_inv
 from zzmorse.errors import CyclicMatching, NotCritical, UnknownCell
 from zzmorse.morse import Matching, coreduce, morse_boundary, morse_coboundary
@@ -106,7 +107,7 @@ def test_coboundary_after_unpairing():
     cx = circle()
     m = circle_matching(cx)
     ids = cx.simplex_ids
-    m.unpair(ids[(3,)])
+    assert m.unpair(ids[(3,)]) is None
     assert m.critical == {ids[(1,)], ids[(1, 3)], ids[(3,)], ids[(2, 3)]}
     cob = morse_coboundary(cx, m, ids[(3,)])
     assert cob == {ids[(1, 3)]: 1, ids[(2, 3)]: 1}
@@ -174,16 +175,16 @@ def test_coreduce_filled_triangle():
 
 def test_coreduce_single_vertex():
     cx = Complex()
-    v = cx.insert_cell(0, {})
+    [v] = insert_block(cx, [(0, {})])
     m = coreduce(cell_records(cx, {v}))
     assert m.critical == {v} and not m.pair_up
 
 
 def test_coreduce_cap_over_frozen_circle():
     cx = circle()
-    t = cx.insert_cell(2, {cx.simplex_ids[(1, 2)]: 1,
-                           cx.simplex_ids[(2, 3)]: 1,
-                           cx.simplex_ids[(1, 3)]: 1})
+    ids = cx.simplex_ids
+    [t] = insert_block(cx, [(2, {ids[(1, 2)]: 1, ids[(2, 3)]: 1,
+                                 ids[(1, 3)]: 1})])
     m = coreduce(cell_records(cx, {t}))
     assert m.critical == {t}
 

@@ -286,6 +286,24 @@ def test_a_field_characteristic_that_is_not_prime_is_refused(p):
         block_module(blocks, 0, p=p)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_the_largest_prime_with_exact_int64_products_agrees(seed):
+    p = 3_037_000_493  # (p - 1)**2 < 2**63
+    blocks = random_block_stream(seed, p=p)
+    assert block_diagram(blocks, p) == [tuple(iv) for iv
+                                        in run_stream(blocks, p=p)[0]]
+
+
+@pytest.mark.parametrize("p", [3_037_000_507, 4_294_967_291, 2 ** 61 - 1])
+def test_a_prime_above_the_int64_bound_is_refused(p):
+    # int64 row operations would overflow and give a wrong diagram
+    blocks = [("F", [("a", 0, {}), ("b", 0, {})]), ("B", ["a", "b"])]
+    with pytest.raises(BadParameters, match="above 3037000493"):
+        block_diagram(blocks, p)
+    with pytest.raises(BadParameters, match="above 3037000493"):
+        ExplicitModule([1, 1], [("fwd", mat([[1]]))], p)
+
+
 def test_too_large():
     with pytest.raises(TooLarge):
         block_module([("F", [(k, 0, {}) for k in range(201)])], dim=0)

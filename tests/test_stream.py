@@ -6,7 +6,7 @@ import pytest
 
 from audits import betti_numbers
 from conftest import (build_simplicial, cell_records, engine_after,
-                      forward_block, full_triangle, grow_records,
+                      forward_block, full_triangle, grow_records, insert_block,
                       is_acyclic_matching, make_rng, random_complex)
 from zzmorse.cells import Complex, chain_addmul, field_inv, simplex_facets
 from zzmorse.errors import InvalidOp, NotRemovable, ZigzagError
@@ -16,7 +16,6 @@ from zzmorse.morse import Matching, coreduce, morse_boundary
 from zzmorse.stream import (
     InsertCritical,
     InsertPair,
-    KernelUnpair,
     MorseState,
     RemoveCritical,
     RemovePair,
@@ -155,7 +154,7 @@ def test_atomize_backward_pair():
 
 def test_atomize_backward_critical_vertex():
     cx = Complex()
-    v = cx.insert_cell(0, {})
+    [v] = insert_block(cx, [(0, {})])
     m = Matching()
     m.critical.add(v)
     assert atomize_backward({v}, MorseState(cx, m)) == [RemoveCritical(v)]
@@ -224,7 +223,7 @@ def test_apply_forward_block_from_empty():
     assert cell_records(cx) == TRIANGLE_RECORDS
     block = coreduce(TRIANGLE_RECORDS)
     assert applied == atomize_forward(TRIANGLE_RECORDS, block)
-    assert len(cx) == 7
+    assert len(cx.dims) == 7
     assert is_acyclic_matching(cx, state.matching)
     inserts = [op for op in applied if isinstance(op, InsertCritical)]
     assert len(inserts) == len(block.critical) == len(matrix)
@@ -242,12 +241,12 @@ def test_remove_unpaired_circle_fixture():
     state = MorseState(cx, m)
     v1, v3, e13, e23 = ids[(1,)], ids[(3,)], ids[(1, 3)], ids[(2, 3)]
 
-    update = apply_atomic(state, Split(v3, e23))
-    assert isinstance(update, KernelUnpair)
-    assert update.tau == v3 and update.sigma == e23
-    assert update.sigma_boundary == {v1: 1, v3: 1}
-    assert update.tau_cofacets == {e13: 1, e23: 1}
-    assert update.sigma_boundary[v3] == cx.facets[e23][v3] == 1
+    tau, sigma, sigma_boundary, tau_cofacets = apply_atomic(state,
+                                                            Split(v3, e23))
+    assert tau == v3 and sigma == e23
+    assert sigma_boundary == {v1: 1, v3: 1}
+    assert tau_cofacets == {e13: 1, e23: 1}
+    assert sigma_boundary[v3] == cx.facets[e23][v3] == 1
     assert m.critical == {v1, e13, v3, e23}
     assert e23 in cx.dims  # a split leaves the complex as it is
     cx.remove_cell(e23)  # then the king leaves as a critical cell
@@ -350,7 +349,7 @@ def test_remove_pair_order_enforced():
     state, _ = engine_after(blocks, ops=applied)
     assert applied[-1] == RemovePair(1, 2)  # engine ids 0, 1, 2
     cx = state.complex
-    assert len(cx) == 1 and 0 in cx.dims
+    assert len(cx.dims) == 1 and 0 in cx.dims
 
 
 def test_remove_pair_error_leaves_state_unchanged(monkeypatch):
@@ -392,7 +391,7 @@ def test_boundary_update_identity(seed, p):
     incidence = cx.facets[sigma][tau]
 
     state = MorseState(cx, m)
-    update = apply_atomic(state, Split(tau, sigma))
+    _, _, sigma_boundary, tau_cofacets = apply_atomic(state, Split(tau, sigma))
     cx.remove_cell(sigma)  # then the king leaves as a critical cell
     m.critical.discard(sigma)
     for nu, old in before.items():
@@ -400,9 +399,8 @@ def test_boundary_update_identity(seed, p):
         if cx.dims[nu] != sdim:
             assert new == old
         else:
-            expected = update_formula(old, update.tau_cofacets.get(nu, 0),
-                                    incidence,
-                                    update.sigma_boundary, p)
+            expected = update_formula(old, tau_cofacets.get(nu, 0),
+                                    incidence, sigma_boundary, p)
             assert new == expected
 
 
@@ -441,7 +439,7 @@ def test_betti_preserved_after_every_atomic_op(seed):
                    for nu in state.matching.critical}
         assert betti_numbers(reduced, p) == betti_numbers(full, p)
         m = state.matching
-        assert len(m.critical) + 2 * len(m.pair_up) == len(cx)
+        assert len(m.critical) + 2 * len(m.pair_up) == len(cx.dims)
         checked.append(op)
 
     run_stream(random_block_stream(rng, p=p), p,
