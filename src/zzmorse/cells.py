@@ -100,6 +100,7 @@ def check_boundary(cell, dim, boundary, facet_lookup, p):
     except AttributeError:
         raise InvalidOp("boundary %r of cell %r is not a mapping"
                         % (boundary, cell)) from None
+    below = dim - 1
     bd = {}
     for facet, coeff in chain:
         try:
@@ -110,14 +111,16 @@ def check_boundary(cell, dim, boundary, facet_lookup, p):
         if found is None:
             raise MissingFacet("facet %r is not alive" % (facet,))
         target, facet_dim = found
-        if facet_dim != dim - 1:
+        if facet_dim != below:
             raise MissingFacet("facet %r of cell %r has dimension %d, expected %d"
-                               % (facet, cell, facet_dim, dim - 1))
-        try:
-            coeff = operator.index(coeff) % p
-        except TypeError:
-            raise InvalidOp("coefficient %r on facet %r is not an integer"
-                            % (coeff, facet)) from None
+                               % (facet, cell, facet_dim, below))
+        if type(coeff) is not int:  # a plain int needs no check
+            try:
+                coeff = operator.index(coeff)
+            except TypeError:
+                raise InvalidOp("coefficient %r on facet %r is not an integer"
+                                % (coeff, facet)) from None
+        coeff %= p
         if coeff:
             bd[target] = coeff
     return bd
@@ -258,30 +261,42 @@ class Complex:
         """Write a record checked at the door under an id from ``fresh_id``.
 
         Checks only what the door cannot: every facet is already in the
-        complex (``MissingFacet``).
+        complex (``MissingFacet``).  The back-edge writes make the check: a
+        facet with no cofacet entry refuses the record, after the edges
+        already written are taken back, so a refusal leaves the complex
+        unchanged.
         """
-        if bd and not bd.keys() <= self.dims.keys():
+        cofacets = self.cofacets
+        try:
+            for facet, coeff in bd.items():
+                cofacets[facet][cell] = coeff
+        except KeyError:
+            for written in bd:
+                if written == facet:
+                    break
+                del cofacets[written][cell]
             raise MissingFacet("facet %r of cell %r is not in the complex"
-                               % (next(iter(bd.keys() - self.dims.keys())), cell))
+                               % (next(iter(bd.keys() - cofacets.keys())),
+                                  cell)) from None
+        cofacets[cell] = {}
         self.dims[cell] = dim
         self.facets[cell] = bd
-        self.cofacets[cell] = {}
         self.seq[cell] = self._next_seq
         self._next_seq += 1
-        for facet, coeff in bd.items():
-            self.cofacets[facet][cell] = coeff
 
     def remove_cell(self, cell):
-        """Remove a maximal cell; the complex is unchanged if it raises."""
-        if cell not in self.dims:
+        """Remove a maximal cell; a refusal (``UnknownCell``, or
+        ``NotRemovable`` while it has cofacets) leaves the complex unchanged."""
+        cofacets = self.cofacets
+        up = cofacets.get(cell)
+        if up is None:
             raise UnknownCell(repr(cell))
-        if self.cofacets[cell]:
+        if up:
             raise NotRemovable("cell %r still has cofacets" % (cell,))
-        for facet in self.facets[cell]:
-            del self.cofacets[facet][cell]
+        for facet in self.facets.pop(cell):
+            del cofacets[facet][cell]
+        del cofacets[cell]
         del self.dims[cell]
-        del self.facets[cell]
-        del self.cofacets[cell]
         del self.seq[cell]
 
 

@@ -130,12 +130,12 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                     raise BrokenBoundary("boundary of cell %r is not a cycle"
                                          % (caller_id(alive, cell),)) from None
             elif kind is InsertPair:
-                tau, sigma = op.tau, op.sigma
-                if tau not in op.sigma_boundary:
+                tau, sigma, tau_dim, tau_bd, sigma_dim, sigma_bd = op
+                if tau not in sigma_bd:
                     raise InvalidOp("cells %r, %r do not form a pair"
                                     % (tau, sigma))
-                cx.attach(tau, op.tau_dim, op.tau_boundary)
-                cx.attach(sigma, op.sigma_dim, op.sigma_boundary)
+                cx.attach(tau, tau_dim, tau_bd)
+                cx.attach(sigma, sigma_dim, sigma_bd)
                 m.add_pair(tau, sigma)
             elif kind is RemoveCritical:
                 cell = op.cell

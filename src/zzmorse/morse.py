@@ -122,68 +122,79 @@ def _flow(adj, pairs, critical, dead, seeds, p, memo=None):
     and ``dead`` cells (the far side of a pair) end it with nothing.
 
     ``memo`` maps a non-critical cell to its own flow, the chain of
-    criticals it reaches (``{}`` for a dead cell); a critical cell adds its
-    coefficient straight into the chain being built and gets no entry.  The
-    memo is filled in place and may be passed in pre-filled: the flow of a
-    cell depends only on the cells below (or above) it and their pairing,
-    so an entry stays valid while neither changes.  The returned chain is
-    always a fresh dict.  Raises CyclicMatching if the traversal revisits an
-    in-progress cell.
+    criticals it reaches.  A dead cell's entry is ``{}``: it stays in the
+    memo, and a path that reaches it adds nothing and makes no call.  A
+    critical cell adds its coefficient straight into the chain being built
+    and gets no entry.  The memo is filled in place and may be passed in
+    pre-filled: the flow of a cell depends only on the cells below (or
+    above) it and their pairing, so an entry stays valid while neither
+    changes.  The returned chain is always a fresh dict.  Raises
+    CyclicMatching if the traversal revisits an in-progress cell.
     """
     if memo is None:
         memo = {}
-    stack = [c for c in seeds if c not in memo and c not in critical]
-    expanded = set() if stack else None
-    while stack:
-        cell = stack[-1]
-        if cell in memo:
-            stack.pop()
-            continue
-        if cell in dead:
-            memo[cell] = {}
-            stack.pop()
-            continue
-        if cell not in pairs:
-            raise UnknownCell("cell %r is not covered by the matching" % (cell,))
-        links = adj[pairs[cell]]
-        deps = [n for n in links
-                if n != cell and n not in memo and n not in critical]
-        if cell not in expanded:
-            expanded.add(cell)
-            if deps:
-                for d in deps:
-                    if d in expanded:
-                        raise CyclicMatching("gradient path loops at %r" % (d,))
-                stack.extend(deps)
-                continue
-        elif deps:
-            raise CyclicMatching("gradient path loops at %r" % (cell,))
-        scale = -field_inv(links[cell], p)
-        acc = {}
-        for nxt, weight in links.items():
-            if nxt == cell:
-                continue
-            if nxt in critical:  # chain_addmul of {nxt: 1}, written out
-                v = (acc.get(nxt, 0) + scale * weight) % p
-                if v:
-                    acc[nxt] = v
-                else:
-                    acc.pop(nxt, None)
-            else:
-                chain_addmul(acc, memo[nxt], scale * weight, p)
-        memo[cell] = acc
-        stack.pop()
-
+    expanded = None
     total = {}
-    for cell, coeff in seeds.items():
-        if cell in critical:
-            v = (total.get(cell, 0) + coeff) % p
+    for seed, coeff in seeds.items():
+        if seed in critical:
+            v = (total.get(seed, 0) + coeff) % p
             if v:
-                total[cell] = v
+                total[seed] = v
             else:
-                total.pop(cell, None)
-        else:
-            chain_addmul(total, memo[cell], coeff, p)
+                total.pop(seed, None)
+            continue
+        flow = memo.get(seed)
+        if flow is None:
+            if expanded is None:
+                expanded = set()
+            stack = [seed]
+            while stack:
+                cell = stack[-1]
+                if cell in memo:
+                    stack.pop()
+                    continue
+                if cell in dead:
+                    memo[cell] = {}
+                    stack.pop()
+                    continue
+                if cell not in pairs:
+                    raise UnknownCell("cell %r is not covered by the matching"
+                                      % (cell,))
+                links = adj[pairs[cell]]
+                deps = [n for n in links
+                        if n != cell and n not in memo and n not in critical]
+                if cell not in expanded:
+                    expanded.add(cell)
+                    if deps:
+                        for d in deps:
+                            if d in expanded:
+                                raise CyclicMatching(
+                                    "gradient path loops at %r" % (d,))
+                        stack.extend(deps)
+                        continue
+                elif deps:
+                    raise CyclicMatching("gradient path loops at %r"
+                                         % (cell,))
+                scale = -field_inv(links[cell], p)
+                acc = {}
+                for nxt, weight in links.items():
+                    if nxt == cell:
+                        continue
+                    if nxt in critical:  # chain_addmul of {nxt: 1}, written out
+                        v = (acc.get(nxt, 0) + scale * weight) % p
+                        if v:
+                            acc[nxt] = v
+                        else:
+                            acc.pop(nxt, None)
+                    else:
+                        flow = memo[nxt]
+                        if flow:  # a dead king's {} adds nothing
+                            chain_addmul(acc, flow, scale * weight, p)
+                memo[cell] = acc
+                stack.pop()
+            flow = memo[seed]
+        if flow:
+            chain_addmul(total, flow, coeff, p)
     return total
 
 

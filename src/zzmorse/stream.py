@@ -100,18 +100,21 @@ def atomize_backward(sigma_set, state):
     the king if the queue cell stays.  A queue cell never leaves without its
     king, which is one of its cofacets.
     """
-    cx = state.complex
-    m = state.matching
+    pair_up, pair_down = state.matching.pair_up, state.matching.pair_down
     out = []
-    for cell in sorted(sigma_set, key=cx.seq.__getitem__, reverse=True):
-        if cell in m.pair_down:
-            tau = m.pair_down[cell]
+    order = sigma_set
+    if len(sigma_set) > 1:  # one cell needs no sort
+        order = sorted(sigma_set, key=state.complex.seq.__getitem__,
+                       reverse=True)
+    for cell in order:
+        tau = pair_down.get(cell)  # ids are ints, never None
+        if tau is not None:
             if tau in sigma_set:
                 out.append(new_op(RemovePair, (tau, cell)))
             else:
                 out += (new_op(Split, (tau, cell)),
                         new_op(RemoveCritical, (cell,)))
-        elif cell not in m.pair_up:
+        elif cell not in pair_up:
             out.append(new_op(RemoveCritical, (cell,)))
     return out
 

@@ -128,14 +128,29 @@ def test_insert_wrong_dim_facet():
         insert_block(cx, [(2, {v: 1})])
 
 
+def snapshot(cx):
+    """Copies of cx's four cell maps, inner chains included, and its next seq."""
+    return ({c: dict(bd) for c, bd in cx.facets.items()},
+            {c: dict(up) for c, up in cx.cofacets.items()},
+            dict(cx.dims), dict(cx.seq), cx._next_seq)
+
+
 def test_attach_refuses_a_facet_not_yet_in_the_complex():
-    # only a wrong insertion order reaches this: the door saw the facet
+    # only a wrong insertion order reaches this: the door saw the facet.
+    # The missing facet comes after two live ones, whose back-edges attach
+    # writes before it meets the gap, so it must take both back.
     cx = Complex()
-    [v] = insert_block(cx, [(0, {})])
-    e = cx.fresh_id()
-    with pytest.raises(MissingFacet, match="not in the complex"):
-        cx.attach(e, 1, {v: 1, e + 1: 1})
-    assert len(cx.dims) == 1 and not cx.cofacets[v]
+    v1, v2 = insert_block(cx, [(0, {}), (0, {})])
+    [e] = insert_block(cx, [(1, {v1: 1, v2: 1})])
+    before = snapshot(cx)
+    f = cx.fresh_id()
+    missing = f + 1
+    with pytest.raises(MissingFacet, match="facet %d of cell %d is not in the "
+                       "complex" % (missing, f)):
+        cx.attach(f, 1, {v1: 1, v2: 1, missing: 1})
+    assert snapshot(cx) == before
+    assert cx.cofacets[v1] == cx.cofacets[v2] == {e: 1}
+    check_mirrors(cx)
 
 
 def test_broken_boundary_is_refused():
@@ -159,6 +174,25 @@ def test_remove_cell_rules():
     cx.remove_cell(e13)  # now maximal
     with pytest.raises(UnknownCell):
         cx.remove_cell(t)
+    check_mirrors(cx)
+
+
+def test_a_refused_removal_leaves_the_complex_unchanged():
+    cx = full_triangle()
+    t = cx.simplex_ids[(1, 2, 3)]
+    e13 = cx.simplex_ids[(1, 3)]
+    before = snapshot(cx)
+    with pytest.raises(UnknownCell, match="^99$"):
+        cx.remove_cell(99)
+    assert snapshot(cx) == before
+    with pytest.raises(NotRemovable, match="cell %d still has cofacets" % e13):
+        cx.remove_cell(e13)
+    assert snapshot(cx) == before
+    cx.remove_cell(t)
+    before = snapshot(cx)
+    with pytest.raises(UnknownCell, match="^%d$" % t):
+        cx.remove_cell(t)
+    assert snapshot(cx) == before
     check_mirrors(cx)
 
 
