@@ -198,7 +198,8 @@ def _common(fn):
         click.option("--no-morse", is_flag=True,
                      help="Skip Morse reduction; run every cell."),
         click.option("--validate", is_flag=True,
-                     help="Enable runtime invariant assertions."),
+                     help="Check that every boundary is a cycle before its "
+                     "block runs."),
         click.option("--out", type=click.Path(dir_okay=False),
                      help="Diagram file (default: stdout)."),
         click.option("--metrics-out", type=click.Path(dir_okay=False),
@@ -275,9 +276,7 @@ def stream(blocks, p, **run):
               help="Number of random streams.")
 @click.option("--field-char", "p", default=2, show_default=True,
               help="Prime field characteristic.")
-@click.option("--validate", is_flag=True,
-              help="Enable runtime invariant assertions.")
-def oracle_check(seed, runs, p, validate):
+def oracle_check(seed, runs, p):
     """Differential test: engine vs brute-force decomposition."""
     def command():
         _integer("--runs", runs, 1)
@@ -285,10 +284,8 @@ def oracle_check(seed, runs, p, validate):
         for s in range(seed, seed + runs):
             blocks = random_block_stream(s, p=p)
             want = block_diagram(blocks, p)
-            reduced = [tuple(i) for i in run_stream(
-                blocks, p=p, morse=True, validate=validate)[0]]
-            plain = [tuple(i) for i in run_stream(
-                blocks, p=p, morse=False, validate=validate)[0]]
+            reduced = [tuple(i) for i in run_stream(blocks, p=p)[0]]
+            plain = [tuple(i) for i in run_stream(blocks, p=p, morse=False)[0]]
             ok = reduced == want == plain
             failures += not ok
             click.echo("%s seed=%d intervals=%d"

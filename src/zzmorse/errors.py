@@ -1,7 +1,9 @@
 """Exception taxonomy for the engine.
 
 Every error raised on purpose derives from ZigzagError, so callers (and the
-CLI) can catch one base class.  Names state the violated precondition.
+CLI) can catch one base class.  Names state the violated precondition.  The
+engine raises these on its input and on its own refusals only; the audits of
+its internal state, and their ``BrokenInvariant``, live in ``tests/audits.py``.
 """
 
 
@@ -64,12 +66,6 @@ class InvalidOp(ZigzagError):
 
 class KernelError(ZigzagError):
     """The column kernel found one of its own invariants broken."""
-
-
-# --- validation mode ---
-
-class BrokenInvariant(ZigzagError):
-    """A validate-mode audit found an internal inconsistency."""
 
 
 # --- oracle ---

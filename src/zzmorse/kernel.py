@@ -11,14 +11,12 @@ from operator import itemgetter
 
 from .cells import (Complex, caller_id, read_block, read_stream,
                     translate_backward, translate_forward)
-from .errors import (BadParameters, BrokenBoundary, BrokenInvariant,
-                     InvalidOp, KernelError)
+from .errors import BadParameters, BrokenBoundary, InvalidOp, KernelError
 from .matrix import HomologyMatrix
 from .morse import Matching, coreduce
 from .stream import (InsertCritical, InsertPair, MorseState, RemoveCritical,
                      RemovePair, Split, apply_atomic, atomize_backward,
                      atomize_forward, new_op, reduced_boundary)
-from .validate import ShadowComplex
 
 Interval = namedtuple("Interval", "dim birth death")
 Metrics = namedtuple("Metrics", "raw_ops reduced_ops max_cells max_critical")
@@ -46,7 +44,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     complex.  Every boundary must be a cycle (its own boundary zero), else
     ``BrokenBoundary`` names the cell: with ``validate=True`` before its
     block runs, with ``morse=False`` when the kernel meets it, and never
-    otherwise; such a stream may then give a diagram.
+    otherwise; such a stream may then give a diagram.  That check is all
+    ``validate`` does: on a stream that passes it, the ops applied and the
+    output are the same either way.
     Intervals are (dim, birth, death) with inclusive block indices counted
     from 1: the class is alive in the complexes seen after those blocks.
     The kernel is told each op's block index and orders births itself;
@@ -70,11 +70,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     and feeds critical insertions, critical removals and pair splits
     (through ``stream.apply_atomic``) to the column kernel.
 
-    ``validate=True`` also turns on consistency checks (``BrokenInvariant``):
-    a recheck of every memoized flow, and an unreduced shadow kernel whose
-    cycle counts are compared with the reduced matrix after every atomic
-    operation (skipped when ``morse=False``, where the two would coincide by
-    construction).
+    The audits of the engine's own state are observers in
+    ``tests/audits.py``: an unreduced twin kernel (which shares this
+    kernel's code), the flow-memo rechecks and the structural matrix check.
     """
     if type(morse) is not bool or type(validate) is not bool:
         for name, flag in (("morse", morse), ("validate", validate)):
@@ -82,9 +80,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 raise BadParameters("%s=%r is not a bool" % (name, flag))
     if observer is not None and not callable(observer):
         raise InvalidOp("observer %r is not callable" % (observer,))
-    shadowed = validate and morse
-    state = MorseState(ShadowComplex(p) if shadowed else Complex(p), Matching(),
-                       validate)
+    state = MorseState(Complex(p), Matching())
     cx = state.complex
     m = state.matching
     critical = m.critical
@@ -163,13 +159,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 raise InvalidOp("unknown atomic op %r" % (op,))
             if event is not None and event[1] < block_index:
                 intervals.append((event[0], event[1], block_index - 1))
-            if shadowed:
-                cx.compare(matrix)
             if observer is not None:
                 observer(state, matrix, op)
 
-        if validate and len(matrix) != len(critical):
-            raise BrokenInvariant("matrix rows diverge from the critical cells")
         if len(cx.dims) > max_cells:
             max_cells = len(cx.dims)
         if len(critical) > max_critical:

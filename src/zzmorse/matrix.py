@@ -63,9 +63,6 @@ class HomologyMatrix:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def __len__(self):
-        return len(self.cols)
-
     def _count(self, dim, delta):
         self.f_counts[dim] = self.f_counts.get(dim, 0) + delta
         if not self.f_counts[dim]:

@@ -20,7 +20,7 @@ of a critical insertion.
 
 from collections import namedtuple
 
-from .errors import BrokenInvariant, InvalidOp
+from .errors import InvalidOp
 # perfbench/tracing.HOOKS rebinds these two names here (and coreduce,
 # atomize_*, apply_atomic and the *_in_matrix wrappers in zzmorse.kernel), so
 # they stay module globals called by name: every flow the engine computes goes
@@ -48,14 +48,14 @@ class MorseState:
     lives across blocks.  The ops keep it valid: insertions leave it alone,
     a removed pair in ``kernel.run_stream`` drops its two entries (a
     critical cell has none), and a split in ``apply_atomic`` drops the
-    entries whose paths reach the pair.
-    ``validate=True`` rechecks every memoized boundary it reads.
+    entries whose paths reach the pair.  Nothing here checks the memo:
+    ``check_reads`` and ``memo_auditor`` in ``tests/audits.py`` do, as
+    observers.
     """
 
-    def __init__(self, complex_, matching, validate=False):
+    def __init__(self, complex_, matching):
         self.complex = complex_
         self.matching = matching
-        self.validate = validate
         self.flow_memo = {}
 
 
@@ -124,16 +124,9 @@ def atomize_backward(sigma_set, state):
 # ---------------------------------------------------------------------------
 
 def reduced_boundary(state, cell):
-    """Morse boundary of a critical cell through the state's flow memo.
-
-    In validate mode the result is recomputed without the memo and must
-    agree, so a stale entry shows up at the first boundary it would corrupt.
-    """
-    cx = state.complex
-    bnd = morse_boundary(cx, state.matching, cell, memo=state.flow_memo)
-    if state.validate and bnd != morse_boundary(cx, state.matching, cell):
-        raise BrokenInvariant("flow memo gives a stale boundary for %r" % (cell,))
-    return bnd
+    """Morse boundary of a critical cell through the state's flow memo."""
+    return morse_boundary(state.complex, state.matching, cell,
+                          memo=state.flow_memo)
 
 
 def apply_atomic(state, op):

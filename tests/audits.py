@@ -1,19 +1,46 @@
 """Audits and file writers that only the tests use.
 
-``check_matrix`` (as an observer, ``check_invariants``) audits the column
-kernel's promises: triangular leading terms, cycle columns with zero
-boundary, boundary columns equal to their partners' boundaries, and a
-consistent pairing.  ``check_betti`` compares the dense Betti numbers of the
-full and the Morse complex with the matrix's cycle counts.  ``emit_image``
-and ``emit_stream`` write the files ``zzmorse.cli`` parses, and
-``block_module`` gives the oracle's homology module of one dimension.
+The audits are observers, ``observer(state, matrix, op)``, that
+``run_stream`` calls after every atomic op; ``audited`` chains several into
+one, in order, and each raises ``BrokenInvariant`` on a violation.  None is
+independent of the engine: each reads its state, and ``Shadow`` runs the
+same ``HomologyMatrix``.
+
+``check_matrix`` (as an observer, ``check_invariants``, which also checks
+that the matrix rows are the critical cells) audits the column kernel's
+promises: triangular leading terms, cycle columns with zero boundary,
+boundary columns equal to their partners' boundaries, and a consistent
+pairing.  ``Shadow`` replays every raw cell in an unreduced twin kernel and
+compares cycle counts.  ``check_reads`` compares the memo entries that a
+critical insertion or a split has just read with memo-free flows, and
+``memo_auditor`` every entry.  ``check_betti`` compares the dense Betti
+numbers of the full and the Morse complex with the matrix's cycle counts.
+``emit_image`` and ``emit_stream`` write the files ``zzmorse.cli`` parses,
+and ``block_module`` gives the oracle's homology module of one dimension.
 """
 
 from zzmorse.cells import apply_boundary, check_prime
-from zzmorse.errors import BrokenInvariant
+from zzmorse.errors import KernelError, ZigzagError
 from zzmorse.linalg import boundary_matrix, rank_mod
-from zzmorse.morse import morse_boundary
+from zzmorse.matrix import HomologyMatrix
+from zzmorse.morse import _flow, morse_boundary
 from zzmorse.oracle import _module_over_states, _replay
+from zzmorse.stream import (InsertCritical, InsertPair, RemoveCritical,
+                            RemovePair, Split)
+
+
+class BrokenInvariant(ZigzagError):
+    """An audit found the engine's state inconsistent."""
+
+
+def audited(*observers):
+    """One observer that calls each of ``observers`` in turn."""
+
+    def observe(state, matrix, op):
+        for observer in observers:
+            observer(state, matrix, op)
+
+    return observe
 
 
 # -- structural audit of the homology matrix ---------------------------------------
@@ -91,9 +118,116 @@ def check_matrix(matrix, boundary_fn):
 
 
 def check_invariants(state, matrix, op=None):
-    """Observer form of check_matrix against the current Morse boundary."""
+    """Observer form of check_matrix against the current Morse boundary,
+    after checking that the matrix has one row per critical cell."""
     cx, matching = state.complex, state.matching
+    if matrix.cols.keys() != matching.critical:
+        raise BrokenInvariant("matrix rows diverge from the critical cells")
     check_matrix(matrix, lambda cell: morse_boundary(cx, matching, cell))
+
+
+# -- the unreduced twin kernel ------------------------------------------------------
+
+class Shadow:
+    """Observer replaying every raw cell in an unreduced twin kernel.
+
+    The twin is a ``HomologyMatrix`` with one row per cell of the complex.
+    It takes the cells of ``InsertCritical`` and ``InsertPair`` (tau, then
+    sigma) and gives up those of ``RemoveCritical`` and ``RemovePair``
+    (sigma, then tau); a split changes no cell.  After every op its cycle
+    counts must equal the reduced matrix's.  The twin keeps its own ``seq``
+    and ``dims``: by the time it sees a ``RemovePair`` both cells have left
+    the complex's, and a removal still reads them.  A new run (a new
+    ``state``) starts a new twin.  Every op is given block 0, since only
+    counts are read.
+    """
+
+    def __init__(self):
+        self.state = None
+
+    def __call__(self, state, matrix, op):
+        if state is not self.state:
+            self.state = state
+            self.seq, self.dims = {}, {}
+            self.twin = HomologyMatrix(state.complex.p, self.seq, self.dims)
+        kind = type(op)
+        if kind is InsertCritical:
+            self._insert(op.cell, op.dim, op.boundary)
+        elif kind is InsertPair:
+            self._insert(op.tau, op.tau_dim, op.tau_boundary)
+            self._insert(op.sigma, op.sigma_dim, op.sigma_boundary)
+        elif kind is RemoveCritical:
+            self._remove(op.cell)
+        elif kind is RemovePair:
+            self._remove(op.sigma)
+            self._remove(op.tau)
+        if self.twin.f_counts != matrix.f_counts:
+            raise BrokenInvariant("cycle counts diverge: full %r, reduced %r"
+                                  % (self.twin.f_counts, matrix.f_counts))
+
+    def _insert(self, cell, dim, bd):
+        self.seq[cell] = self.state.complex.seq[cell]
+        self.dims[cell] = dim
+        try:
+            self.twin.forward_insert(cell, dict(bd), 0)
+        except KernelError as exc:
+            raise BrokenInvariant("shadow insert of %r: %s" % (cell, exc)) from None
+
+    def _remove(self, cell):
+        try:
+            self.twin.backward_remove(cell, 0)
+        except KernelError as exc:
+            raise BrokenInvariant("shadow removal of %r: %s" % (cell, exc)) from None
+        del self.seq[cell], self.dims[cell]
+
+
+# -- the flow memo against memo-free flows ------------------------------------------
+
+def _fresh_flow(state, cell):
+    cx, m = state.complex, state.matching
+    return _flow(cx.facets, m.pair_up, m.critical, m.pair_down, {cell: 1}, cx.p)
+
+
+def check_reads(state, matrix, op):
+    """Observer checking the memo entries a boundary read has just used.
+
+    An ``InsertCritical`` has just read its cell's reduced boundary, and a
+    ``Split`` sigma's: the sum of the entries of the cell's non-critical
+    facets, each made on the way if it was missing.  Each of those entries
+    must equal a memo-free flow.
+    """
+    kind = type(op)
+    if kind is InsertCritical:
+        cell = op.cell
+    elif kind is Split:
+        cell = op.sigma
+    else:
+        return
+    memo = state.flow_memo
+    for facet in state.complex.facets[cell]:
+        if facet in memo and memo[facet] != _fresh_flow(state, facet):
+            raise BrokenInvariant("stale memo entry for %r" % (facet,))
+
+
+def memo_auditor(seen):
+    """Observer checking every flow-memo entry against a memo-free flow.
+
+    It counts into ``seen`` the ops it saw, the entries it checked and the
+    splits among the ops.
+    """
+
+    def audit(state, matrix, op):
+        memo = state.flow_memo
+        for cell, chain in memo.items():
+            if cell not in state.complex.dims:
+                raise BrokenInvariant("memo keeps removed cell %r" % (cell,))
+            if chain != _fresh_flow(state, cell):
+                raise BrokenInvariant("stale memo entry for %r" % (cell,))
+        seen["ops"] += 1
+        seen["entries"] += len(memo)
+        seen["unpairs"] += isinstance(op, Split)
+
+    return audit
 
 
 # -- dense Betti cross-check --------------------------------------------------------

@@ -12,7 +12,8 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from audits import check_betti, check_invariants, emit_image, emit_stream
+from audits import (Shadow, audited, check_betti, check_invariants, check_reads,
+                    emit_image, emit_stream)
 from conftest import ACCEPTANCE, cell_records, make_rng, random_complex
 from test_morse import brute_boundary
 from test_stream import update_formula
@@ -41,12 +42,20 @@ def random_streams():
     return out
 
 
+def preset_runs(blocks):
+    """Both pipelines on a preset; the Morse run carries the unreduced twin
+    kernel and the memo-read audit as observers."""
+    return {True: run_stream(blocks, p=2, validate=True,
+                             observer=audited(Shadow(), check_reads)),
+            False: run_stream(blocks, p=2, morse=False, validate=True)}
+
+
 @pytest.fixture(scope="module")
 def circle_run():
     t0 = time.perf_counter()
     points = circle_points(150, seed=7)
     blocks, scales = oscillating_rips_stream(points, 4.0, 6.0, max_dim=2)
-    runs = {m: run_stream(blocks, p=2, morse=m, validate=True) for m in (True, False)}
+    runs = preset_runs(blocks)
     return {"points": points, "blocks": blocks, "scales": scales, "runs": runs,
             "elapsed": time.perf_counter() - t0}
 
@@ -57,7 +66,7 @@ def image_run():
     image = fourier_image((17, 17, 17), seed=11, terms=3)
     levels = even_levels(image, 0.2)
     blocks, scales = levelset_stream(image, levels)
-    runs = {m: run_stream(blocks, p=2, morse=m, validate=True) for m in (True, False)}
+    runs = preset_runs(blocks)
     return {"image": image, "blocks": blocks, "scales": scales, "runs": runs,
             "elapsed": time.perf_counter() - t0}
 
@@ -154,8 +163,8 @@ def test_criterion_3_boundary_update_formula(p):
 # -- 4: cycle counts of the reduced complex track the full complex ------------------
 
 def test_criterion_4_betti_tracking(circle_run, image_run):
-    # both presets already ran with validate=True: a lockstep unreduced twin
-    # kernel re-derived the cycle counts after every atomic operation
+    # both presets already ran with Shadow as observer: a lockstep unreduced
+    # twin kernel re-derived the cycle counts after every atomic operation
     assert circle_run["runs"][True] and image_run["runs"][True]
     counted = [0]
 

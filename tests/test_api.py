@@ -40,13 +40,6 @@ def imported_modules(name):
                if isinstance(node, ast.Import) for alias in node.names})
 
 
-def test_validate_does_not_know_the_op_vocabulary():
-    # an import check cannot show this: importing zzmorse.validate runs
-    # zzmorse/__init__.py, which loads the kernel and, through it, stream.
-    # The shadow kernel needs neither the Morse layer nor dense algebra.
-    assert imported_modules("validate.py") == {"cells", "errors", "matrix"}
-
-
 def test_the_column_kernel_imports_only_cells_and_errors():
     # the matrix knows nothing of the Morse layer, the op stream or the door
     assert imported_modules("matrix.py") == {"heapq", "cells", "errors"}

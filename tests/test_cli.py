@@ -351,3 +351,10 @@ def test_module_entry_point(tmp_path):
     composite = run("--field-char", "4")
     assert composite.returncode == 2
     assert "not prime" in composite.stderr
+
+
+def test_oracle_check_takes_no_validate_flag():
+    # the oracle's replay already checks every boundary is a cycle
+    result = CliRunner().invoke(main, ["oracle-check", "--validate"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "passed" not in result.output

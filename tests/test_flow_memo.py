@@ -8,33 +8,16 @@ a cyclic matching.
 
 import pytest
 
+from audits import (BrokenInvariant, Shadow, audited, check_reads,
+                    memo_auditor)
 from conftest import build_simplicial, insert_block
 from zzmorse.cells import Complex
-from zzmorse.errors import BrokenInvariant, CyclicMatching
+from zzmorse.errors import CyclicMatching
 from zzmorse.generators import (circle_points, oscillating_rips_stream,
                                 random_block_stream)
 from zzmorse.kernel import run_stream
 from zzmorse.morse import Matching, _flow, morse_boundary
 from zzmorse.stream import BlockOp, ForwardCell, Split
-
-
-def memo_auditor(seen):
-    """Observer checking the flow memo against memo-free flows after each op."""
-
-    def audit(state, matrix, op):
-        cx, m = state.complex, state.matching
-        memo = state.flow_memo
-        assert len(memo) <= len(cx.dims)
-        for cell, chain in memo.items():
-            assert cell in cx.dims, "memo keeps removed cell %r" % (cell,)
-            fresh = _flow(cx.facets, m.pair_up, m.critical, m.pair_down,
-                          {cell: 1}, cx.p)
-            assert chain == fresh, "stale memo entry for %r" % (cell,)
-        seen["ops"] += 1
-        seen["entries"] += len(memo)
-        seen["unpairs"] += isinstance(op, Split)
-
-    return audit
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -94,7 +77,8 @@ def test_unpair_invalidates_flows_through_the_pair(p):
 def test_unpair_invalidates_flows_under_validate():
     for p in (2, 3):
         blocks = path_stream(p)
-        assert (run_stream(blocks, p=p, validate=True)[0]
+        audit = audited(Shadow(), check_reads)
+        assert (run_stream(blocks, p=p, validate=True, observer=audit)[0]
                 == run_stream(blocks, p=p, morse=False)[0])
 
 
@@ -141,17 +125,16 @@ def test_split_drops_only_the_entries_it_spoils(p):
     assert kept == [{4}]
 
 
-def test_validate_mode_names_a_stale_memo_entry():
+def test_check_reads_names_a_stale_memo_entry():
     def spoil(state, matrix, op):
         for cell in state.flow_memo:
             state.flow_memo[cell] = {}
 
     # critical removals read no boundary, and the split that removes ab
-    # drops the spoiled entries of b, c and d but keeps x's; y, the
-    # eleventh cell inserted, has internal id 10, and its insertion is the
-    # first boundary read from a spoiled entry
-    with pytest.raises(BrokenInvariant, match="stale boundary for 10$"):
-        run_stream(branch_stream(2), validate=True, observer=spoil)
+    # drops the spoiled entries of b, c and d but keeps x's (internal id
+    # 4); y's insertion is the first boundary read from a spoiled entry
+    with pytest.raises(BrokenInvariant, match="stale memo entry for 4$"):
+        run_stream(branch_stream(2), observer=audited(check_reads, spoil))
 
 
 def cyclic_complex():

@@ -268,7 +268,7 @@ def test_insert_rejects_a_seq_not_above_every_earlier_one():
     remove(m, "a", 2)
     with pytest.raises(KernelError):
         insert(m, "b", 0, {}, 3, 2)
-    assert len(m) == 0 and not m.occ
+    assert len(m.cols) == 0 and not m.occ
     assert m.row_ops == 2  # a refused insertion does not tick the clock
     insert(m, "b", 0, {}, 3, 4)
     assert set(m.occ) == {"b"} and m.seq == {"b": 4}

@@ -226,7 +226,7 @@ def test_apply_forward_block_from_empty():
     assert len(cx.dims) == 7
     assert is_acyclic_matching(cx, state.matching)
     inserts = [op for op in applied if isinstance(op, InsertCritical)]
-    assert len(inserts) == len(block.critical) == len(matrix)
+    assert len(inserts) == len(block.critical) == len(matrix.cols)
     assert betti_numbers({c: (cx.dims[c], cx.facets[c]) for c in cx.dims}) == [1]
 
 

@@ -1,15 +1,18 @@
-"""Audit machinery: matrix checks, Betti cross-checks, the shadow kernel."""
+"""Audit machinery: matrix checks, Betti cross-checks, the shadow kernel,
+and the one check that ``validate=True`` makes, on the input alone."""
 
 import pytest
 
-from audits import check_betti, check_invariants, check_matrix
+from audits import (BrokenInvariant, Shadow, audited, check_betti,
+                    check_invariants, check_matrix, check_reads)
 from conftest import make_rng
-from zzmorse.errors import BrokenInvariant
+from test_flow_memo import branch_stream
+from zzmorse.cells import Complex, apply_boundary
 from zzmorse.generators import random_block_stream
 from zzmorse.kernel import run_stream
 from zzmorse.matrix import Column, HomologyMatrix
-from zzmorse.cells import apply_boundary
-from zzmorse.validate import ShadowComplex
+from zzmorse.morse import Matching
+from zzmorse.stream import InsertCritical, MorseState, RemoveCritical
 
 
 def tiny_matrix(p=2):
@@ -37,11 +40,7 @@ def test_random_streams_pass_every_audit(seed, morse):
     rng = make_rng(470_000 + seed)
     p = rng.choice([2, 5])
     blocks = random_block_stream(rng, p=p)
-
-    def audit(state, matrix, op):
-        check_invariants(state, matrix, op)
-        check_betti(state, matrix, op)
-
+    audit = audited(check_invariants, check_betti, Shadow(), check_reads)
     run_stream(blocks, p=p, morse=morse, validate=True, observer=audit)
 
 
@@ -114,35 +113,57 @@ def test_rejects_a_non_cycle_relabelled_as_cycle():
 
 # -- the shadow kernel notices divergence -------------------------------------------
 
-def test_shadow_counts_match_and_then_diverge():
-    cx = ShadowComplex(2)
-    live = HomologyMatrix(2, {0: 0}, {0: 0})
-    cx.attach(cx.fresh_id(), 0, {})
-    live.forward_insert(0, {}, 1)
-    cx.compare(live)
+def attached(state, dim, bd):
+    """Attach a fresh cell to the state's complex; return its insertion op."""
+    cell = state.complex.fresh_id()
+    state.complex.attach(cell, dim, bd)
+    return InsertCritical(cell, dim, bd)
 
-    cx.attach(cx.fresh_id(), 0, {})
+
+def test_shadow_counts_match_and_then_diverge():
+    state, shadow = MorseState(Complex(2), Matching()), Shadow()
+    live = HomologyMatrix(2, state.complex.seq, state.complex.dims)
+    op = attached(state, 0, {})
+    live.forward_insert(op.cell, {}, 1)
+    shadow(state, live, op)
+
     with pytest.raises(BrokenInvariant, match="cycle counts diverge"):
-        cx.compare(live)
+        shadow(state, live, attached(state, 0, {}))
+
+
+def test_shadow_names_a_cell_its_twin_kernel_refuses():
+    state = MorseState(Complex(2), Matching())
+    v = attached(state, 0, {}).cell
+    edge = attached(state, 1, {v: 1})  # v never reached either twin
+    empty = HomologyMatrix(2, {}, {})
+    with pytest.raises(BrokenInvariant,
+                       match="shadow insert of 1: boundary cell 0 has no row"):
+        Shadow()(state, empty, edge)
+    with pytest.raises(BrokenInvariant,
+                       match="shadow removal of 0: cell 0 has no row"):
+        Shadow()(state, empty, RemoveCritical(v))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_shadow_holds_every_live_cell_after_every_op(p):
+    shadow = Shadow()
+
     def lockstep(state, matrix, op):
-        assert set(state.complex.shadow.occ) == set(state.complex.dims)
+        assert set(shadow.twin.occ) == set(state.complex.dims)
 
     for seed in range(70):
         blocks = random_block_stream(make_rng(480_000 + seed), p=p)
-        run_stream(blocks, p=p, validate=True, observer=lockstep)
+        run_stream(blocks, p=p, observer=audited(shadow, lockstep))
+
+
+def cook(state, matrix, op):
+    matrix.f_counts[7] = 1
 
 
 def test_run_stream_compares_the_shadow_after_every_op():
-    def cook(state, matrix, op):
-        matrix.f_counts[7] = 1
-
     blocks = [("F", [("v", 0, {})]), ("B", ["v"])]
     with pytest.raises(BrokenInvariant, match="cycle counts diverge"):
-        run_stream(blocks, validate=True, observer=cook)
+        run_stream(blocks, observer=audited(cook, Shadow()))
 
 
 @pytest.mark.parametrize("morse", [True, False])
@@ -151,9 +172,28 @@ def test_block_audit_notices_a_phantom_critical_cell(morse):
         state.matching.critical.add("phantom")
 
     blocks = [("F", [("v", 0, {})]), ("B", ["v"])]
-    with pytest.raises(BrokenInvariant, match="matrix rows diverge"):
-        run_stream(blocks, morse=morse, validate=True, observer=add_phantom)
-    assert run_stream(blocks, morse=morse, observer=add_phantom)[0] == [(0, 1, 1)]
+    with pytest.raises(BrokenInvariant,
+                       match="matrix rows diverge from the critical cells"):
+        run_stream(blocks, morse=morse,
+                   observer=audited(add_phantom, check_invariants))
+    assert run_stream(blocks, morse=morse, validate=True,
+                      observer=add_phantom)[0] == [(0, 1, 1)]
+
+
+def test_validate_checks_the_input_and_nothing_else():
+    # the flag changes neither the ops applied nor the output, and no
+    # longer audits the engine: cooked cycle counts go unnoticed
+    streams = [(5, random_block_stream(make_rng(490_000 + seed), p=5))
+               for seed in range(40)] + [(2, branch_stream(2))]
+    for p, blocks in streams:
+        runs = []
+        for validate in (False, True):
+            ops = []
+            out = run_stream(blocks, p=p, validate=validate,
+                             observer=lambda state, matrix, op: ops.append(op))
+            runs.append((ops, out))
+        assert runs[0] == runs[1]
+        assert run_stream(blocks, p=p, validate=True, observer=cook) == out
 
 
 def test_apply_boundary_is_linear():
