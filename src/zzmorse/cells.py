@@ -285,8 +285,9 @@ class Complex:
         self._next_seq += 1
 
     def remove_cell(self, cell):
-        """Remove a maximal cell; a refusal (``UnknownCell``, or
-        ``NotRemovable`` while it has cofacets) leaves the complex unchanged."""
+        """Remove a maximal cell and return its dimension; a refusal
+        (``UnknownCell``, or ``NotRemovable`` while it has cofacets) leaves
+        the complex unchanged."""
         cofacets = self.cofacets
         up = cofacets.get(cell)
         if up is None:
@@ -296,8 +297,8 @@ class Complex:
         for facet in self.facets.pop(cell):
             del cofacets[facet][cell]
         del cofacets[cell]
-        del self.dims[cell]
         del self.seq[cell]
+        return self.dims.pop(cell)
 
 
 def simplex_facets(simplex):

@@ -43,8 +43,10 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     with it (``NotRemovable``).  The stream must start and end at the empty
     complex.  Every boundary must be a cycle (its own boundary zero), else
     ``BrokenBoundary`` names the cell: with ``validate=True`` before its
-    block runs, with ``morse=False`` when the kernel meets it, and never
-    otherwise; such a stream may then give a diagram.  That check is all
+    block runs, with ``morse=False`` when the kernel meets it, and else
+    maybe never.  A reduced boundary the kernel refuses is named, with the
+    kernel's reason, in a ``BrokenBoundary`` (a ``KernelError`` after
+    ``validate=True``, where the engine erred).  The cycle check is all
     ``validate`` does: on a stream that passes it, the ops applied and the
     output are the same either way.
     Intervals are (dim, birth, death) with inclusive block indices counted
@@ -68,7 +70,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     id) order, the order ``atomize_forward`` would give.  One
     loop applies every op to the complex, the matching and the flow memo,
     and feeds critical insertions, critical removals and pair splits
-    (through ``stream.apply_atomic``) to the column kernel.
+    (through ``stream.apply_atomic``) to the column kernel.  The kernel
+    returns the birth block of the class an op kills, and the loop names
+    its dimension: one below the inserted cell's, or the removed cell's.
 
     The audits of the engine's own state are observers in
     ``tests/audits.py``: an unreduced twin kernel (which shares this
@@ -85,7 +89,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
     m = state.matching
     critical = m.critical
     memo = state.flow_memo
-    matrix = HomologyMatrix(cx.p, cx.seq, cx.dims)
+    matrix = HomologyMatrix(cx.p, cx.seq)
     alive = {}  # external id -> (internal id, dimension)
     intervals = []
     raw_ops = max_cells = max_critical = 0
@@ -112,7 +116,7 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
         # and each refusal of an op comes before its first write.
         for op in ops:
             kind = type(op)
-            event = None
+            birth = None
             if kind is InsertCritical:
                 cell, dim, boundary = op
                 cx.attach(cell, dim, boundary)
@@ -120,11 +124,17 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 # a cell with no facets reaches no critical cell: no flow
                 boundary = reduced_boundary(state, cell) if boundary else {}
                 try:
-                    event = insert_into_matrix(matrix, cell, boundary,
+                    birth = insert_into_matrix(matrix, cell, boundary,
                                                block_index)
-                except KernelError:
-                    raise BrokenBoundary("boundary of cell %r is not a cycle"
-                                         % (caller_id(alive, cell),)) from None
+                except KernelError as exc:
+                    ext = caller_id(alive, cell)
+                    if not morse:  # the kernel saw the record's own boundary
+                        raise BrokenBoundary("boundary of cell %r is not a "
+                                             "cycle" % (ext,)) from None
+                    raise (KernelError if validate else BrokenBoundary)(
+                        "reduced boundary of cell %r was refused: %s"
+                        % (ext, exc)) from None
+                dim -= 1  # the class a d-cell kills is a (d-1)-class
             elif kind is InsertPair:
                 tau, sigma, tau_dim, tau_bd, sigma_dim, sigma_bd = op
                 if tau not in sigma_bd:
@@ -137,9 +147,9 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 cell = op.cell
                 if cell not in critical:
                     raise InvalidOp("cell %r is not critical" % (cell,))
-                cx.remove_cell(cell)
+                dim = cx.remove_cell(cell)
                 critical.discard(cell)
-                event = remove_from_matrix(matrix, cell, block_index)
+                birth = remove_from_matrix(matrix, cell, block_index)
             elif kind is RemovePair:
                 tau, sigma = op
                 if m.pair_up.get(tau) != sigma:
@@ -157,8 +167,8 @@ def run_stream(blocks, p=2, morse=True, validate=False, observer=None):
                 unpair_in_matrix(matrix, *apply_atomic(state, op))
             else:
                 raise InvalidOp("unknown atomic op %r" % (op,))
-            if event is not None and event[1] < block_index:
-                intervals.append((event[0], event[1], block_index - 1))
+            if birth is not None and birth < block_index:
+                intervals.append((dim, birth, block_index - 1))
             if observer is not None:
                 observer(state, matrix, op)
 

@@ -2,11 +2,12 @@
 
 The matrix maintains one column per live critical cell, keyed by the column's
 leading cell, with rows ordered by the cells' insertion sequence numbers,
-read from the complex's own ``seq`` (and dimensions from its ``dims``).  An
-insertion adds the newest row, at the top.  One that kills turns its
-relation's sum into a boundary column; the cycle that column displaces walks
-down the other cycle slots the relation met, leaving the elder birth at
-each, and dies carrying the youngest.  A removal clears its row from every
+read from the complex's own ``seq``; it keeps no dimensions, since the op
+that kills a class fixes its dimension.  An insertion adds the newest row,
+at the top.  One that kills turns its relation's sum into a boundary
+column; the cycle that column displaces walks down the other cycle slots
+the relation met, leaving the elder birth at each, and dies carrying the
+youngest.  A removal clears its row from every
 other column before deleting it: of the row's column and each blocker, the
 one the removal would kill first (a cycle before a chain, cycles by birth,
 chains by their G partner's seq) takes the row's slot and is eliminated from
@@ -50,23 +51,15 @@ class Column:
 
 
 class HomologyMatrix:
-    def __init__(self, p, seq, dims):
+    def __init__(self, p, seq):
         self.p = p
         self.seq = seq    # the complex's cell -> insertion sequence number
-        self.dims = dims  # the complex's cell -> dimension
         self.cols = {}    # slot cell -> Column whose chain leads at that cell
-        self.rowdim = {}  # row cell -> dimension
         self.occ = {}     # row cell -> set of slots whose chain contains it
-        self.f_counts = {}  # dimension -> number of F columns
         self.last_seq = None  # largest seq forward_insert has read
         self.row_ops = 0  # rows added or removed so far: the clock of births
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def _count(self, dim, delta):
-        self.f_counts[dim] = self.f_counts.get(dim, 0) + delta
-        if not self.f_counts[dim]:
-            del self.f_counts[dim]
 
     def _addmul(self, slot, src, scalar):
         """cols[slot].chain += scalar * src, maintaining the occurrence index."""
@@ -95,10 +88,6 @@ class HomologyMatrix:
         self.cols[slot] = column
         for cell in column.chain:
             occ[cell].add(slot)
-
-    def _new_row(self, cell):
-        self.rowdim[cell] = self.dims[cell]
-        self.occ[cell] = set()
 
     def _yield_key(self, col):
         """Order in which a removal kills columns: cycles before chains,
@@ -137,9 +126,6 @@ class HomologyMatrix:
                     work[cell] = v
                 else:
                     work.pop(cell, None)
-        # cannot fire: each cell put in work is pushed, and its pop clears it
-        if work:
-            raise KernelError("reduction left a remainder")
         return used
 
     # -- the three kernel operations ------------------------------------------
@@ -147,14 +133,15 @@ class HomologyMatrix:
     def forward_insert(self, cell, boundary, block):
         """Add a critical cell in block ``block``; ticks ``row_ops`` by 1.
 
-        Returns (dim, birth block) of the class it kills, or None when it
-        creates a class, born ``(+row_ops, block)``.  The cell's sequence
-        number in the complex must exceed every earlier insertion's.
+        Returns the birth block of the class it kills, a dimension below the
+        cell, or None when it creates a class, born ``(+row_ops, block)``.
+        The cell's sequence number in the complex must exceed every earlier
+        insertion's.
         """
         if cell in self.occ:
             raise KernelError("cell %r already has a row" % (cell,))
         cell_seq = self.seq.get(cell)
-        if cell_seq is None or cell not in self.dims:
+        if cell_seq is None:
             raise KernelError("cell %r is not in the complex" % (cell,))
         if self.last_seq is not None and cell_seq <= self.last_seq:
             raise KernelError("seq %r of %r is not above the last insertion's"
@@ -162,10 +149,8 @@ class HomologyMatrix:
         if not boundary:  # a creator with an empty boundary: its own cycle
             self.row_ops += 1
             self.last_seq = cell_seq
-            dim = self.rowdim[cell] = self.dims[cell]
             self.occ[cell] = {cell}
             self.cols[cell] = Column({cell: 1}, "F", (self.row_ops, block))
-            self.f_counts[dim] = self.f_counts.get(dim, 0) + 1
             return None
         # The new chain is the cell minus the H partners of the boundary
         # columns the boundary reduced onto; the cycle columns it met sum
@@ -188,34 +173,29 @@ class HomologyMatrix:
         self.row_ops += 1
         self.last_seq = cell_seq
 
+        occ = self.occ
+        occ[cell] = set()
         if not fs:  # a creator: the chain is its cycle column
-            dim = self.rowdim[cell] = self.dims[cell]
-            occ = self.occ
-            occ[cell] = set()
             for c in chain:
                 occ[c].add(cell)
             cols[cell] = Column(chain, "F", (self.row_ops, block))
-            self.f_counts[dim] = self.f_counts.get(dim, 0) + 1
             return None
 
         # The relation's sum becomes the boundary column at its top slot.  The
         # cycle it displaces walks down the other slots the relation met; at
         # each it keeps the elder birth there, reduces by that slot's column
         # and walks on, so it ends at zero carrying the youngest birth.
-        self._new_row(cell)
         seq = self.seq
         lead = max(fs, key=seq.get)
-        dim = self.rowdim[lead]
         walker = cols[lead]
         self._set_column(lead, Column(g_chain, "G", partner=cell))
         self._set_column(cell, Column(chain, "H", partner=lead))
-        self._count(dim, -1)
         top, against = lead, g_chain
         while True:
             chain_addmul(walker.chain, against,
                          -walker.chain[top] * field_inv(against[top], p), p)
             if not walker.chain:
-                return (dim, walker.birth[1])
+                return walker.birth[1]
             top = max(walker.chain, key=seq.get)
             col = self.cols[top]
             if walker.birth < col.birth:
@@ -226,8 +206,8 @@ class HomologyMatrix:
     def backward_remove(self, cell, block):
         """Remove a cell's row in block ``block``; ticks ``row_ops`` by 1.
 
-        Returns (dim, birth block) of the class it kills, or None when it
-        reopens one, born ``(-row_ops, block)``.
+        Returns the birth block of the class it kills, in the cell's
+        dimension, or None when it reopens one, born ``(-row_ops, block)``.
         """
         occ, cols = self.occ, self.cols
         rows = occ.get(cell)
@@ -267,16 +247,11 @@ class HomologyMatrix:
         for c in col.chain:
             occ[c].discard(cell)
         del occ[cell]
-        dim = self.rowdim.pop(cell)  # not dims: the complex dropped cell first
         if col.label == "F":
-            n = self.f_counts[dim] = self.f_counts.get(dim, 0) - 1  # _count(dim, -1)
-            if not n:
-                del self.f_counts[dim]
-            return (dim, col.birth[1])
+            return col.birth[1]
         partner = cols[col.partner]  # the G partner turns back into a cycle
         partner.label, partner.birth = "F", (-self.row_ops, block)
         partner.partner = None
-        self._count(self.rowdim[col.partner], 1)
         return None
 
     def unpair_update(self, tau, sigma, sigma_boundary, tau_cofacets):
@@ -290,7 +265,7 @@ class HomologyMatrix:
         pair's sequence numbers in the complex must be consecutive.
         """
         for cell in (tau, sigma):
-            if cell not in self.seq or cell not in self.dims:
+            if cell not in self.seq:
                 raise KernelError("cell %r is not in the complex" % (cell,))
         tau_seq, sigma_seq = self.seq[tau], self.seq[sigma]
         if sigma_seq != tau_seq + 1:
@@ -314,8 +289,7 @@ class HomologyMatrix:
                                   % (c,))
         scale = -field_inv(sigma_boundary.get(tau, 0), p) % p
         self.row_ops += 2
-        self._new_row(tau)
-        self._new_row(sigma)
+        self.occ[tau], self.occ[sigma] = set(), set()
 
         for slot in set().union(*(self.occ[c] for c in above)):
             col = self.cols[slot]

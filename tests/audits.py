@@ -6,15 +6,18 @@ one, in order, and each raises ``BrokenInvariant`` on a violation.  None is
 independent of the engine: each reads its state, and ``Shadow`` runs the
 same ``HomologyMatrix``.
 
+The kernel keeps no dimensions, so ``cycle_counts`` reads its per-dimension
+cycle counts off the F columns, given the complex's ``dims``.
 ``check_matrix`` (as an observer, ``check_invariants``, which also checks
 that the matrix rows are the critical cells) audits the column kernel's
-promises: triangular leading terms, cycle columns with zero boundary,
-boundary columns equal to their partners' boundaries, and a consistent
-pairing.  ``Shadow`` replays every raw cell in an unreduced twin kernel and
-compares cycle counts.  ``check_reads`` compares the memo entries that a
-critical insertion or a split has just read with memo-free flows, and
-``memo_auditor`` every entry.  ``check_betti`` compares the dense Betti
-numbers of the full and the Morse complex with the matrix's cycle counts.
+promises: triangular leading terms, single-dimension columns, cycle
+columns with zero boundary, boundary columns equal to their partners'
+boundaries, and a consistent pairing.  ``Shadow`` replays every raw cell in
+an unreduced twin kernel and compares cycle counts.  ``check_reads``
+compares the memo entries that a critical insertion or a split has just
+read with memo-free flows, and ``memo_auditor`` every entry.
+``check_betti`` compares the dense Betti numbers of the full and the Morse
+complex with the matrix's cycle counts.
 ``emit_image`` and ``emit_stream`` write the files ``zzmorse.cli`` parses,
 and ``block_module`` gives the oracle's homology module of one dimension.
 """
@@ -45,14 +48,26 @@ def audited(*observers):
 
 # -- structural audit of the homology matrix ---------------------------------------
 
-def check_matrix(matrix, boundary_fn):
+def cycle_counts(matrix, dims):
+    """Number of F columns per dimension, ``dims`` mapping each slot to its
+    dimension; dimensions without a cycle are left out."""
+    counts = {}
+    for slot, col in matrix.cols.items():
+        if col.label == "F":
+            dim = dims[slot]
+            counts[dim] = counts.get(dim, 0) + 1
+    return counts
+
+
+def check_matrix(matrix, boundary_fn, dims):
     """Audit the homology matrix; raises BrokenInvariant on any violation.
 
     ``boundary_fn`` maps a row cell to its boundary chain in the complex the
     matrix is tracking (for the engine, the Morse boundary of a critical
-    cell).  Checks that every row is a cell of the complex, row order,
-    triangularity, the cycle/boundary conditions, the pairing, and the
-    occurrence-index and cycle-count bookkeeping.
+    cell), and ``dims`` maps it to its dimension.  Checks that every row is
+    a cell of the complex, row order, triangularity, that no column mixes
+    dimensions, the cycle/boundary conditions, the pairing, and the
+    occurrence index.
     """
     p = matrix.p
     rows, seq = matrix.occ, matrix.seq
@@ -69,15 +84,14 @@ def check_matrix(matrix, boundary_fn):
                 raise BrokenInvariant(
                     "row order is not a filtration: %r above %r" % (facet, cell))
 
-    counts = {}
     for slot, col in matrix.cols.items():
         if not col.chain:
             raise BrokenInvariant("empty column at %r" % (slot,))
-        dim = matrix.rowdim[slot]
+        dim = dims[slot]
         for cell, coeff in col.chain.items():
             if cell not in rows:
                 raise BrokenInvariant("column %r touches a dead row" % (slot,))
-            if matrix.rowdim[cell] != dim:
+            if dims[cell] != dim:
                 raise BrokenInvariant("column %r mixes dimensions" % (slot,))
             if coeff % p == 0:
                 raise BrokenInvariant("stored zero coefficient in %r" % (slot,))
@@ -92,7 +106,6 @@ def check_matrix(matrix, boundary_fn):
                 raise BrokenInvariant("cycle column %r has a boundary" % (slot,))
             if col.birth is None:
                 raise BrokenInvariant("cycle column %r carries no birth" % (slot,))
-            counts[dim] = counts.get(dim, 0) + 1
         elif col.label == "G":
             partner = matrix.cols.get(col.partner)
             if partner is None or partner.label != "H" or partner.partner != slot:
@@ -112,10 +125,6 @@ def check_matrix(matrix, boundary_fn):
             if cell not in matrix.cols[slot].chain:
                 raise BrokenInvariant("stale occurrence entry at %r" % (cell,))
 
-    if counts != matrix.f_counts:
-        raise BrokenInvariant("cycle-count bookkeeping is off: %r vs %r"
-                              % (counts, matrix.f_counts))
-
 
 def check_invariants(state, matrix, op=None):
     """Observer form of check_matrix against the current Morse boundary,
@@ -123,7 +132,8 @@ def check_invariants(state, matrix, op=None):
     cx, matching = state.complex, state.matching
     if matrix.cols.keys() != matching.critical:
         raise BrokenInvariant("matrix rows diverge from the critical cells")
-    check_matrix(matrix, lambda cell: morse_boundary(cx, matching, cell))
+    check_matrix(matrix, lambda cell: morse_boundary(cx, matching, cell),
+                 cx.dims)
 
 
 # -- the unreduced twin kernel ------------------------------------------------------
@@ -135,7 +145,12 @@ class Shadow:
     It takes the cells of ``InsertCritical`` and ``InsertPair`` (tau, then
     sigma) and gives up those of ``RemoveCritical`` and ``RemovePair``
     (sigma, then tau); a split changes no cell.  After every op its cycle
-    counts must equal the reduced matrix's.  The twin keeps its own ``seq``
+    counts must equal the reduced matrix's.  The twin's counts follow its
+    own returns: an inserted d-cell makes a d-cycle or kills a
+    (d-1)-class, and a removed one kills a d-class or reopens a
+    (d-1)-class.  The reduced matrix's counts are read off its columns
+    after each op that reaches it (a critical insertion or removal, or a
+    split); the pair ops leave it alone.  The twin keeps its own ``seq``
     and ``dims``: by the time it sees a ``RemovePair`` both cells have left
     the complex's, and a removal still reads them.  A new run (a new
     ``state``) starts a new twin.  Every op is given block 0, since only
@@ -149,7 +164,8 @@ class Shadow:
         if state is not self.state:
             self.state = state
             self.seq, self.dims = {}, {}
-            self.twin = HomologyMatrix(state.complex.p, self.seq, self.dims)
+            self.twin = HomologyMatrix(state.complex.p, self.seq)
+            self.counts, self.reduced = {}, {}
         kind = type(op)
         if kind is InsertCritical:
             self._insert(op.cell, op.dim, op.boundary)
@@ -161,24 +177,40 @@ class Shadow:
         elif kind is RemovePair:
             self._remove(op.sigma)
             self._remove(op.tau)
-        if self.twin.f_counts != matrix.f_counts:
+        if kind is InsertCritical or kind is RemoveCritical or kind is Split:
+            self.reduced = cycle_counts(matrix, state.complex.dims)
+        if self.counts != self.reduced:
             raise BrokenInvariant("cycle counts diverge: full %r, reduced %r"
-                                  % (self.twin.f_counts, matrix.f_counts))
+                                  % (self.counts, self.reduced))
+
+    def _count(self, dim, delta):
+        n = self.counts[dim] = self.counts.get(dim, 0) + delta
+        if not n:
+            del self.counts[dim]
 
     def _insert(self, cell, dim, bd):
         self.seq[cell] = self.state.complex.seq[cell]
         self.dims[cell] = dim
         try:
-            self.twin.forward_insert(cell, dict(bd), 0)
+            birth = self.twin.forward_insert(cell, dict(bd), 0)
         except KernelError as exc:
             raise BrokenInvariant("shadow insert of %r: %s" % (cell, exc)) from None
+        if birth is None:
+            self._count(dim, 1)
+        else:
+            self._count(dim - 1, -1)
 
     def _remove(self, cell):
         try:
-            self.twin.backward_remove(cell, 0)
+            birth = self.twin.backward_remove(cell, 0)
         except KernelError as exc:
             raise BrokenInvariant("shadow removal of %r: %s" % (cell, exc)) from None
-        del self.seq[cell], self.dims[cell]
+        del self.seq[cell]
+        dim = self.dims.pop(cell)
+        if birth is None:
+            self._count(dim - 1, 1)
+        else:
+            self._count(dim, -1)
 
 
 # -- the flow memo against memo-free flows ------------------------------------------
@@ -238,14 +270,14 @@ def check_betti(state, matrix, op=None):
     Dense-rank computation on both complexes; only for small runs.
     """
     cx, matching = state.complex, state.matching
-    p = cx.p
-    full = {c: (cx.dims[c], cx.facets[c]) for c in cx.dims}
-    reduced = {nu: (cx.dims[nu], morse_boundary(cx, matching, nu))
+    p, dims = cx.p, cx.dims
+    full = {c: (dims[c], cx.facets[c]) for c in dims}
+    reduced = {nu: (dims[nu], morse_boundary(cx, matching, nu))
                for nu in matching.critical}
     betti = betti_numbers(full, p)
     if betti_numbers(reduced, p) != betti:
         raise BrokenInvariant("Morse complex changed the Betti numbers")
-    if {d: b for d, b in enumerate(betti) if b} != matrix.f_counts:
+    if {d: b for d, b in enumerate(betti) if b} != cycle_counts(matrix, dims):
         raise BrokenInvariant("matrix cycle counts disagree with Betti numbers")
 
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from audits import check_matrix
+from audits import check_matrix, cycle_counts
 from conftest import make_rng
 from zzmorse.cells import Complex
 from zzmorse.errors import (
@@ -182,12 +182,25 @@ def test_backward_cells_may_be_an_iterator():
 
 
 # -- kernel column algebra (white box) ----------------------------------------
-# The matrix reads row order and dimension from its complex's ``seq`` and
-# ``dims``; these tests own those two dicts and write them as a complex would.
+# The matrix reads row order from its complex's ``seq``; these tests own that
+# dict and, for the cycle counts, a ``dims`` beside it, and write both as a
+# complex would.
+
+
+class Kernel(HomologyMatrix):
+    """The kernel with the dimension map a complex would keep beside it."""
+
+    def __init__(self, p):
+        super().__init__(p, {})
+        self.dims = {}
+
+
+def counts(m):
+    return cycle_counts(m, m.dims)
 
 
 def enter(m, cell, dim, seq):
-    """Put a cell into the complex mappings the matrix reads."""
+    """Put a cell into the complex mappings the tests read."""
     m.seq[cell], m.dims[cell] = seq, dim
 
 
@@ -204,7 +217,7 @@ def remove(m, cell, block):
 
 def circle_no_morse_matrix():
     """Circle built cell by cell through the kernel, every cell critical."""
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     for seq, (cell, dim, bd) in enumerate([
             ("v1", 0, {}), ("v2", 0, {}), ("v3", 0, {}),
             ("e12", 1, {"v1": 1, "v2": 1}), ("e23", 1, {"v2": 1, "v3": 1})]):
@@ -218,22 +231,22 @@ def test_insert_closing_edge_births_a_cycle():
     assert event is None
     assert m.cols["e13"].label == "F"
     assert m.cols["e13"].birth == (6, 2)
-    assert m.f_counts == {0: 1, 1: 1}
+    assert counts(m) == {0: 1, 1: 1}
 
     event = insert(m, "t123", 2, {"e12": 1, "e23": 1, "e13": 1}, 3, 6)
-    assert event == (1, 2)
-    assert m.f_counts == {0: 1}
+    assert event == 2
+    assert counts(m) == {0: 1}
 
     event = remove(m, "t123", 4)
     assert event is None
-    assert m.f_counts == {0: 1, 1: 1}
+    assert counts(m) == {0: 1, 1: 1}
     assert m.row_ops == 8
 
 
 def test_unpair_inserts_the_pair_and_corrects_cycles():
     # Circle with pairs (v2,e12),(v3,e23); rows v1, e13; then the pair
     # (v3,e23) is unpaired: the e13 cycle column must pick up an e23 term.
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "v1", 0, {}, 1, 0)
     insert(m, "e13", 1, {}, 1, 5)
     enter(m, "v3", 0, 3)
@@ -253,7 +266,7 @@ def test_unpair_inserts_the_pair_and_corrects_cycles():
     assert order == ["v1", "v3", "e23", "e13"]
 
     event = remove(m, "e23", 2)
-    assert event == (1, 1)
+    assert event == 1
     assert sorted(m.occ, key=m.seq.get) == ["v1", "v3", "e13"]
     assert m.cols["e13"].label == "H"
     assert m.cols["e13"].partner == "v3"
@@ -261,7 +274,7 @@ def test_unpair_inserts_the_pair_and_corrects_cycles():
 
 
 def test_insert_rejects_a_seq_not_above_every_earlier_one():
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "a", 0, {}, 1, 3)
     with pytest.raises(KernelError):
         insert(m, "b", 0, {}, 1, 3)
@@ -275,7 +288,7 @@ def test_insert_rejects_a_seq_not_above_every_earlier_one():
 
 
 def test_unpair_rejects_a_pair_not_inserted_consecutively():
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "v1", 0, {}, 1, 0)
     insert(m, "e13", 1, {}, 1, 5)
     enter(m, "v3", 0, 2)
@@ -292,17 +305,17 @@ def test_unpair_rejects_a_pair_not_inserted_consecutively():
 
 @pytest.mark.parametrize("incidence", [0, 2])
 def test_unpair_with_zero_incidence_leaves_the_matrix_unchanged(incidence):
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "v1", 0, {}, 1, 0)
     insert(m, "e13", 1, {}, 1, 5)
     enter(m, "v3", 0, 3)
     enter(m, "e23", 1, 4)
-    rows = dict(m.rowdim)
+    rows = set(m.occ)
     chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
     with pytest.raises(ZeroInverse):
         m.unpair_update("v3", "e23", {"v1": 1, "v3": incidence},
                         {"e13": 1, "e23": 1})
-    assert m.rowdim == rows and set(m.occ) == set(rows)
+    assert set(m.occ) == rows
     assert {slot: col.chain for slot, col in m.cols.items()} == chains
     assert m.row_ops == 2
 
@@ -326,7 +339,7 @@ def test_unpair_with_zero_incidence_leaves_the_matrix_unchanged(incidence):
 ])
 def test_kernel_refusals_name_the_cell(call, message):
     # rows v1, e13, v6; the complex also holds v3, e23 and x, without rows
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "v1", 0, {}, 1, 0)
     insert(m, "e13", 1, {}, 1, 5)
     insert(m, "v6", 0, {}, 1, 6)
@@ -336,7 +349,7 @@ def test_kernel_refusals_name_the_cell(call, message):
     chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
     with pytest.raises(KernelError, match=message):
         call(m)
-    assert set(m.occ) == set(m.rowdim) == {"v1", "e13", "v6"}
+    assert set(m.occ) == {"v1", "e13", "v6"}
     assert {slot: col.chain for slot, col in m.cols.items()} == chains
     assert m.row_ops == 3
 
@@ -345,14 +358,14 @@ def test_removal_pairs_the_birth_order_minimum():
     # Forward class (born in block 1) and backward class (born in block 4)
     # both meet the removed vertex; the backward one must die and the
     # survivor keep its forward birth with the blocker's decoupled chain.
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "a", 0, {}, 1, 0)
     insert(m, "b", 0, {}, 2, 1)
     insert(m, "ab", 1, {"a": 1, "b": 1}, 3, 2)  # kills b's class
     remove(m, "ab", 4)      # reopens a class born (-4, 4)
     assert m.cols["a"].birth == (1, 1) and m.cols["b"].birth == (-4, 4)
     event = remove(m, "a", 5)
-    assert event == (0, 4)
+    assert event == 4
     assert m.cols["b"].birth == (1, 1)
     assert m.cols["b"].chain == {"b": 1}
 
@@ -364,7 +377,7 @@ def test_removal_pairs_the_birth_order_minimum():
 def test_removal_refuses_a_row_a_boundary_column_holds(cell, message):
     # ab = a + b leaves a G column at b whose chain also holds a; the
     # refusal comes before the clock ticks or a blocker is eliminated
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "a", 0, {}, 1, 0)
     insert(m, "b", 0, {}, 1, 1)
     insert(m, "ab", 1, {"a": 1, "b": 1}, 1, 2)
@@ -383,13 +396,13 @@ def snapshot(m):
     """Everything the kernel keeps, with columns as plain tuples."""
     return ({slot: (dict(col.chain), col.label, col.birth, col.partner)
              for slot, col in m.cols.items()},
-            dict(m.rowdim), {cell: set(slots) for cell, slots in m.occ.items()},
-            dict(m.f_counts), m.row_ops, m.last_seq)
+            {cell: set(slots) for cell, slots in m.occ.items()},
+            m.row_ops, m.last_seq)
 
 
 def edge_matrix():
     """Vertices a, b and the edge ab, which kills a class, in block 1 (p = 5)."""
-    m = HomologyMatrix(5, {}, {})
+    m = Kernel(5)
     insert(m, "a", 0, {}, 1, 0)
     insert(m, "b", 0, {}, 1, 1)
     insert(m, "ab", 1, {"a": 1, "b": 4}, 1, 2)
@@ -407,7 +420,7 @@ def test_empty_boundary_insertion_matches_the_general_path(dim):
     assert fast.cols["c"].chain == {"c": 1}
     assert fast.cols["c"].birth == (4, 2)
     assert fast.occ["c"] == {"c"} and fast.last_seq == 3
-    assert fast.f_counts == ({0: 2} if dim == 0 else {0: 1, 1: 1})
+    assert counts(fast) == ({0: 2} if dim == 0 else {0: 1, 1: 1})
 
 
 @pytest.mark.parametrize("cell, seq, message", [
@@ -442,7 +455,7 @@ def test_insertion_refuses_a_boundary_through_a_chain_column():
     (lambda occ: occ["a"].add("b"), "stale occurrence of 'a' in 'b'"),
 ], ids=["no slot", "another slot only", "a stale slot too"])
 def test_removal_refuses_a_corrupt_occurrence_index(corrupt, message):
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "a", 0, {}, 1, 0)
     insert(m, "b", 0, {}, 1, 1)
     corrupt(m.occ)
@@ -456,9 +469,9 @@ def test_blocker_free_removal_of_a_cycle_returns_its_event():
     m = edge_matrix()
     insert(m, "c", 0, {}, 2, 3)
     assert m.occ["c"] == {"c"}  # no other column holds the row
-    assert remove(m, "c", 3) == (0, 2)
-    assert "c" not in m.cols and "c" not in m.occ and "c" not in m.rowdim
-    assert m.f_counts == {0: 1} and m.row_ops == 5
+    assert remove(m, "c", 3) == 2
+    assert "c" not in m.cols and "c" not in m.occ
+    assert counts(m) == {0: 1} and m.row_ops == 5
 
 
 def test_blocker_free_removal_of_a_chain_column_reopens_its_partner():
@@ -470,24 +483,24 @@ def test_blocker_free_removal_of_a_chain_column_reopens_its_partner():
     reopened = m.cols[partner]
     assert (reopened.label, reopened.birth, reopened.partner) == \
         ("F", (-4, 2), None)
-    assert m.f_counts == {0: 2} and m.row_ops == 4
-    check_matrix(m, {"a": {}, "b": {}}.__getitem__)
+    assert counts(m) == {0: 2} and m.row_ops == 4
+    check_matrix(m, {"a": {}, "b": {}}.__getitem__, m.dims)
 
 
 def test_errors_surface_through_the_wrappers():
     # The hooked names are the kernel's own methods: the kernel refuses an
     # unknown row and a zero pair incidence before it writes anything.
-    m = HomologyMatrix(2, {}, {})
+    m = Kernel(2)
     insert(m, "v", 0, {}, 1, 0)
     enter(m, "t", 0, 1)
     enter(m, "s", 1, 2)
-    rows = dict(m.rowdim)
+    rows = set(m.occ)
     chains = {slot: dict(col.chain) for slot, col in m.cols.items()}
     with pytest.raises(KernelError, match="'ghost' has no row"):
         remove_from_matrix(m, "ghost", 2)
     with pytest.raises(ZeroInverse):
         unpair_in_matrix(m, "t", "s", {"t": 2}, {})
-    assert m.rowdim == rows and set(m.occ) == set(rows)
+    assert set(m.occ) == rows
     assert {slot: col.chain for slot, col in m.cols.items()} == chains
     assert m.row_ops == 1
 
@@ -501,6 +514,29 @@ def test_non_cycle_boundary_is_rejected():
                             ForwardCell("bad", 2, {"e": 1})])]
     with pytest.raises(BrokenBoundary, match="cell 'bad' is not a cycle"):
         run_stream(blocks, p=2, morse=False)
+
+
+@pytest.mark.parametrize("morse, validate, error, message", [
+    (False, False, BrokenBoundary, "boundary of cell 'v' is not a cycle"),
+    (False, True, BrokenBoundary, "boundary of cell 'v' is not a cycle"),
+    (True, False, BrokenBoundary,
+     "reduced boundary of cell 'v' was refused: no room"),
+    (True, True, KernelError,
+     "reduced boundary of cell 'v' was refused: no room"),
+])
+def test_a_kernel_refusal_names_the_boundary_it_saw(monkeypatch, morse,
+                                                    validate, error, message):
+    # Without Morse the kernel saw the record's own boundary, so the input is
+    # blamed; with Morse it saw the reduced boundary, with the kernel's
+    # reason, and after validate's door check the engine is at fault.
+    def refuse(matrix, cell, boundary, block):
+        raise KernelError("no room")
+
+    monkeypatch.setattr("zzmorse.kernel.insert_into_matrix", refuse)
+    blocks = [BlockOp("F", [ForwardCell("v", 0, {})]), BlockOp("B", ["v"])]
+    with pytest.raises(ZigzagError) as info:
+        run_stream(blocks, morse=morse, validate=validate)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_non_prime_field_is_rejected():

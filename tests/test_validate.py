@@ -15,11 +15,13 @@ from zzmorse.morse import Matching
 from zzmorse.stream import InsertCritical, MorseState, RemoveCritical
 
 
+DIMS = {"a": 0, "b": 0, "ab": 1}
+
+
 def tiny_matrix(p=2):
     """Two vertices joined by an edge: one F, one G, one H column."""
     bd = {"a": {}, "b": {}, "ab": {"a": 1, "b": p - 1}}
-    dims = {"a": 0, "b": 0, "ab": 1}
-    m = HomologyMatrix(p, {"a": 0, "b": 1, "ab": 2}, dims)
+    m = HomologyMatrix(p, {"a": 0, "b": 1, "ab": 2})
     for cell in ("a", "b", "ab"):
         m.forward_insert(cell, dict(bd[cell]), 1)
     return m, (lambda cell: bd[cell])
@@ -29,7 +31,7 @@ def tiny_matrix(p=2):
 
 def test_tiny_matrix_passes_the_audit():
     m, boundary = tiny_matrix()
-    check_matrix(m, boundary)
+    check_matrix(m, boundary, DIMS)
     labels = sorted(col.label for col in m.cols.values())
     assert labels == ["F", "G", "H"]
 
@@ -50,7 +52,7 @@ def corrupt(mutate, match=None):
     m, boundary = tiny_matrix()
     mutate(m)
     with pytest.raises(BrokenInvariant, match=match):
-        check_matrix(m, boundary)
+        check_matrix(m, boundary, DIMS)
 
 
 def test_rejects_a_stored_zero_coefficient():
@@ -69,7 +71,7 @@ def test_rejects_rows_that_disagree_with_the_columns_or_the_complex():
     corrupt(lambda m: m.seq.pop("b"), "row 'b' is not in the complex")
 
     def drop_row(m):
-        del m.cols["a"], m.occ["a"], m.rowdim["a"]
+        del m.cols["a"], m.occ["a"]
     corrupt(drop_row, "boundary of 'ab' leaves the rows")
 
 
@@ -98,16 +100,11 @@ def test_rejects_a_stale_occurrence_entry():
     corrupt(lambda m: m.occ["a"].add("ab") or m.cols["ab"].chain.pop("a", None))
 
 
-def test_rejects_cooked_cycle_counts():
-    corrupt(lambda m: m.f_counts.update({3: 1}))
-
-
 def test_rejects_a_non_cycle_relabelled_as_cycle():
     def relabel(m):
         for slot, col in m.cols.items():
             if col.label == "H":
                 m.cols[slot] = Column(col.chain, "F", birth=(9, 1))
-                m._count(m.rowdim[slot], 1)
     corrupt(relabel)
 
 
@@ -122,7 +119,7 @@ def attached(state, dim, bd):
 
 def test_shadow_counts_match_and_then_diverge():
     state, shadow = MorseState(Complex(2), Matching()), Shadow()
-    live = HomologyMatrix(2, state.complex.seq, state.complex.dims)
+    live = HomologyMatrix(2, state.complex.seq)
     op = attached(state, 0, {})
     live.forward_insert(op.cell, {}, 1)
     shadow(state, live, op)
@@ -135,7 +132,7 @@ def test_shadow_names_a_cell_its_twin_kernel_refuses():
     state = MorseState(Complex(2), Matching())
     v = attached(state, 0, {}).cell
     edge = attached(state, 1, {v: 1})  # v never reached either twin
-    empty = HomologyMatrix(2, {}, {})
+    empty = HomologyMatrix(2, {})
     with pytest.raises(BrokenInvariant,
                        match="shadow insert of 1: boundary cell 0 has no row"):
         Shadow()(state, empty, edge)
@@ -157,7 +154,11 @@ def test_shadow_holds_every_live_cell_after_every_op(p):
 
 
 def cook(state, matrix, op):
-    matrix.f_counts[7] = 1
+    """Relabel one reduced cycle column as a boundary."""
+    for col in matrix.cols.values():
+        if col.label == "F":
+            col.label = "G"
+            return
 
 
 def test_run_stream_compares_the_shadow_after_every_op():
@@ -180,9 +181,14 @@ def test_block_audit_notices_a_phantom_critical_cell(morse):
                       observer=add_phantom)[0] == [(0, 1, 1)]
 
 
+def add_phantom_column(state, matrix, op):
+    matrix.cols["phantom"] = Column({"phantom": 1}, "F", (0, 1))
+
+
 def test_validate_checks_the_input_and_nothing_else():
-    # the flag changes neither the ops applied nor the output, and no
-    # longer audits the engine: cooked cycle counts go unnoticed
+    # the flag changes neither the ops applied nor the output, and does not
+    # audit the engine: a phantom cycle column, which no kernel op reaches
+    # and check_invariants refuses, goes unnoticed
     streams = [(5, random_block_stream(make_rng(490_000 + seed), p=5))
                for seed in range(40)] + [(2, branch_stream(2))]
     for p, blocks in streams:
@@ -193,7 +199,8 @@ def test_validate_checks_the_input_and_nothing_else():
                              observer=lambda state, matrix, op: ops.append(op))
             runs.append((ops, out))
         assert runs[0] == runs[1]
-        assert run_stream(blocks, p=p, validate=True, observer=cook) == out
+        assert run_stream(blocks, p=p, validate=True,
+                          observer=add_phantom_column) == out
 
 
 def test_apply_boundary_is_linear():
